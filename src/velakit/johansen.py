@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
 from .lag_selection import level_matrix
-from .linalg import cholesky_factor, ols_fit, solve_lower, solve_upper, symmetric_eigendecomposition
+from .linalg import (
+    PIVOT_RTOL,
+    SYMMETRY_RTOL,
+    cholesky_factor,
+    ols_fit,
+    solve_lower,
+    solve_upper,
+    symmetric_eigendecomposition,
+)
 
 RESTRICTED_CONSTANT = "rconst"
 UNRESTRICTED_CONSTANT = "uconst"
@@ -226,3 +234,73 @@ def rank_test(m: MomentMatrices, case: str | None = None, level: float = 0.05) -
         T_eff=m.T_eff,
         p=p,
     )
+
+
+def _rank0_trace_stats(z: np.ndarray, case: str) -> np.ndarray:
+    """Rank-0 trace statistics of a stack of k=1 systems, one pass for all.
+
+    ``z`` holds n level series as an (n, T, p) array; entry i of the result
+    is ``rank_test(concentrate(z[i], k=1, case=case)).trace_stats[0]`` to
+    rounding. The moments, Cholesky whitening and eigenvalues go through
+    numpy's broadcasting matmul, cholesky, solve and eigvalsh. Every check
+    of the scalar path is made for the whole stack; if one fails, or LAPACK
+    raises, the stack is re-run through concentrate/rank_test one series
+    at a time, which raises the scalar path's typed error.
+    """
+    n, T, p = z.shape
+    T_eff = T - 1
+    stats = None
+    # non-finite intermediates only mean a failed check; the scalar re-run
+    # reports them
+    with np.errstate(all="ignore"):
+        if case in CASES and 1 <= p <= MAX_TABLE_DIM and T_eff > p + 2 and np.isfinite(z).all():
+            dz = np.diff(z, axis=1)
+            lvl = z[:, :-1]
+            # column sums as products with a ones vector: a strided sum over
+            # axis 1 takes several times longer
+            ones = np.ones(T_eff)
+            if case == UNRESTRICTED_CONSTANT:
+                dz -= (ones @ dz / T_eff)[:, None, :]
+                lvl = lvl - (ones @ lvl / T_eff)[:, None, :]
+                S11 = lvl.swapaxes(1, 2) @ lvl
+                S01 = dz.swapaxes(1, 2) @ lvl
+            else:
+                # the restricted constant enters through Z'1 and dZ'1 blocks
+                S11 = np.empty((n, p + 1, p + 1))
+                S11[:, :p, :p] = lvl.swapaxes(1, 2) @ lvl
+                S11[:, :p, p] = S11[:, p, :p] = ones @ lvl
+                S11[:, p, p] = T_eff
+                S01 = np.empty((n, p, p + 1))
+                S01[:, :, :p] = dz.swapaxes(1, 2) @ lvl
+                S01[:, :, p] = ones @ dz
+            S00 = dz.swapaxes(1, 2) @ dz / T_eff
+            S11 /= T_eff
+            S01 /= T_eff
+
+            def symmetric(S):
+                scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+                return np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_RTOL * scale
+
+            def pivots_ok(S, L):
+                d = np.diagonal(S, axis1=1, axis2=2)
+                return ((d > 0) & (np.diagonal(L, axis1=1, axis2=2) ** 2 > PIVOT_RTOL * d)).all(axis=1)
+
+            try:
+                L1 = np.linalg.cholesky(S11)
+                L0 = np.linalg.cholesky(S00)
+                G = np.linalg.solve(L0, S01)
+                G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
+                M = G.swapaxes(1, 2) @ G
+                lam = np.linalg.eigvalsh(M)  # ascending
+            except np.linalg.LinAlgError:
+                lam = None
+            if lam is not None and (
+                symmetric(S11) & symmetric(S00) & symmetric(M)
+                & pivots_ok(S11, L1) & pivots_ok(S00, L0) & (lam[:, -1] < 1.0 - 1e-12)
+            ).all():
+                # the p largest, summed smallest first as rank_test does
+                stats = -T_eff * np.log1p(-np.clip(lam[:, -p:], 0.0, None)).sum(axis=1)
+    if stats is None:
+        stats = np.array([rank_test(concentrate(zi, k=1, case=case), case=case).trace_stats[0]
+                          for zi in z])
+    return stats

@@ -31,8 +31,6 @@ CSV_COLUMNS = (
 
 _COLUMN_TO_VAR = dict(zip(CSV_COLUMNS[2:], VARIABLES))
 
-KNOWN_AGENCIES = ("CNSA", "ESA", "JAXA", "ROSCOSMOS", "NASA")
-
 MIN_YEARS = 12
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from velakit.errors import NotPositiveDefiniteError, ValidationError
+from velakit.errors import NotPositiveDefiniteError, NumericalError, ValidationError
 from velakit.johansen import (
     MAXEIG_CRITICAL,
     TRACE_CRITICAL,
     MomentMatrices,
+    _rank0_trace_stats,
     concentrate,
     moments_from_residuals,
     rank_test,
@@ -217,3 +218,42 @@ class TestCriticalTables:
         # its critical values sit above the unrestricted ones
         for i in range(6):
             assert TRACE_CRITICAL["rconst"]["95%"][i] > TRACE_CRITICAL["uconst"]["95%"][i]
+
+
+def random_walk_stack(n, T, p, case, seed=31):
+    drift = 1.0 if case == "uconst" else 0.0
+    return np.stack([np.cumsum(rng_for(seed, i).standard_normal((T, p)) + drift, axis=0)
+                     for i in range(n)])
+
+
+def scalar_trace_r0(z, case):
+    return rank_test(concentrate(z, k=1, case=case), case=case).trace_stats[0]
+
+
+class TestStackedRank0Kernel:
+    @pytest.mark.parametrize("case", ["rconst", "uconst"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_agrees_with_scalar_path(self, case, p):
+        z = random_walk_stack(40, 400, p, case)
+        got = _rank0_trace_stats(z, case)
+        want = np.array([scalar_trace_r0(zi, case) for zi in z])
+        assert got.shape == (40,)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["rconst", "uconst"])
+    @pytest.mark.parametrize("fault", ["constant", "duplicate", "nonfinite", "exact_relation"])
+    def test_degenerate_member_raises_scalar_error(self, case, fault):
+        z = random_walk_stack(6, 400, 2, case)
+        if fault == "constant":
+            z[3, :, 1] = 7.0
+        elif fault == "duplicate":
+            z[3, :, 1] = z[3, :, 0]
+        elif fault == "nonfinite":
+            z[3, 10, 0] = np.inf
+        else:
+            # dz_t = 0.01 z_{t-1}: canonical correlation 1
+            z[3, :, 0] = 1.01 ** np.arange(400)
+        with pytest.raises((ValidationError, NumericalError)) as scalar:
+            scalar_trace_r0(z[3], case)
+        with pytest.raises(type(scalar.value)):
+            _rank0_trace_stats(z, case)

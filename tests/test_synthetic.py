@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from velakit.errors import ValidationError
+from velakit.johansen import concentrate, rank_test
 from velakit.synthetic import (
     SyntheticSpec,
     generate_vecm_data,
     monte_carlo_critical_values,
     random_walk_spec,
     replication_seed,
+    rng_for,
     run_recovery_study,
     study_spec,
     subspace_angle_deg,
@@ -92,6 +94,50 @@ class TestCriticalValueStudy:
         b = monte_carlo_critical_values(1, "uconst", reps=1000, T=400, seed=9)
         assert a.percentiles == b.percentiles
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_bootstrap_resample_rejected(self):
+        with pytest.raises(ValidationError, match="bootstrap must be >= 2"):
+            monte_carlo_critical_values(1, "rconst", reps=1000, T=400, bootstrap=1)
+
+    @pytest.mark.parametrize("p_minus_r", [0, 7])
+    def test_dimension_outside_table_rejected(self, p_minus_r):
+        with pytest.raises(ValidationError, match="p_minus_r"):
+            monte_carlo_critical_values(p_minus_r, "rconst", reps=1000, T=400)
+
+
+@pytest.fixture(scope="module")
+def ragged_study():
+    # 1001 replications and 45 resamples leave a partial last block in both loops
+    return monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
+                                       bootstrap=45, keep_statistics=True)
+
+
+class TestBlockedCriticalValueStudy:
+    def test_statistics_match_single_replication_runs(self, ragged_study):
+        want = np.array([
+            rank_test(concentrate(np.cumsum(rng_for(13, rep).standard_normal((400, 2)) + 1.0,
+                                            axis=0), k=1, case="uconst")).trace_stats[0]
+            for rep in range(1001)
+        ])
+        np.testing.assert_allclose(ragged_study.statistics, want, rtol=1e-10, atol=0.0)
+
+    def test_percentiles_of_statistics(self, ragged_study):
+        stats = ragged_study.statistics
+        assert ragged_study.percentiles == {
+            f"{q}%": float(np.percentile(stats, q)) for q in (90, 95, 99)
+        }
+
+    def test_bootstrap_matches_per_resample_loop(self, ragged_study):
+        stats = ragged_study.statistics
+        boot_rng = rng_for(13, 1001 + 1)
+        boots = {q: np.empty(45) for q in (90, 95, 99)}
+        for b in range(45):
+            sample = stats[boot_rng.integers(0, 1001, size=1001)]
+            for q in boots:
+                boots[q][b] = np.percentile(sample, q)
+        want = {f"{q}%": float(np.std(vals, ddof=1)) for q, vals in boots.items()}
+        assert ragged_study.bootstrap_se == want
+
 
 class TestRecoveryStudy:
     def test_strong_alpha_recovers_rank(self):
@@ -122,4 +168,17 @@ class TestRecoveryStudy:
     def test_angle_helper(self):
         a = np.array([[1.0], [0.0]])
         assert subspace_angle_deg(a, np.array([[0.0], [1.0]])) == pytest.approx(90.0)
-        assert subspace_angle_deg(a, 5 * a) == pytest.approx(0.0, abs=1e-6)
+        assert subspace_angle_deg(a, 5 * a) == pytest.approx(0.0, abs=1e-12)
+        b = np.array([[1.0], [-2.0], [0.5]])
+        assert subspace_angle_deg(b, b) == pytest.approx(0.0, abs=1e-12)
+        assert subspace_angle_deg(b, 3 * b) == pytest.approx(0.0, abs=1e-12)
+
+    def test_angle_helper_two_columns(self):
+        c = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        mixed = c @ np.array([[2.0, 1.0], [-1.0, 3.0]])
+        assert subspace_angle_deg(mixed, c) == pytest.approx(0.0, abs=1e-12)
+        # rotating the second axis 30 degrees out of the plane
+        tilted = np.array([[1.0, 0.0], [0.0, np.cos(np.pi / 6)], [0.0, np.sin(np.pi / 6)]])
+        assert subspace_angle_deg(tilted, c) == pytest.approx(30.0, abs=1e-12)
+        yz_plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert subspace_angle_deg(yz_plane, c) == pytest.approx(90.0, abs=1e-12)
