@@ -16,8 +16,9 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
 from .lag_selection import level_matrix
 from .linalg import (
-    PIVOT_RTOL,
     SYMMETRY_RTOL,
+    _pivots_clear,
+    _stacked_ols,
     cholesky_factor,
     ols_fit,
     solve_lower,
@@ -208,27 +209,16 @@ def rank_test(m: MomentMatrices, case: str | None = None, level: float = 0.05) -
         )
     lam_all, _ = solve_cointegration_eigenproblem(m)
     lam = lam_all[:p]
-    log1m = np.log1p(-lam)
-    trace = -m.T_eff * (np.cumsum(log1m[::-1])[::-1])
-    maxeig = -m.T_eff * log1m
-
-    key = _LEVEL_KEY[level]
-    cv = np.array([TRACE_CRITICAL[case][key][p - r - 1] for r in range(p)])
-    cv5 = np.array([TRACE_CRITICAL[case]["95%"][p - r - 1] for r in range(p)])
-    cv5_max = np.array([MAXEIG_CRITICAL[case]["95%"][p - r - 1] for r in range(p)])
-
-    selected = p
-    for r in range(p):
-        if trace[r] < cv[r]:
-            selected = r
-            break
+    trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case, _LEVEL_KEY[level])
+    cv5 = np.array(TRACE_CRITICAL[case]["95%"][p - 1 :: -1])
+    cv5_max = np.array(MAXEIG_CRITICAL[case]["95%"][p - 1 :: -1])
     return RankTestResult(
         eigenvalues=lam,
-        trace_stats=trace,
-        maxeig_stats=maxeig,
+        trace_stats=trace[0],
+        maxeig_stats=-m.T_eff * np.log1p(-lam),
         critical_values_5pct=cv5,
         maxeig_critical_values_5pct=cv5_max,
-        selected_rank=selected,
+        selected_rank=int(selected[0]),
         deterministic_case=case,
         level=level,
         T_eff=m.T_eff,
@@ -236,71 +226,128 @@ def rank_test(m: MomentMatrices, case: str | None = None, level: float = 0.05) -
     )
 
 
+def _stacked_concentrate(z: np.ndarray, k: int, case: str):
+    """concentrate for each series of an (n, T, p) stack of levels, in one pass.
+
+    Returns (W, X, S00, S01, S11): W (n, T_eff, p + p_aug) holds the
+    regressand dz_t in its first p columns and the level term (z_{t-1},
+    and a ones column under rconst) in the rest, X the short-run
+    regressors (None when there are none), and the S are the T-normalized
+    concentrated moments: blocks of one cross product of the joint
+    residuals. Returns None where a check of concentrate's could fail:
+    case, lag order, sample size, finite data or the pivots of the
+    short-run regression.
+    """
+    n, T, p = z.shape
+    T_eff = T - k
+    n_short = p * (k - 1) + (case == UNRESTRICTED_CONSTANT)
+    p_aug = p + (case == RESTRICTED_CONSTANT)
+    if (case not in CASES or k < 1 or p < 1 or T_eff <= n_short + p_aug + 1
+            or not np.isfinite(z).all()):
+        return None
+    # built time-last, so elementwise work runs along the long axis; W and
+    # X are the time-first views of these buffers
+    zt = z.swapaxes(1, 2)
+    Wt = np.empty((n, p + p_aug, T_eff))
+    np.subtract(zt[:, :, k:], zt[:, :, k - 1 : -1], out=Wt[:, :p])
+    Wt[:, p : 2 * p] = zt[:, :, k - 1 : -1]
+    Wt[:, 2 * p :] = 1.0
+    W = R = Wt.swapaxes(1, 2)
+    X = None
+    if n_short:
+        Xt = np.empty((n, n_short, T_eff))
+        for i in range(1, k):
+            np.subtract(zt[:, :, k - i : T - i], zt[:, :, k - 1 - i : T - 1 - i],
+                        out=Xt[:, (i - 1) * p : i * p])
+        Xt[:, p * (k - 1) :] = 1.0
+        X = Xt.swapaxes(1, 2)
+        fit = _stacked_ols(X, W)
+        if fit is None:
+            return None
+        R = fit[1]
+    S = R.swapaxes(1, 2) @ R
+    S /= T_eff
+    return W, X, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:]
+
+
+def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
+                          vectors: bool = False):
+    """solve_cointegration_eigenproblem for stacked moment matrices, in one pass.
+
+    Returns the eigenvalues (n, p_aug), descending and clipped at 0, and
+    with ``vectors`` the beta candidates (n, p_aug, p_aug) scaled as the
+    scalar path scales them (None without). Returns None where one of its
+    checks could fail: symmetry within SYMMETRY_RTOL, the Cholesky pivots,
+    lambda_1 < 1 - 1e-12, a nonzero coordinate in every candidate.
+    """
+
+    def symmetric(S):
+        scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+        return np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_RTOL * scale
+
+    try:
+        L1 = np.linalg.cholesky(S11)
+        L0 = np.linalg.cholesky(S00)
+        G = np.linalg.solve(L0, S01)
+        G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
+        M = G.swapaxes(1, 2) @ G
+        if vectors:
+            lam, W = np.linalg.eigh(M)  # ascending
+        else:
+            lam, W = np.linalg.eigvalsh(M), None
+    except np.linalg.LinAlgError:
+        return None
+    if not (symmetric(S11) & symmetric(S00) & symmetric(M) & _pivots_clear(S11, L1)
+            & _pivots_clear(S00, L0) & (lam[:, -1] < 1.0 - 1e-12)).all():
+        return None
+    lam = np.clip(lam[:, ::-1], 0.0, None)
+    if W is None:
+        return lam, None
+    beta = np.linalg.solve(L1.swapaxes(1, 2), W[:, :, ::-1])
+    size = np.abs(beta)
+    nonzero = size > 1e-10 * np.maximum(size.max(axis=1, keepdims=True), 1e-300)
+    if not nonzero.any(axis=1).all():
+        return None
+    first = np.take_along_axis(beta, nonzero.argmax(axis=1)[:, None, :], axis=1)
+    return lam, beta / first
+
+
+def _stacked_trace_test(lam: np.ndarray, T_eff: int, p: int, case: str,
+                        key: str = "95%"):
+    """Trace statistics (n, p) for r = 0..p-1 and selected ranks (n,) from
+    stacked descending eigenvalues (n, >= p).
+
+    The statistic for r sums log(1 - lambda) over the p - r smallest
+    eigenvalues, smallest first; the selected rank is the smallest r whose
+    statistic falls below the ``key`` critical value for p - r, or p when
+    every null rejects.
+    """
+    log1m = np.log1p(-lam[:, :p])
+    trace = -T_eff * np.cumsum(log1m[:, ::-1], axis=1)[:, ::-1]
+    below = trace < np.array(TRACE_CRITICAL[case][key][p - 1 :: -1])
+    return trace, np.where(below.any(axis=1), below.argmax(axis=1), p)
+
+
 def _rank0_trace_stats(z: np.ndarray, case: str) -> np.ndarray:
     """Rank-0 trace statistics of a stack of k=1 systems, one pass for all.
 
     ``z`` holds n level series as an (n, T, p) array; entry i of the result
     is ``rank_test(concentrate(z[i], k=1, case=case)).trace_stats[0]`` to
-    rounding. The moments, Cholesky whitening and eigenvalues go through
-    numpy's broadcasting matmul, cholesky, solve and eigvalsh. Every check
-    of the scalar path is made for the whole stack; if one fails, or LAPACK
-    raises, the stack is re-run through concentrate/rank_test one series
-    at a time, which raises the scalar path's typed error.
+    rounding. Every check of the scalar path is made for the whole stack;
+    if one fails, or LAPACK raises, the stack is re-run through
+    concentrate/rank_test one series at a time, which raises the scalar
+    path's typed error.
     """
     n, T, p = z.shape
-    T_eff = T - 1
-    stats = None
+    eig = None
     # non-finite intermediates only mean a failed check; the scalar re-run
     # reports them
     with np.errstate(all="ignore"):
-        if case in CASES and 1 <= p <= MAX_TABLE_DIM and T_eff > p + 2 and np.isfinite(z).all():
-            dz = np.diff(z, axis=1)
-            lvl = z[:, :-1]
-            # column sums as products with a ones vector: a strided sum over
-            # axis 1 takes several times longer
-            ones = np.ones(T_eff)
-            if case == UNRESTRICTED_CONSTANT:
-                dz -= (ones @ dz / T_eff)[:, None, :]
-                lvl = lvl - (ones @ lvl / T_eff)[:, None, :]
-                S11 = lvl.swapaxes(1, 2) @ lvl
-                S01 = dz.swapaxes(1, 2) @ lvl
-            else:
-                # the restricted constant enters through Z'1 and dZ'1 blocks
-                S11 = np.empty((n, p + 1, p + 1))
-                S11[:, :p, :p] = lvl.swapaxes(1, 2) @ lvl
-                S11[:, :p, p] = S11[:, p, :p] = ones @ lvl
-                S11[:, p, p] = T_eff
-                S01 = np.empty((n, p, p + 1))
-                S01[:, :, :p] = dz.swapaxes(1, 2) @ lvl
-                S01[:, :, p] = ones @ dz
-            S00 = dz.swapaxes(1, 2) @ dz / T_eff
-            S11 /= T_eff
-            S01 /= T_eff
-
-            def symmetric(S):
-                scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-                return np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_RTOL * scale
-
-            def pivots_ok(S, L):
-                d = np.diagonal(S, axis1=1, axis2=2)
-                return ((d > 0) & (np.diagonal(L, axis1=1, axis2=2) ** 2 > PIVOT_RTOL * d)).all(axis=1)
-
-            try:
-                L1 = np.linalg.cholesky(S11)
-                L0 = np.linalg.cholesky(S00)
-                G = np.linalg.solve(L0, S01)
-                G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
-                M = G.swapaxes(1, 2) @ G
-                lam = np.linalg.eigvalsh(M)  # ascending
-            except np.linalg.LinAlgError:
-                lam = None
-            if lam is not None and (
-                symmetric(S11) & symmetric(S00) & symmetric(M)
-                & pivots_ok(S11, L1) & pivots_ok(S00, L0) & (lam[:, -1] < 1.0 - 1e-12)
-            ).all():
-                # the p largest, summed smallest first as rank_test does
-                stats = -T_eff * np.log1p(-np.clip(lam[:, -p:], 0.0, None)).sum(axis=1)
-    if stats is None:
-        stats = np.array([rank_test(concentrate(zi, k=1, case=case), case=case).trace_stats[0]
-                          for zi in z])
-    return stats
+        if p <= MAX_TABLE_DIM:
+            moments = _stacked_concentrate(z, 1, case)
+            if moments is not None:
+                eig = _stacked_eigenproblem(*moments[2:])
+    if eig is None:
+        return np.array([rank_test(concentrate(zi, k=1, case=case), case=case).trace_stats[0]
+                         for zi in z])
+    return _stacked_trace_test(eig[0], T - 1, p, case)[0][:, 0]

@@ -82,12 +82,49 @@ def ols_fit(X, Y) -> OlsFit:
     return OlsFit(coefficients=coef, residuals=resid, residual_covariance=cov, dof=dof)
 
 
+def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Whether every pivot L_jj^2 of a factor clears PIVOT_RTOL * S_jj twice over.
+
+    Works on one matrix or a stack (reducing the last two axes). The
+    margin keeps a factor from LAPACK, whose pivots round differently from
+    the column loop's, to cases the loop accepts too; closer calls go to
+    the loop.
+    """
+    d = np.diagonal(S, axis1=-2, axis2=-1)
+    lj = np.diagonal(L, axis1=-2, axis2=-1)
+    return ((d > 0) & (lj * lj > 2.0 * PIVOT_RTOL * d)).all(axis=-1)
+
+
+def _stacked_ols(X: np.ndarray, Y: np.ndarray):
+    """ols_fit of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass.
+
+    Returns (coefficients, residuals), or None when ols_fit could raise for
+    some member: too few rows or too many columns, or a diagonal of R that
+    does not clear PIVOT_RTOL relative to the largest by a factor of two
+    (rounding then cannot make this path accept a fit ols_fit rejects).
+    """
+    rows, cols = X.shape[-2:]
+    if not cols < rows <= 10**6 or max(cols, Y.shape[-1]) > MAX_DIM:
+        return None
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    scale = diag.max(axis=-1, keepdims=True)
+    if not ((scale > 0) & (diag > 2.0 * PIVOT_RTOL * scale)).all():
+        return None
+    coef = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
+    # in place: a second block-sized temporary costs more than the product
+    resid = X @ coef
+    np.subtract(Y, resid, out=resid)
+    return coef, resid
+
+
 def cholesky_factor(S) -> np.ndarray:
     """Lower-triangular L with L L' = S for symmetric positive-definite S.
 
-    Hand-rolled so the failing pivot index is reported; used both for
-    whitening the cointegration eigenproblem and as the independent
-    normal-equations oracle for ols_fit.
+    Factored by LAPACK; when that fails, or a pivot is too close to
+    PIVOT_RTOL times its diagonal entry, a column loop decides and reports
+    the failing pivot index. Used both for whitening the cointegration
+    eigenproblem and as the independent normal-equations oracle for ols_fit.
     """
     S = as_matrix(S, "S")
     n, m = S.shape
@@ -96,6 +133,12 @@ def cholesky_factor(S) -> np.ndarray:
     scale = np.abs(S).max() if n else 0.0
     if n and np.abs(S - S.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValidationError("S is not symmetric within tolerance")
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None and _pivots_clear(S, L):
+        return L
 
     L = np.zeros_like(S)
     for j in range(n):

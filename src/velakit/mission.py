@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 
 from .errors import ValidationError
@@ -26,8 +26,10 @@ class AgencyBudget:
     provides_super_heavy: bool = False
 
     def __post_init__(self):
-        if self.annual_budget_busd <= 0:
-            raise ValidationError(f"{self.agency_id}: annual budget must be positive")
+        if not (isfinite(self.annual_budget_busd) and self.annual_budget_busd > 0):
+            raise ValidationError(
+                f"{self.agency_id}: annual_budget_busd must be positive and finite"
+            )
         if not 0.0 < self.contribution_fraction <= 1.0:
             raise ValidationError(
                 f"{self.agency_id}: contribution fraction must be in (0, 1]"
@@ -56,8 +58,8 @@ class MissionConfig:
             seen.add(a.agency_id)
         if self.horizon_years < 1:
             raise ValidationError("horizon_years must be >= 1")
-        if self.esa_module_bias < 1.0:
-            raise ValidationError("esa_module_bias must be >= 1")
+        if not (isfinite(self.esa_module_bias) and self.esa_module_bias >= 1.0):
+            raise ValidationError("esa_module_bias must be finite and >= 1")
         if self.n_modules > self.n_payload_launches:
             raise ValidationError(
                 f"{self.n_modules} modules exceed the {self.n_payload_launches} "
@@ -65,38 +67,54 @@ class MissionConfig:
             )
         for name in ("module_unit_cost_busd", "launch_unit_cost_busd",
                      "crew_systems_cost_busd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            if not (isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValidationError(f"{name} must be non-negative and finite")
         for name in ("n_modules", "n_payload_launches", "n_crew_launches"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
 
 
+def _field(doc: dict, name: str, kind: str, where: str = ""):
+    """doc[name] if it has JSON type ``kind``; a bool is not a number here."""
+    value = doc[name]
+    types = {"boolean": bool, "integer": int, "number": (int, float)}[kind]
+    if not isinstance(value, types) or (kind != "boolean" and isinstance(value, bool)):
+        raise ValidationError(f"{where}{name} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
 def config_from_dict(doc: dict) -> MissionConfig:
+    """Parse a mission config document; each field must have its JSON type.
+
+    Counts are integers, money and bias are numbers (the dataclasses then
+    require them finite) and the launch flag is a boolean; nothing is
+    coerced (``2.9`` is not a horizon and ``"false"`` is not false).
+    """
     try:
-        agencies = tuple(
-            AgencyBudget(
+        agencies = []
+        for a in doc["agencies"]:
+            where = f"agency {a.get('agency_id')!r}: "
+            agencies.append(AgencyBudget(
                 agency_id=a["agency_id"],
-                annual_budget_busd=float(a["annual_budget_busd"]),
-                contribution_fraction=float(a["contribution_fraction"]),
-                provides_super_heavy=bool(a.get("provides_super_heavy", False)),
-            )
-            for a in doc["agencies"]
-        )
-    except (KeyError, TypeError) as exc:
+                annual_budget_busd=_field(a, "annual_budget_busd", "number", where),
+                contribution_fraction=_field(a, "contribution_fraction", "number", where),
+                provides_super_heavy=(_field(a, "provides_super_heavy", "boolean", where)
+                                      if "provides_super_heavy" in a else False),
+            ))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"bad mission config: {exc}") from exc
     kwargs = {}
     for name in ("horizon_years", "n_modules", "n_payload_launches", "n_crew_launches"):
         if name in doc:
-            kwargs[name] = int(doc[name])
+            kwargs[name] = _field(doc, name, "integer")
     for name in ("module_unit_cost_busd", "launch_unit_cost_busd",
                  "crew_systems_cost_busd", "esa_module_bias"):
         if name in doc:
-            kwargs[name] = float(doc[name])
+            kwargs[name] = _field(doc, name, "number")
     extra = set(doc) - {"agencies"} - set(kwargs)
     if extra:
         raise ValidationError(f"unknown mission config key(s): {sorted(extra)}")
-    return MissionConfig(agencies=agencies, **kwargs)
+    return MissionConfig(agencies=tuple(agencies), **kwargs)
 
 
 def load_config(path: str | Path) -> MissionConfig:

@@ -5,17 +5,21 @@ error-correction recursion with Gaussian innovations, and studies derive a
 fresh per-replication generator from (seed, replication index) through a
 64-bit mix so results are order-independent and bit-reproducible.
 
-The critical-value study draws each replication from its own generator
-into a shared block buffer and computes a whole block of trace statistics
-in one stacked pass (johansen._rank0_trace_stats). Its statistics agree
-with the per-replication concentrate/rank_test path to 1e-10 relative;
-reruns are byte-identical, but the last digits may differ from releases
-that ran one replication at a time.
+Both studies run in blocks of CV_BLOCK replications, each drawn from its
+own generator into a shared block buffer. The critical-value study
+computes a block's trace statistics in one stacked pass
+(johansen._rank0_trace_stats). The recovery study steps the recursion once
+per time step for the whole block (_simulate, which generate_vecm_data
+runs for a single replication) and rank-tests and fits the block in one
+pass (vecm._stacked_estimate); a block that fails any check of the scalar
+path re-runs through concentrate/rank_test/estimate_vecm, which raises its
+typed error. Results agree with the one-replication-at-a-time path to
+1e-10 relative; reruns are byte-identical, but the last digits may differ
+from releases that ran one replication at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +31,17 @@ from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
     _rank0_trace_stats,
+    _stacked_trace_test,
     concentrate,
     rank_test,
 )
 from .linalg import general_eigenvalues
-from .vecm import companion_matrix, estimate_vecm
+from .vecm import _stacked_estimate, companion_matrix, estimate_vecm
 
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per stacked block of the critical-value study and bootstrap
+# replications per stacked block of both Monte Carlo studies and bootstrap
 # resamples per block: enough to amortize the per-call overhead, few enough
 # to keep peak memory flat
 CV_BLOCK = 32
@@ -101,12 +106,7 @@ class SyntheticSpec:
             raise ValidationError("ec_noise_scale needs a cointegrated system (r >= 1)")
         if not 0 <= self.r <= self.p - 1:
             raise ValidationError(f"rank must satisfy 0 <= r <= p-1, got r={self.r}, p={self.p}")
-        comp = companion_matrix(
-            alpha if self.r else np.zeros((self.p, 1)),
-            beta if self.r else np.zeros((self.p, 1)),
-            self.gamma_true,
-        )
-        moduli = np.abs(general_eigenvalues(comp))
+        moduli = np.abs(general_eigenvalues(self.companion()))
         n_unit = int(np.sum(np.abs(moduli - 1.0) <= _UNIT_TOL))
         n_inside = int(np.sum(moduli < 1.0 - _UNIT_TOL))
         if n_unit != self.p - self.r or n_unit + n_inside != moduli.size:
@@ -119,30 +119,54 @@ class SyntheticSpec:
     def k(self) -> int:
         return len(self.gamma_true) + 1
 
+    def companion(self) -> np.ndarray:
+        """Companion matrix of the level VAR the recursion implies."""
+        zeros = np.zeros((self.p, 1))
+        return companion_matrix(self.alpha_true if self.r else zeros,
+                                self.beta_true if self.r else zeros, self.gamma_true)
+
+
+def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None) -> np.ndarray:
+    """Levels of replications ``reps``, the recursion stepping all of them at once.
+
+    Replication i draws its innovations from its own generator into row i
+    of an (n, T + BURN_IN + k, p) buffer (``buffer`` when given, else a new
+    one), where the levels are then built in place. Returns the last T
+    steps as an (n, T, p) view.
+    """
+    p, k = spec.p, spec.k
+    n, total = len(reps), spec.T + BURN_IN + k
+    z = np.empty((n, total, p)) if buffer is None else buffer[:n]
+    if spec.noise_scale > 0 or spec.ec_noise_scale:
+        for i, rep in enumerate(reps):
+            rng_for(spec.seed, rep).standard_normal(out=z[i])
+        if spec.ec_noise_scale is None:
+            z *= spec.noise_scale
+        else:
+            q, _ = np.linalg.qr(spec.beta_true)
+            inside = z @ (q @ q.T)
+            z -= inside
+            z *= spec.noise_scale
+            inside *= spec.ec_noise_scale
+            z += inside
+    else:
+        z.fill(0.0)
+    z += spec.mu_true
+    z[:, :k] = 0.0
+    # the error-correction recursion in level form, z_t = mu + e_t +
+    # A_1 z_{t-1} + ... + A_k z_{t-k} with the A_i of the companion matrix;
+    # each replication's window z_{t-k}..z_{t-1} is one contiguous run. The
+    # products are summed in a fixed order (BLAS picks its kernel by n), so
+    # a replication's levels do not depend on the block it is simulated in
+    coef = spec.companion()[:p].reshape(p, k, p)[:, ::-1].reshape(p, k * p).T
+    for t in range(k, total):
+        z[:, t] += (z[:, t - k : t].reshape(n, k * p, 1) * coef).sum(axis=1)
+    return z[:, -spec.T :]
+
 
 def generate_vecm_data(spec: SyntheticSpec, rep: int = 0) -> np.ndarray:
     """Simulate T observations of the level process (after 50 burn-in steps)."""
-    rng = rng_for(spec.seed, rep)
-    p, k = spec.p, spec.k
-    total = spec.T + BURN_IN + k
-    z = np.zeros((total, p))
-    if spec.noise_scale > 0 or spec.ec_noise_scale:
-        eta = rng.standard_normal((total, p))
-        if spec.ec_noise_scale is None:
-            noise = spec.noise_scale * eta
-        else:
-            q, _ = np.linalg.qr(spec.beta_true)
-            inside = eta @ (q @ q.T)
-            noise = spec.noise_scale * (eta - inside) + spec.ec_noise_scale * inside
-    else:
-        noise = np.zeros((total, p))
-    pi = spec.alpha_true @ spec.beta_true.T if spec.r else np.zeros((p, p))
-    for t in range(k, total):
-        dz = pi @ z[t - 1] + spec.mu_true + noise[t]
-        for i, g in enumerate(spec.gamma_true, start=1):
-            dz += g @ (z[t - i] - z[t - i - 1])
-        z[t] = z[t - 1] + dz
-    return z[-spec.T :]
+    return _simulate(spec, range(rep, rep + 1))[0]
 
 
 def random_walk_spec(p: int, T: int, seed: int, noise_scale: float = 1.0) -> SyntheticSpec:
@@ -243,17 +267,23 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     )
 
 
+def _angles_deg(b_hat: np.ndarray, b_true: np.ndarray) -> np.ndarray:
+    """subspace_angle_deg of each member of a stack b_hat against b_true."""
+    qa, _ = np.linalg.qr(b_hat)
+    qb, _ = np.linalg.qr(b_true)
+    sin = np.linalg.svd(qa - qb @ (qb.T @ qa), compute_uv=False).max(axis=-1)
+    cos = np.linalg.svd(qa.swapaxes(-1, -2) @ qb, compute_uv=False).min(axis=-1)
+    return np.degrees(np.arctan2(sin, cos))
+
+
 def subspace_angle_deg(b_hat: np.ndarray, b_true: np.ndarray) -> float:
     """Largest principal angle between the spans of two coefficient matrices.
 
     Taken as atan2 of the sine and cosine parts, which stays accurate near
     0 and 90 degrees where acos or asin alone lose precision.
     """
-    qa, _ = np.linalg.qr(np.atleast_2d(np.asarray(b_hat, dtype=float)))
-    qb, _ = np.linalg.qr(np.atleast_2d(np.asarray(b_true, dtype=float)))
-    sin = np.linalg.svd(qa - qb @ (qb.T @ qa), compute_uv=False).max()
-    cos = np.linalg.svd(qa.T @ qb, compute_uv=False).min()
-    return math.degrees(math.atan2(sin, cos))
+    b_hat = np.atleast_2d(np.asarray(b_hat, dtype=float))
+    return float(_angles_deg(b_hat[None], np.atleast_2d(np.asarray(b_true, dtype=float)))[0])
 
 
 @dataclass(frozen=True)
@@ -267,41 +297,69 @@ class RecoveryStudy:
     per_rep: tuple[dict, ...] = field(repr=False, default=())
 
 
+def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
+    """(trace_r0, selected rank, beta angle, mean squared alpha error) per
+    replication of an (n, T, p) block.
+
+    One stacked pass (vecm._stacked_estimate) when every check of the
+    scalar path passes for the whole block; otherwise the block re-runs
+    through concentrate/rank_test/estimate_vecm, one replication at a time,
+    which raises the scalar path's typed error.
+    """
+    # non-finite intermediates only mean a failed check; the scalar re-run
+    # reports them
+    with np.errstate(all="ignore"):
+        fit = (_stacked_estimate(z, spec.k, spec.r, case)
+               if spec.p <= MAX_TABLE_DIM else None)
+    if fit is not None:
+        T_eff, lam, beta, alpha = fit
+        trace, ranks = _stacked_trace_test(lam, T_eff, spec.p, case)
+        return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
+                np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
+    rows = []
+    for zi in z:
+        rt = rank_test(concentrate(zi, k=spec.k, case=case), case=case)
+        model = estimate_vecm(zi, k=spec.k, r=spec.r, case=case)
+        rows.append((rt.trace_stats[0], rt.selected_rank,
+                     subspace_angle_deg(model.beta_variables(), spec.beta_true),
+                     np.mean((model.alpha - spec.alpha_true) ** 2)))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def run_recovery_study(spec: SyntheticSpec, reps: int,
                        case: str = RESTRICTED_CONSTANT) -> RecoveryStudy:
-    """generate -> rank test -> estimate, compared against the true system."""
+    """generate -> rank test -> estimate, compared against the true system.
+
+    Replications run in stacked blocks of CV_BLOCK, each simulated and
+    fitted in one pass (see _recovery_block).
+    """
     if reps < 100:
         raise ValidationError(f"reps must be >= 100, got {reps}")
     if spec.r < 1:
         raise ValidationError("recovery study needs a cointegrated truth (r >= 1)")
-    angles = np.empty(reps)
-    alpha_sq = np.empty(reps)
-    hits = 0
-    per_rep = []
-    for rep in range(reps):
-        z = generate_vecm_data(spec, rep)
-        m = concentrate(z, k=spec.k, case=case)
-        rt = rank_test(m, case=case)
-        if rt.selected_rank == spec.r:
-            hits += 1
-        model = estimate_vecm(z, k=spec.k, r=spec.r, case=case)
-        angle = subspace_angle_deg(model.beta_variables(), spec.beta_true)
-        angles[rep] = angle
-        alpha_sq[rep] = float(np.mean((model.alpha - spec.alpha_true) ** 2))
-        per_rep.append(
-            {
-                "rep": rep,
-                "selected_rank": rt.selected_rank,
-                "beta_angle_deg": angle,
-                "trace_r0": float(rt.trace_stats[0]),
-            }
-        )
+    trace_r0, angles, alpha_sq = np.empty(reps), np.empty(reps), np.empty(reps)
+    ranks = np.empty(reps, dtype=int)
+    buffer = np.empty((min(CV_BLOCK, reps), spec.T + BURN_IN + spec.k, spec.p))
+    for start in range(0, reps, CV_BLOCK):
+        block = range(start, min(start + CV_BLOCK, reps))
+        z = _simulate(spec, block, buffer)
+        i = slice(block.start, block.stop)
+        trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(z, spec, case)
+    per_rep = tuple(
+        {
+            "rep": rep,
+            "selected_rank": int(ranks[rep]),
+            "beta_angle_deg": float(angles[rep]),
+            "trace_r0": float(trace_r0[rep]),
+        }
+        for rep in range(reps)
+    )
     return RecoveryStudy(
         spec=spec,
         reps=reps,
         case=case,
-        rank_accuracy=hits / reps,
+        rank_accuracy=int(np.sum(ranks == spec.r)) / reps,
         beta_angle_median_deg=float(np.median(angles)),
         alpha_rmse=float(np.sqrt(np.mean(alpha_sq))),
-        per_rep=tuple(per_rep),
+        per_rep=per_rep,
     )

@@ -20,11 +20,13 @@ from .johansen import (
     CASES,
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
+    _stacked_concentrate,
+    _stacked_eigenproblem,
     concentrate,
     solve_cointegration_eigenproblem,
 )
 from .lag_selection import information_criteria, level_matrix
-from .linalg import general_eigenvalues, ols_fit, pd_inverse
+from .linalg import _stacked_ols, general_eigenvalues, ols_fit, pd_inverse
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -174,6 +176,49 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     )
 
 
+def _stacked_estimate(z: np.ndarray, k: int, r: int, case: str):
+    """Eigenvalues, beta and alpha of estimate_vecm for an (n, T, p) stack.
+
+    One pass for all series: stacked concentration and eigenproblem, the
+    Phillips normalization and the conditional regression for alpha.
+    Returns (T_eff, eigenvalues (n, p_aug), beta (n, p_aug, r), alpha
+    (n, p, r)), or None where a check of estimate_vecm's could fail: those
+    of concentrate and the eigenproblem, the rank, the determinant test of
+    _phillips_normalize (by a factor of two, like the pivots), the pivots
+    of the regression and the nonsingular residual covariance that
+    information_criteria needs.
+    """
+    _, T, p = z.shape
+    moments = _stacked_concentrate(z, k, case)
+    if moments is None or not 1 <= r <= p - 1:
+        return None
+    W, X, S00, S01, S11 = moments
+    eig = _stacked_eigenproblem(S00, S01, S11, vectors=True)
+    if eig is None:
+        return None
+    lam, candidates = eig
+    beta = candidates[:, :, :r]
+    top = beta[:, :r, :r]
+    scale = np.abs(beta).max(axis=(1, 2))
+    if not (np.abs(np.linalg.det(top)) >= 2e-10 * np.maximum(scale**r, 1e-300)).all():
+        return None
+    beta = beta @ np.linalg.inv(top)
+    ec = W[:, :, p:] @ beta
+    fit = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2), W[:, :, :p])
+    if fit is None:
+        return None
+    coef, resid = fit
+    alpha = coef[:, :r].swapaxes(1, 2)
+    # information_criteria needs det(sigma) > 0. While the smallest
+    # eigenvalue of sigma stays above 1e-10 of the largest, the scalar
+    # path's sigma, which differs from it only by rounding, is positive
+    # definite too, and so is its computed determinant
+    w = np.linalg.eigvalsh(resid.swapaxes(1, 2) @ resid)
+    if not (w[:, 0] > 1e-10 * w[:, -1]).all():
+        return None
+    return T - k, lam, beta, alpha
+
+
 def _beta_inference(R1: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
                     sigma: np.ndarray, r: int):
     """Conditional standard errors and joint Wald test for the free beta rows.
@@ -192,7 +237,10 @@ def _beta_inference(R1: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
     R12 = R1[:, r:]
     try:
         outer = pd_inverse(R12.T @ R12)
-        inner = pd_inverse(alpha.T @ pd_inverse(sigma) @ alpha)
+        # symmetrized: for a nearly singular sigma the rounding of the
+        # product alone can exceed the symmetry tolerance of pd_inverse
+        inner = alpha.T @ pd_inverse(sigma) @ alpha
+        inner = pd_inverse(0.5 * (inner + inner.T))
     except NumericalError:
         return beta_se, beta_z, float("nan"), n_free * r
     cov = np.kron(outer, inner)  # vec ordering: free row j outer, column i inner

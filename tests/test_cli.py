@@ -192,6 +192,14 @@ class TestMission:
         assert code == 2
         assert "no launch provider" in err
 
+    def test_nan_budget_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"agencies": [{"agency_id": "NASA", "annual_budget_busd": NaN, '
+                        '"contribution_fraction": 0.2, "provides_super_heavy": true}]}')
+        code, _, err = run(["mission", "--config", str(path)], capsys)
+        assert code == 2
+        assert "annual_budget_busd" in err
+
 
 class TestMcValidate:
     def test_recovery_study(self, tmp_path, capsys):
@@ -240,6 +248,17 @@ class TestDeterminism:
                  "--out-dir", str(tmp_path / d)], capsys)
             assert code == 0
         for name in ("pipeline_DEMO.json", "pipeline_DEMO.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_recovery_study_reruns_byte_identical(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        for d in ("a", "b"):
+            code, _, _ = run(
+                ["mc-validate", "--study", "recovery", "--reps", "100", "--T", "200",
+                 "--seed", "7", "--dump-reps", "--out-dir", str(tmp_path / d)], capsys)
+            assert code == 0
+        for name in ("mcvalidate_recovery.json", "mcvalidate_recovery.txt",
+                     "mcvalidate_recovery_reps.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_timestamp_pinned(self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from velakit import johansen
 from velakit.errors import NotPositiveDefiniteError, NumericalError, ValidationError
 from velakit.johansen import (
     MAXEIG_CRITICAL,
@@ -233,10 +234,17 @@ def scalar_trace_r0(z, case):
 class TestStackedRank0Kernel:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_agrees_with_scalar_path(self, case, p):
+    def test_agrees_with_scalar_path(self, case, p, monkeypatch):
         z = random_walk_stack(40, 400, p, case)
-        got = _rank0_trace_stats(z, case)
         want = np.array([scalar_trace_r0(zi, case) for zi in z])
+
+        # the stack must go through the kernel, not the scalar re-run
+        def scalar_fallback(*args, **kwargs):
+            raise AssertionError("the stack fell back to the scalar path")
+
+        monkeypatch.setattr(johansen, "concentrate", scalar_fallback)
+        monkeypatch.setattr(johansen, "rank_test", scalar_fallback)
+        got = _rank0_trace_stats(z, case)
         assert got.shape == (40,)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 

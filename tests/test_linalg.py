@@ -87,6 +87,39 @@ class TestCholesky:
         assert np.tril(L) == pytest.approx(L)
         assert np.abs(L @ L.T - S).max() <= 1e-10 * np.abs(S).max()
 
+    def test_fast_path_and_column_loop_agree_near_singularity(self):
+        # Gram matrices whose column j is a combination of the others plus a
+        # perturbation of relative size delta: pivot ratios near delta**2
+        # straddle PIVOT_RTOL = 1e-10 from both sides
+        def loop_failing_index(S):
+            L = np.zeros_like(S)
+            for j in range(len(S)):
+                pivot = S[j, j] - L[j, :j] @ L[j, :j]
+                if S[j, j] <= 0.0 or pivot <= 1e-10 * S[j, j]:
+                    return j
+                L[j, j] = np.sqrt(pivot)
+                L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+            return None
+
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for delta in np.geomspace(1e-3, 1e-7, 41):
+            n = int(rng.integers(2, 7))
+            j = int(rng.integers(1, n))
+            X = rng.standard_normal((50, n)) * rng.uniform(0.1, 10.0, n)
+            X[:, j] = X[:, :j] @ rng.standard_normal(j) + delta * np.linalg.norm(X[:, 0]) \
+                / np.sqrt(50) * rng.standard_normal(50)
+            S = X.T @ X
+            want = loop_failing_index(S)
+            outcomes.add(want)
+            if want is None:
+                L = cholesky_factor(S)
+                assert np.abs(L @ L.T - S).max() <= 1e-10 * np.abs(S).max()
+            else:
+                with pytest.raises(NotPositiveDefiniteError, match=f"at index {want}$"):
+                    cholesky_factor(S)
+        assert None in outcomes and len(outcomes) > 1  # both sides were reached
+
 
 class TestSymmetricEigen:
     def test_diagonal(self):

@@ -205,3 +205,38 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such config"):
             load_config(tmp_path / "none.json")
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_provider_flag_must_be_json_boolean(self, value):
+        doc = json.loads(SAMPLE.read_text())
+        doc["agencies"][1]["provides_super_heavy"] = value
+        with pytest.raises(ValidationError, match="provides_super_heavy"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["horizon_years", "n_modules", "n_payload_launches",
+                                      "n_crew_launches"])
+    @pytest.mark.parametrize("value", [2.9, 5.0, "5", True])
+    def test_count_fields_must_be_json_integers(self, name, value):
+        doc = json.loads(SAMPLE.read_text())
+        doc[name] = value
+        with pytest.raises(ValidationError, match=name):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "7.0"])
+    def test_budget_must_be_finite_json_number(self, value):
+        doc = json.loads(SAMPLE.read_text())
+        doc["agencies"][0]["annual_budget_busd"] = value
+        with pytest.raises(ValidationError, match="annual_budget_busd"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["module_unit_cost_busd", "launch_unit_cost_busd",
+                                      "crew_systems_cost_busd", "esa_module_bias"])
+    def test_cost_fields_must_be_finite(self, name):
+        doc = json.loads(SAMPLE.read_text())
+        doc[name] = float("nan")
+        with pytest.raises(ValidationError, match=name):
+            config_from_dict(doc)
+
+    def test_nonfinite_budget_rejected_by_constructor(self):
+        with pytest.raises(ValidationError, match="budget"):
+            agency("X", float("nan"))

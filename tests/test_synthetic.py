@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from velakit.errors import ValidationError
+from velakit import synthetic
+from velakit.errors import ValidationError, VelakitError
 from velakit.johansen import concentrate, rank_test
 from velakit.synthetic import (
     SyntheticSpec,
@@ -15,6 +16,9 @@ from velakit.synthetic import (
     subspace_angle_deg,
 )
 from velakit.unit_root import adf_test
+from velakit.vecm import estimate_vecm
+
+RANK_ONE = dict(alpha_true=[[-0.4], [0.2], [0.1]], beta_true=[[1.0], [-2.0], [0.5]])
 
 
 class TestSpecValidation:
@@ -66,6 +70,34 @@ class TestGenerate:
             combo = generate_vecm_data(spec, rep) @ spec.beta_true[:, 0]
             hits += adf_test(combo, lags=0).reject_unit_root_at_5pct
         assert hits / reps >= 0.9
+
+    @pytest.mark.parametrize("spec", [
+        study_spec(T=60, seed=3),
+        SyntheticSpec(p=3, r=1, **RANK_ONE, mu_true=[0.1, 0.0, -0.2], T=60, seed=4,
+                      gamma_true=([[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.25]],
+                                  [[-0.1, 0.0, 0.05], [0.0, 0.1, 0.0], [0.0, 0.0, -0.1]])),
+        SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=1e-4, T=60, seed=5),
+        random_walk_spec(2, 60, seed=6, noise_scale=0.5),
+    ], ids=["k1", "k3-mu", "ec-noise", "rank0"])
+    def test_matches_per_step_recursion(self, spec):
+        # the error-correction form, one step and one replication at a time
+        k, total = spec.k, spec.T + 50 + spec.k
+        eta = rng_for(spec.seed, 2).standard_normal((total, spec.p))
+        if spec.ec_noise_scale is None:
+            noise = spec.noise_scale * eta
+        else:
+            q, _ = np.linalg.qr(spec.beta_true)
+            inside = eta @ q @ q.T
+            noise = spec.noise_scale * (eta - inside) + spec.ec_noise_scale * inside
+        pi = spec.alpha_true @ spec.beta_true.T
+        want = np.zeros((total, spec.p))
+        for t in range(k, total):
+            dz = pi @ want[t - 1] + spec.mu_true + noise[t]
+            for i, g in enumerate(spec.gamma_true, start=1):
+                dz += g @ (want[t - i] - want[t - i - 1])
+            want[t] = want[t - 1] + dz
+        got = generate_vecm_data(spec, 2)
+        np.testing.assert_allclose(got, want[-spec.T :], rtol=1e-9, atol=1e-12)
 
     def test_seed_mixing_is_documented_rule(self):
         assert replication_seed(0, 0) != replication_seed(0, 1)
@@ -182,3 +214,79 @@ class TestRecoveryStudy:
         assert subspace_angle_deg(tilted, c) == pytest.approx(30.0, abs=1e-12)
         yz_plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert subspace_angle_deg(yz_plane, c) == pytest.approx(90.0, abs=1e-12)
+
+
+def scalar_replication(spec, rep, case):
+    """One replication of the study on the scalar path: rank test, fit, angle."""
+    z = generate_vecm_data(spec, rep)
+    rt = rank_test(concentrate(z, k=spec.k, case=case), case=case)
+    model = estimate_vecm(z, k=spec.k, r=spec.r, case=case)
+    return (rt.trace_stats[0], rt.selected_rank,
+            subspace_angle_deg(model.beta_variables(), spec.beta_true),
+            np.mean((model.alpha - spec.alpha_true) ** 2))
+
+
+P4_R2 = dict(p=4, r=2, alpha_true=[[-0.3, 0.1], [0.1, -0.4], [0.2, 0.1], [0.0, 0.2]],
+             beta_true=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.5, -1.0]])
+
+
+class TestBlockedRecoveryStudy:
+    # 101 replications: three full blocks of 32 and a partial one
+    @pytest.mark.parametrize("spec, case", [
+        (study_spec(T=150, seed=31), "rconst"),
+        (study_spec(T=150, seed=32), "uconst"),
+        (SyntheticSpec(p=3, r=1, **RANK_ONE, T=150, seed=33,
+                       gamma_true=([[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.25]],)),
+         "rconst"),
+        (SyntheticSpec(**P4_R2, T=150, seed=34), "rconst"),
+        (SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=1e-4, T=100, seed=23), "rconst"),
+    ], ids=["rconst", "uconst", "k2-gamma", "p4-r2", "ec-noise"])
+    def test_matches_scalar_path_per_replication(self, spec, case, monkeypatch):
+        trace, ranks, angles, alpha_sq = (
+            np.array(col) for col in zip(*(scalar_replication(spec, rep, case) for rep in range(101))))
+
+        # every block must go through the stacked kernel, not the scalar re-run
+        def scalar_fallback(*args, **kwargs):
+            raise AssertionError("a block fell back to the scalar path")
+
+        for name in ("concentrate", "rank_test", "estimate_vecm"):
+            monkeypatch.setattr(synthetic, name, scalar_fallback)
+        study = run_recovery_study(spec, reps=101, case=case)
+        rows = study.per_rep
+        assert [row["rep"] for row in rows] == list(range(101))
+        np.testing.assert_allclose([row["trace_r0"] for row in rows], trace, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose([row["beta_angle_deg"] for row in rows], angles,
+                                   rtol=0.0, atol=1e-9)
+        assert [row["selected_rank"] for row in rows] == ranks.tolist()
+        assert study.rank_accuracy == np.mean(ranks == spec.r)
+        assert study.alpha_rmse == pytest.approx(np.sqrt(np.mean(alpha_sq)), rel=1e-9)
+        assert study.beta_angle_median_deg == pytest.approx(np.median(angles), abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        study_spec(T=100, seed=36, noise_scale=0.0),
+        # S11 is nearly singular in one replication (82, in the third block)
+        SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=5.5e-5, T=100, seed=20),
+    ], ids=["noiseless", "ec-noise"])
+    def test_failure_raises_the_scalar_error(self, spec, monkeypatch):
+        for failing in range(100):
+            try:
+                scalar_replication(spec, failing, "rconst")
+            except VelakitError as exc:
+                want = exc
+                break
+        else:
+            pytest.fail("the scalar path fits every replication")
+        # the blocked study must fail at the same replication: the last
+        # series it concentrates on the scalar path is the failing one
+        seen = []
+
+        def recording(z, **kwargs):
+            seen.append(np.array(z))
+            return concentrate(z, **kwargs)
+
+        monkeypatch.setattr(synthetic, "concentrate", recording)
+        with pytest.raises(VelakitError) as blocked:
+            run_recovery_study(spec, reps=100)
+        assert blocked.type is type(want)
+        assert str(blocked.value) == str(want)
+        np.testing.assert_array_equal(seen[-1], generate_vecm_data(spec, failing))

@@ -121,6 +121,18 @@ class TestEstimate:
         assert rc.wald_dof == 3  # two variables + restricted constant
         assert uc.wald_dof == 2
 
+    def test_nearly_singular_sigma_keeps_beta_inference(self):
+        # innovations barely leave the cointegration space, so sigma is
+        # nearly singular and alpha' sigma^-1 alpha rounds asymmetric
+        # beyond tolerance; this replication used to raise ValidationError
+        spec = SyntheticSpec(
+            p=4, r=2, alpha_true=[[-0.3, 0.1], [0.1, -0.4], [0.2, 0.1], [0.0, 0.2]],
+            beta_true=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.5, -1.0]],
+            ec_noise_scale=1.5e-4, T=100, seed=0)
+        model = estimate_vecm(generate_vecm_data(spec, 5), r=2)
+        assert np.isfinite(model.beta_se).all()
+        assert np.isfinite(model.wald_chi2)
+
 
 class TestLikelihoodConsistency:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
