@@ -328,6 +328,32 @@ def _stacked_trace_test(lam: np.ndarray, T_eff: int, p: int, case: str,
     return trace, np.where(below.any(axis=1), below.argmax(axis=1), p)
 
 
+def _stacked_rank_test(z: np.ndarray, k: int, case: str, vectors: bool = False):
+    """concentrate and rank_test for each series of an (n, T, p) stack of
+    levels, in one pass.
+
+    Returns (W, X, S11, eigenvalues, candidates, trace, ranks): the
+    regressand and short-run regressors and the level moments of
+    _stacked_concentrate, the eigenvalues and (with ``vectors``) the beta
+    candidates of _stacked_eigenproblem, and the trace statistics and
+    selected ranks of _stacked_trace_test; the estimators reuse them.
+    Returns None where a check of the scalar path could fail.
+    """
+    n, T, p = z.shape
+    if p > MAX_TABLE_DIM:
+        return None
+    moments = _stacked_concentrate(z, k, case)
+    if moments is None:
+        return None
+    W, X, S00, S01, S11 = moments
+    eig = _stacked_eigenproblem(S00, S01, S11, vectors=vectors)
+    if eig is None:
+        return None
+    lam, candidates = eig
+    trace, ranks = _stacked_trace_test(lam, T - k, p, case)
+    return W, X, S11, lam, candidates, trace, ranks
+
+
 def _rank0_trace_stats(z: np.ndarray, case: str) -> np.ndarray:
     """Rank-0 trace statistics of a stack of k=1 systems, one pass for all.
 
@@ -338,16 +364,11 @@ def _rank0_trace_stats(z: np.ndarray, case: str) -> np.ndarray:
     concentrate/rank_test one series at a time, which raises the scalar
     path's typed error.
     """
-    n, T, p = z.shape
-    eig = None
     # non-finite intermediates only mean a failed check; the scalar re-run
     # reports them
     with np.errstate(all="ignore"):
-        if p <= MAX_TABLE_DIM:
-            moments = _stacked_concentrate(z, 1, case)
-            if moments is not None:
-                eig = _stacked_eigenproblem(*moments[2:])
-    if eig is None:
+        ranked = _stacked_rank_test(z, 1, case)
+    if ranked is None:
         return np.array([rank_test(concentrate(zi, k=1, case=case), case=case).trace_stats[0]
                          for zi in z])
-    return _stacked_trace_test(eig[0], T - 1, p, case)[0][:, 0]
+    return ranked[5][:, 0]

@@ -112,8 +112,13 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
     if not ((scale > 0) & (diag > 2.0 * PIVOT_RTOL * scale)).all():
         return None
     coef = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
+    if cols == 1:
+        # numpy's stacked matmul is slow over a single inner column; the
+        # time-last broadcast product is the same single product per entry
+        resid = (coef[..., 0, :, None] * X[..., None, :, 0]).swapaxes(-1, -2)
+    else:
+        resid = X @ coef
     # in place: a second block-sized temporary costs more than the product
-    resid = X @ coef
     np.subtract(Y, resid, out=resid)
     return coef, resid
 

@@ -109,8 +109,8 @@ def load_panel(path: str | Path, agency_id: str) -> MacroPanel:
     """Parse the panel CSV, keeping blank cells as missing.
 
     The file may mix agencies; rows are filtered on the agency column.
-    Malformed rows, non-numeric cells, duplicate years and unknown columns
-    are rejected with row/column diagnostics.
+    Malformed rows, non-numeric or non-finite cells, duplicate years and
+    unknown columns are rejected with row/column diagnostics.
     """
     path = Path(path)
     if not path.exists():
@@ -150,11 +150,19 @@ def load_panel(path: str | Path, agency_id: str) -> MacroPanel:
                     values[var] = np.nan
                     continue
                 try:
-                    values[var] = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ValidationError(
                         f"{path}:{lineno}: non-numeric value {cell!r} in column {column}"
                     ) from None
+                # a blank cell is the only missing marker: nan, inf and
+                # overflowing literals such as 1e400 are rejected (a plain
+                # float comparison: np.isfinite per cell costs a microsecond)
+                if not -np.inf < value < np.inf:
+                    raise ValidationError(
+                        f"{path}:{lineno}: non-finite value {cell!r} in column {column}"
+                    )
+                values[var] = value
             rows[year] = values
 
     if not rows:

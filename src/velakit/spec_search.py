@@ -15,8 +15,21 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from .johansen import RESTRICTED_CONSTANT, concentrate, rank_test
-from .vecm import CointegratingEquation, VecmModel, Z_CRIT_5PCT, estimate_vecm, normalize_cointegrating_equation
+from .johansen import (
+    RESTRICTED_CONSTANT,
+    _stacked_rank_test,
+    concentrate,
+    rank_test,
+)
+from .lag_selection import level_matrix
+from .vecm import (
+    CointegratingEquation,
+    VecmModel,
+    Z_CRIT_5PCT,
+    _stacked_models,
+    estimate_vecm,
+    normalize_cointegrating_equation,
+)
 from .panel import VARIABLES
 
 DEPENDENT = "sb"
@@ -69,44 +82,105 @@ class SpecificationReport:
     correlation_row: dict[str, dict] | None = None
 
 
+def _fitted(subset, k: int, model: VecmModel) -> FittedSpec:
+    """A rank-1 fit with its solved equation and criteria (may raise)."""
+    return FittedSpec(
+        subset=subset,
+        k=k,
+        model=model,
+        equation=normalize_cointegrating_equation(model),
+        criteria={
+            "chi2": model.wald_chi2,
+            "aic": model.aic,
+            "bic": model.bic,
+            "loglik": model.loglik,
+        },
+    )
+
+
+def _fit_one(panel, subset, k: int, case: str) -> FittedSpec | RejectedSpec:
+    """Rank-test one subset at one lag and fit it when the rank is 1."""
+    try:
+        m = concentrate(panel, subset, k=k, case=case)
+        rt = rank_test(m, case=case)
+        if rt.selected_rank != 1:
+            return RejectedSpec(subset, k, f"selected rank {rt.selected_rank}")
+        return _fitted(subset, k, estimate_vecm(panel, subset, k=k, r=1, case=case))
+    except VelakitError as exc:
+        return RejectedSpec(subset, k, f"{type(exc).__name__}: {exc}")
+
+
+def _fit_group(z: np.ndarray, subsets, names, k: int, case: str):
+    """_fit_one for same-size subsets at one lag, in one stacked pass.
+
+    ``z`` holds the subsets' levels as an (n, T, p) array. The group's
+    concentration and eigenproblem give the rank decisions, and the same
+    moments and eigenvectors the rank-1 estimates (vecm._stacked_models).
+    Returns None where a check of the scalar path could fail for some
+    member; the caller then runs _fit_one for each.
+    """
+    if not isinstance(k, (int, np.integer)):
+        return None
+    # non-finite intermediates only mean a failed check; the scalar re-run
+    # reports them
+    with np.errstate(all="ignore"):
+        ranked = _stacked_rank_test(z, k, case, vectors=True)
+        if ranked is None:
+            return None
+        W, X, S11, lam, candidates, _, ranks = ranked
+        keep = np.flatnonzero(ranks == 1)
+        models = []
+        if keep.size:
+            models = _stacked_models(
+                z[keep], [names[i] for i in keep], k, 1, case, W[keep],
+                None if X is None else X[keep], S11[keep], lam[keep], candidates[keep])
+            if models is None:
+                return None
+    models = iter(models)
+    out = []
+    try:
+        for subset, rank in zip(subsets, ranks.tolist()):
+            out.append(_fitted(subset, k, next(models)) if rank == 1
+                       else RejectedSpec(subset, k, f"selected rank {rank}"))
+    except VelakitError:
+        return None
+    return out
+
+
 def fit_specifications(panel, subsets, k_candidates=(1, 2),
                        case: str = RESTRICTED_CONSTANT,
                        agency_id: str | None = None) -> SpecificationReport:
     """Fit every subset x lag candidate, keeping rank-1 fits.
 
     Failures (selected rank != 1, singular moment matrices, short samples)
-    are recorded with their reason rather than dropped silently.
+    are recorded with their reason rather than dropped silently. Subsets of
+    one size are fitted together at each lag (_fit_group); a group that
+    fails a check of the scalar path runs one spec at a time instead, so
+    the records are those of the scalar path either way, in subset-major,
+    lag-ascending order.
     """
     agency = agency_id or getattr(panel, "agency_id", "?")
-    fitted: list[FittedSpec] = []
-    rejected: list[RejectedSpec] = []
-    for subset in subsets:
-        for k in sorted(k_candidates):
-            try:
-                m = concentrate(panel, subset, k=k, case=case)
-                rt = rank_test(m, case=case)
-                if rt.selected_rank != 1:
-                    rejected.append(RejectedSpec(subset, k, f"selected rank {rt.selected_rank}"))
-                    continue
-                model = estimate_vecm(panel, subset, k=k, r=1, case=case)
-                equation = normalize_cointegrating_equation(model)
-            except VelakitError as exc:
-                rejected.append(RejectedSpec(subset, k, f"{type(exc).__name__}: {exc}"))
-                continue
-            fitted.append(
-                FittedSpec(
-                    subset=subset,
-                    k=k,
-                    model=model,
-                    equation=equation,
-                    criteria={
-                        "chi2": model.wald_chi2,
-                        "aic": model.aic,
-                        "bic": model.bic,
-                        "loglik": model.loglik,
-                    },
-                )
-            )
+    subsets = list(subsets)
+    ks = sorted(k_candidates)
+    by_size: dict[int, list[int]] = {}
+    for pos, subset in enumerate(subsets):
+        by_size.setdefault(len(subset), []).append(pos)
+    outcome = {}
+    for positions in by_size.values():
+        group = [subsets[pos] for pos in positions]
+        try:
+            levels = [level_matrix(panel, subset) for subset in group]
+        except VelakitError:
+            levels = None  # each member records its error on the scalar path
+        for k in ks:
+            out = levels and _fit_group(np.stack([zi for zi, _ in levels]), group,
+                                        [names for _, names in levels], k, case)
+            if out is None:
+                out = [_fit_one(panel, subset, k, case) for subset in group]
+            outcome.update(((pos, k), spec) for pos, spec in zip(positions, out))
+    records = [outcome[pos, k] for pos in range(len(subsets)) for k in ks]
+    fitted = [r for r in records if isinstance(r, FittedSpec)]
+    rejected = [r for r in records if isinstance(r, RejectedSpec)]
     if not fitted:
         raise NoAdmissibleSpecError(
             f"no admissible specification for {agency}: every candidate was "

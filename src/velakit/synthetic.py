@@ -11,7 +11,8 @@ computes a block's trace statistics in one stacked pass
 (johansen._rank0_trace_stats). The recovery study steps the recursion once
 per time step for the whole block (_simulate, which generate_vecm_data
 runs for a single replication) and rank-tests and fits the block in one
-pass (vecm._stacked_estimate); a block that fails any check of the scalar
+pass (johansen._stacked_rank_test and vecm._stacked_fit, which the
+specification search shares); a block that fails any check of the scalar
 path re-runs through concentrate/rank_test/estimate_vecm, which raises its
 typed error. Results agree with the one-replication-at-a-time path to
 1e-10 relative; reruns are byte-identical, but the last digits may differ
@@ -31,12 +32,12 @@ from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
     _rank0_trace_stats,
-    _stacked_trace_test,
+    _stacked_rank_test,
     concentrate,
     rank_test,
 )
 from .linalg import general_eigenvalues
-from .vecm import _stacked_estimate, companion_matrix, estimate_vecm
+from .vecm import _stacked_fit, companion_matrix, estimate_vecm
 
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
@@ -301,19 +302,23 @@ def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     """(trace_r0, selected rank, beta angle, mean squared alpha error) per
     replication of an (n, T, p) block.
 
-    One stacked pass (vecm._stacked_estimate) when every check of the
-    scalar path passes for the whole block; otherwise the block re-runs
-    through concentrate/rank_test/estimate_vecm, one replication at a time,
-    which raises the scalar path's typed error.
+    One stacked pass (johansen._stacked_rank_test, then vecm._stacked_fit
+    on its moments) when every check of the scalar path passes for the
+    whole block; otherwise the block re-runs through
+    concentrate/rank_test/estimate_vecm, one replication at a time, which
+    raises the scalar path's typed error.
     """
+    fit = None
     # non-finite intermediates only mean a failed check; the scalar re-run
     # reports them
     with np.errstate(all="ignore"):
-        fit = (_stacked_estimate(z, spec.k, spec.r, case)
-               if spec.p <= MAX_TABLE_DIM else None)
+        ranked = _stacked_rank_test(z, spec.k, case, vectors=True)
+        if ranked is not None:
+            W, X, _, _, candidates, trace, ranks = ranked
+            fit = _stacked_fit(W, X, candidates, spec.r)
     if fit is not None:
-        T_eff, lam, beta, alpha = fit
-        trace, ranks = _stacked_trace_test(lam, T_eff, spec.p, case)
+        beta, coef, _ = fit
+        alpha = coef[:, : spec.r].swapaxes(1, 2)
         return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
                 np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
     rows = []

@@ -20,13 +20,11 @@ from .johansen import (
     CASES,
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
-    _stacked_concentrate,
-    _stacked_eigenproblem,
     concentrate,
     solve_cointegration_eigenproblem,
 )
 from .lag_selection import information_criteria, level_matrix
-from .linalg import _stacked_ols, general_eigenvalues, ols_fit, pd_inverse
+from .linalg import _pivots_clear, _stacked_ols, general_eigenvalues, ols_fit, pd_inverse
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -176,27 +174,23 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     )
 
 
-def _stacked_estimate(z: np.ndarray, k: int, r: int, case: str):
-    """Eigenvalues, beta and alpha of estimate_vecm for an (n, T, p) stack.
+def _stacked_fit(W: np.ndarray, X: np.ndarray | None, candidates: np.ndarray, r: int):
+    """The rank-r fit of estimate_vecm for a stack, from the regressand W,
+    the short-run regressors X and the beta candidates of
+    johansen._stacked_rank_test: the rank test's moments, reused.
 
-    One pass for all series: stacked concentration and eigenproblem, the
-    Phillips normalization and the conditional regression for alpha.
-    Returns (T_eff, eigenvalues (n, p_aug), beta (n, p_aug, r), alpha
-    (n, p, r)), or None where a check of estimate_vecm's could fail: those
-    of concentrate and the eigenproblem, the rank, the determinant test of
-    _phillips_normalize (by a factor of two, like the pivots), the pivots
-    of the regression and the nonsingular residual covariance that
-    information_criteria needs.
+    Returns (beta (n, p_aug, r), coefficients (n, r + short-run columns, p),
+    residuals (n, T_eff, p)) of the Phillips normalization and the
+    conditional regression of dz_t on (beta'z*_{t-1}, lagged dz,
+    deterministics), or None where a check of estimate_vecm's could fail:
+    the rank, the determinant test of _phillips_normalize (by a factor of
+    two, like the pivots), the pivots of the regression and the nonsingular
+    residual covariance that information_criteria needs.
     """
-    _, T, p = z.shape
-    moments = _stacked_concentrate(z, k, case)
-    if moments is None or not 1 <= r <= p - 1:
+    p_aug = candidates.shape[1]
+    p = W.shape[2] - p_aug
+    if not 1 <= r <= p - 1:
         return None
-    W, X, S00, S01, S11 = moments
-    eig = _stacked_eigenproblem(S00, S01, S11, vectors=True)
-    if eig is None:
-        return None
-    lam, candidates = eig
     beta = candidates[:, :, :r]
     top = beta[:, :r, :r]
     scale = np.abs(beta).max(axis=(1, 2))
@@ -208,7 +202,6 @@ def _stacked_estimate(z: np.ndarray, k: int, r: int, case: str):
     if fit is None:
         return None
     coef, resid = fit
-    alpha = coef[:, :r].swapaxes(1, 2)
     # information_criteria needs det(sigma) > 0. While the smallest
     # eigenvalue of sigma stays above 1e-10 of the largest, the scalar
     # path's sigma, which differs from it only by rounding, is positive
@@ -216,7 +209,70 @@ def _stacked_estimate(z: np.ndarray, k: int, r: int, case: str):
     w = np.linalg.eigvalsh(resid.swapaxes(1, 2) @ resid)
     if not (w[:, 0] > 1e-10 * w[:, -1]).all():
         return None
-    return T - k, lam, beta, alpha
+    return beta, coef, resid
+
+
+def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
+                    case: str, W: np.ndarray, X: np.ndarray | None, S11: np.ndarray,
+                    lam: np.ndarray, candidates: np.ndarray):
+    """estimate_vecm for every series of an (n, T, p) stack, from the
+    moments and eigenvectors its rank test already computed.
+
+    ``names`` holds each series' variable names; W, X, S11, lam and
+    candidates are the outputs of johansen._stacked_rank_test(vectors=True)
+    for the same stack. Returns one
+    VecmModel per series, equal to estimate_vecm's up to rounding, or None
+    where a check of estimate_vecm's could fail or _beta_inference could
+    take another branch (see _stacked_fit and _stacked_beta_inference).
+    """
+    n, T, p = z.shape
+    fit = _stacked_fit(W, X, candidates, r)
+    if fit is None:
+        return None
+    beta, coef, resid = fit
+    T_eff = T - k
+    alpha = coef[:, :r].swapaxes(1, 2)
+    sigma = resid.swapaxes(1, 2) @ resid / T_eff
+    p_aug = beta.shape[1]
+    n_params = p * coef.shape[1] + r * (p_aug - r)
+    # information_criteria, whose sigma is this one: _stacked_fit has
+    # checked that it is positive definite
+    _, logdet = np.linalg.slogdet(sigma)
+    loglik = -(T_eff / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
+    aic = (-2.0 * loglik + 2.0 * n_params) / T_eff
+    bic = (-2.0 * loglik + n_params * math.log(T_eff)) / T_eff
+    # R1'R1 restricted to the free coordinates, from the rank test's S11
+    inference = _stacked_beta_inference(T_eff * S11[:, r:, r:], beta, alpha, sigma)
+    if inference is None:
+        return None
+    beta_se, beta_z, wald = inference
+    n_short = p * (k - 1)
+    return [
+        VecmModel(
+            vars=names[i],
+            k=k,
+            r=r,
+            case=case,
+            alpha=alpha[i],
+            beta=beta[i],
+            gamma=tuple(coef[i, r + j : r + j + p].T for j in range(0, n_short, p)),
+            mu=coef[i, -1].copy() if case == UNRESTRICTED_CONSTANT else np.zeros(p),
+            sigma=sigma[i],
+            loglik=float(loglik[i]),
+            aic=float(aic[i]),
+            bic=float(bic[i]),
+            beta_se=beta_se[i],
+            beta_z=beta_z[i],
+            wald_chi2=float(wald[i]),
+            wald_dof=(p_aug - r) * r,
+            eigenvalues=lam[i, :p],
+            T_eff=T_eff,
+            n_params=n_params,
+            level_means=z[i].mean(axis=0),
+            residuals=resid[i],
+        )
+        for i in range(n)
+    ]
 
 
 def _beta_inference(R1: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
@@ -255,6 +311,47 @@ def _beta_inference(R1: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
     except np.linalg.LinAlgError:
         wald = float("nan")
     return beta_se, beta_z, wald, n_free * r
+
+
+def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
+                            sigma: np.ndarray):
+    """_beta_inference for stacks, from the Gram matrices R12'R12 (n, n_free,
+    n_free) of the free coordinates' concentrated level residuals.
+
+    The standard errors take the diagonals of the two inverses from their
+    inverse Cholesky factors, and the Wald statistic is
+    tr(b' R12'R12 b alpha' sigma^-1 alpha), the same quadratic form without
+    the inverted covariance. Returns (beta_se, beta_z, wald), or None where
+    _beta_inference could take another branch: a Cholesky pivot of the Gram
+    matrix, sigma or alpha' sigma^-1 alpha that does not clear PIVOT_RTOL
+    by a factor of two, or a leading block of beta that is not clearly the
+    identity.
+    """
+    n, p_aug, r = beta.shape
+    if not (np.abs(beta[:, :r, :r] - np.eye(r)) <= 0.5e-8).all():
+        return None
+    try:
+        L_gram = np.linalg.cholesky(gram)
+        L_sigma = np.linalg.cholesky(sigma)
+        whitened = np.linalg.solve(L_sigma, alpha)
+        info = whitened.swapaxes(1, 2) @ whitened  # alpha' sigma^-1 alpha
+        L_info = np.linalg.cholesky(info)
+        if not (_pivots_clear(gram, L_gram) & _pivots_clear(sigma, L_sigma)
+                & _pivots_clear(info, L_info)).all():
+            return None
+        # diag(S^-1) holds the squared column norms of L^-1
+        outer = np.linalg.solve(L_gram, np.broadcast_to(np.eye(p_aug - r), gram.shape))
+        inner = np.linalg.solve(L_info, np.broadcast_to(np.eye(r), info.shape))
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.sqrt((outer**2).sum(axis=1)[:, :, None] * (inner**2).sum(axis=1)[:, None, :])
+    b = beta[:, r:]
+    wald = ((gram @ b @ info) * b).sum(axis=(1, 2))
+    beta_se = np.zeros_like(beta)
+    beta_se[:, r:] = diag
+    beta_z = np.full_like(beta, np.nan)
+    beta_z[:, r:] = np.where(diag > 0, b / diag, np.nan)
+    return beta_se, beta_z, wald
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,20 @@ class TestExitCodes:
         assert code == 4
         assert "no admissible specification" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_cell_exit_2(self, panel_csv, tmp_path, capsys, cell):
+        lines = panel_csv.read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[2] = cell
+        lines[10] = ",".join(cells)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["pipeline", "--input", str(path), "--agency", "DEMO",
+             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert f"bad.csv:11: non-finite value {cell!r} in column sb_usd_b" in err
+
     def test_duplicate_vars_exit_2(self, panel_csv, capsys):
         code, _, err = run(
             ["vecrank", "--input", str(panel_csv), "--agency", "DEMO",

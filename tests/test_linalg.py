@@ -3,6 +3,7 @@ import pytest
 
 from velakit.errors import NotPositiveDefiniteError, SingularMatrixError, ValidationError
 from velakit.linalg import (
+    _stacked_ols,
     cholesky_factor,
     general_eigenvalues,
     ols_fit,
@@ -60,6 +61,19 @@ class TestOls:
         X[2] = np.nan
         with pytest.raises(ValidationError):
             ols_fit(X, np.ones(5))
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_stacked_fit_is_the_regression_product(self, cols):
+        # one regressor column takes a broadcast product instead of matmul;
+        # either way the residuals are exactly Y - X @ coef
+        rng = np.random.default_rng(cols)
+        X = rng.standard_normal((7, 41, cols))
+        Y = rng.standard_normal((7, 41, 3))
+        coef, resid = _stacked_ols(X, Y)
+        assert np.array_equal(resid, Y - X @ coef)
+        for i in range(7):
+            fit = ols_fit(X[i], Y[i])
+            assert np.abs(coef[i] - fit.coefficients).max() < 1e-12
 
 
 class TestCholesky:

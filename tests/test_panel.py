@@ -58,6 +58,18 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match=r":7: .*sb_usd_b"):
             load_panel(path, "DEMO")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        years = list(range(1998, 2021))
+        path = write_panel_csv(tmp_path / "p.csv", years, complete_series(years))
+        lines = path.read_text().splitlines()
+        cells = lines[6].split(",")  # year 2003, file line 7
+        cells[4] = cell
+        lines[6] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=r":7: non-finite value .* researchers_per_million"):
+            load_panel(path, "DEMO")
+
     def test_unknown_column_rejected(self, tmp_path):
         years = list(range(1998, 2021))
         path = write_panel_csv(tmp_path / "p.csv", years, complete_series(years))

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from velakit.errors import NoAdmissibleSpecError, ValidationError
+from velakit import spec_search
+from velakit.errors import NoAdmissibleSpecError, ValidationError, VelakitError
+from velakit.johansen import concentrate, rank_test
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
@@ -14,7 +16,7 @@ from velakit.spec_search import (
     run_specification_search,
 )
 from velakit.synthetic import rng_for
-from velakit.vecm import CointegratingEquation
+from velakit.vecm import CointegratingEquation, estimate_vecm, normalize_cointegrating_equation
 
 from conftest import synthetic_log_panel
 
@@ -185,3 +187,135 @@ class TestDeterminism:
         payload_b = dump_json({"specs": [dataclasses.asdict(s.model) for s in b.specs],
                                "row": b.correlation_row})
         assert payload_a == payload_b
+
+
+def scalar_search(panel, subsets, k_candidates, case):
+    """The one-spec-at-a-time loop: (fitted, rejected) as (subset, k, model,
+    equation) and (subset, k, reason) lists in subset-major, k-ascending order."""
+    fitted, rejected = [], []
+    for subset in subsets:
+        for k in sorted(k_candidates):
+            try:
+                rt = rank_test(concentrate(panel, subset, k=k, case=case), case=case)
+                if rt.selected_rank != 1:
+                    rejected.append((subset, k, f"selected rank {rt.selected_rank}"))
+                    continue
+                model = estimate_vecm(panel, subset, k=k, r=1, case=case)
+                equation = normalize_cointegrating_equation(model)
+            except VelakitError as exc:
+                rejected.append((subset, k, f"{type(exc).__name__}: {exc}"))
+                continue
+            fitted.append((subset, k, model, equation))
+    return fitted, rejected
+
+
+def forbid_scalar_path(monkeypatch):
+    def scalar_fallback(*args, **kwargs):
+        raise AssertionError("a group fell back to the scalar path")
+
+    for name in ("concentrate", "rank_test", "estimate_vecm"):
+        monkeypatch.setattr(spec_search, name, scalar_fallback)
+
+
+MODEL_ARRAYS = ("eigenvalues", "alpha", "beta", "mu", "sigma", "beta_se", "beta_z",
+                "residuals", "level_means")
+MODEL_SCALARS = ("wald_chi2", "loglik", "aic", "bic")
+
+
+def assert_close(got, want, rtol, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=what)
+    if finite.any():
+        scale = np.abs(want[finite]).max()
+        assert np.abs(got[finite] - want[finite]).max() <= rtol * scale, what
+
+
+class TestStackedSearch:
+    # the default synthetic panel, and the seed whose full six-variable
+    # rconst spec agrees least well (see the tolerance below)
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("case", ["rconst", "uconst"])
+    def test_matches_scalar_path(self, case, seed, monkeypatch):
+        panel = synthetic_log_panel(T=60, seed=seed)
+        subsets = enumerate_specifications(VARIABLES, min_size=2)
+        # interleave the sizes: records follow the subset order, not the groups
+        subsets = subsets[1::2] + subsets[::2]
+        want_fitted, want_rejected = scalar_search(panel, subsets, (1, 2, 3), case)
+        # the moments' rounding differs from the scalar path's by about an
+        # ulp, which the whitening amplifies by cond(S11): with the level
+        # offsets and the ones column that reaches 2e7, and both paths are
+        # then up to about 1e-9 from a 40-digit reference
+        tolerances = [max(1e-10, np.finfo(float).eps
+                          * np.linalg.cond(concentrate(panel, s, k=k, case=case).S11))
+                      for s, k, _, _ in want_fitted]
+
+        forbid_scalar_path(monkeypatch)
+        report = fit_specifications(panel, subsets, k_candidates=(3, 1, 2), case=case)
+        assert [(s.subset, s.k) for s in report.specs] == [(s, k) for s, k, _, _ in want_fitted]
+        assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
+        assert len(report.specs) + len(report.rejected) == 3 * len(subsets)
+        assert {k for _, k, _, _ in want_fitted} == {1, 2, 3}
+        for spec, (_, _, model, equation), rtol in zip(report.specs, want_fitted, tolerances):
+            got = spec.model
+            what = f"{spec.subset} k={spec.k}"
+            for name in MODEL_ARRAYS + MODEL_SCALARS:
+                assert_close(getattr(got, name), getattr(model, name), rtol, f"{name} of {what}")
+            assert len(got.gamma) == len(model.gamma) == spec.k - 1
+            for g, w in zip(got.gamma, model.gamma):
+                assert_close(g, w, rtol, f"gamma of {what}")
+            assert (got.vars, got.k, got.r, got.case, got.T_eff, got.n_params, got.wald_dof,
+                    got.beta_source) == (model.vars, model.k, model.r, model.case, model.T_eff,
+                                         model.n_params, model.wald_dof, model.beta_source)
+            assert spec.criteria == {"chi2": got.wald_chi2, "aic": got.aic, "bic": got.bic,
+                                     "loglik": got.loglik}
+            assert all(type(spec.criteria[c]) is float for c in spec.criteria)
+            assert equation.z_scores.keys() == spec.equation.z_scores.keys()
+            assert spec.equation.coefficients.keys() == equation.coefficients.keys()
+            assert_close([*spec.equation.coefficients.values(), spec.equation.intercept],
+                         [*equation.coefficients.values(), equation.intercept], rtol,
+                         f"equation of {what}")
+
+    def test_failing_groups_keep_the_scalar_records(self, monkeypatch):
+        # sd duplicates ed, so the five-variable group is degenerate; at
+        # k=8 the groups of size 4 and 5 are short of sample
+        base = synthetic_log_panel(T=40, seed=42)
+        series = {v: base.series[v].copy() for v in VARIABLES}
+        series["sd"] = series["ed"].copy()
+        panel = LogLevelPanel(agency_id="DUP", years=base.years, series=series)
+        subsets = [("sb", "gpc", "md", "ed", "sd"), ("sb", "gpc", "rd", "md", "ed"),
+                   ("sb", "gpc", "md", "ed"), ("sb", "gpc", "md"), ("sb", "rd", "md")]
+        ks = (1, 2, 8)
+        want_fitted, want_rejected = scalar_search(panel, subsets, ks, "rconst")
+        assert any("NotPositiveDefinite" in r or "Singular" in r for _, _, r in want_rejected)
+        assert any(r.startswith("ValidationError: insufficient sample")
+                   for _, _, r in want_rejected)
+
+        calls = []
+
+        def recording(data, vars=None, **kwargs):
+            calls.append((tuple(vars), kwargs["k"]))
+            return concentrate(data, vars, **kwargs)
+
+        monkeypatch.setattr(spec_search, "concentrate", recording)
+        report = fit_specifications(panel, subsets, k_candidates=ks)
+        assert [(s.subset, s.k) for s in report.specs] == [(s, k) for s, k, _, _ in want_fitted]
+        assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
+        # only the failing (size, lag) groups ran on the scalar path
+        failing = {(5, 1), (5, 2), (5, 8), (4, 8)}
+        assert {(len(s), k) for s, k, reason in want_rejected
+                if not reason.startswith("selected rank")} == failing
+        assert sorted(calls) == sorted((s, k) for s in subsets for k in ks
+                                       if (len(s), k) in failing)
+        assert {(len(s), k) for s, k, _, _ in want_fitted} >= {(4, 1), (3, 1)}
+
+    def test_short_subsets_and_bad_case_fall_back(self):
+        panel = synthetic_log_panel(T=60, seed=4)
+        report = fit_specifications(panel, [("sb",), ("sb", "gpc", "md")], k_candidates=(1,))
+        assert report.rejected[0].subset == ("sb",)
+        want_fitted, want_rejected = scalar_search(panel, [("sb",), ("sb", "gpc", "md")],
+                                                   (1,), "rconst")
+        assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
+        with pytest.raises(NoAdmissibleSpecError):
+            fit_specifications(panel, [("sb", "gpc")], case="nope")
