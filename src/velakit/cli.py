@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import NoAdmissibleSpecError, NumericalError, ValidationError, Vela
 from .johansen import CASES, RESTRICTED_CONSTANT, concentrate, rank_test
 from .lag_selection import max_feasible_lag, select_lag
 from .manifest import dump_json, file_digest, make_manifest
-from .mission import allocate, load_config
 from .panel import VARIABLES, interpolate_missing, load_panel, to_log_levels
 from .report import (
     render_adf_table,
@@ -31,7 +29,6 @@ from .report import (
     render_rank_table,
 )
 from .spec_search import run_specification_search
-from .synthetic import monte_carlo_critical_values, run_recovery_study, study_spec
 from .unit_root import adf_test, default_adf_lags
 from .vecm import estimate_vecm, normalize_cointegrating_equation, stability_check
 
@@ -40,7 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_SPEC = 4
 
-SAMPLE_CONFIG = Path(resources.files("velakit").joinpath("data", "mission_config_sample.json"))
+SAMPLE_CONFIG = Path(__file__).with_name("data") / "mission_config_sample.json"
 
 
 def _parse_vars(text: str | None) -> tuple[str, ...]:
@@ -55,15 +52,22 @@ def _parse_vars(text: str | None) -> tuple[str, ...]:
     return names
 
 
-def _write_artifacts(args, stem: str, payload: dict, text: str) -> None:
-    if args.format == "json":
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write(text)
-    if args.out_dir:
-        out = Path(args.out_dir)
+def _make_out_dir(args) -> Path:
+    out = Path(args.out_dir)
+    try:
         out.mkdir(parents=True, exist_ok=True)
-        dump_json(payload, out / f"{stem}.json")
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from None
+    return out
+
+
+def _write_artifacts(args, stem: str, payload: dict, text: str) -> None:
+    out = _make_out_dir(args) if args.out_dir else None
+    data = dump_json(payload) if args.format == "json" or out is not None else None
+    sys.stdout.write(data if args.format == "json" else text)
+    if out is not None:
+        (out / f"{stem}.json").write_text(data, encoding="utf-8")
         (out / f"{stem}.txt").write_text(text, encoding="utf-8")
 
 
@@ -230,9 +234,7 @@ def cmd_pipeline(args) -> int:
         payload["error"] = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"pipeline failed at stage {stage}: {exc}\n")
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            dump_json(payload, out / f"pipeline_{args.agency}.json")
+            dump_json(payload, _make_out_dir(args) / f"pipeline_{args.agency}.json")
         raise
 
     text = "".join(
@@ -249,6 +251,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mission(args) -> int:
+    from .mission import allocate, load_config
+
     config_path = Path(args.config) if args.config else SAMPLE_CONFIG
     config = load_config(config_path)
     command = "mission"
@@ -269,6 +273,8 @@ def cmd_mission(args) -> int:
 
 
 def cmd_mc_validate(args) -> int:
+    from .synthetic import monte_carlo_critical_values, run_recovery_study, study_spec
+
     seeds = (args.seed,)
     if args.study == "cv":
         result = monte_carlo_critical_values(

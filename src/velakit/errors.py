@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ValidationError -> 2,
 NumericalError -> 3, NoAdmissibleSpecError -> 4.
 """
 
+from pathlib import Path
+
 
 class VelakitError(Exception):
     """Base class for all toolkit errors."""
@@ -39,3 +41,12 @@ class NoAdmissibleSpecError(VelakitError):
 
 class CorruptedBundleError(VelakitError):
     """Bundled reference data failed its shape/checksum validation."""
+
+
+def read_input(path: Path) -> bytes:
+    """The bytes of an input file; one that cannot be read (a directory, a
+    missing or unreadable file) is a ValidationError naming the path."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import floor, isfinite
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, read_input
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,15 @@ def load_config(path: str | Path) -> MissionConfig:
     if not path.exists():
         raise ValidationError(f"no such config file: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean",
+                type(None): "null"}.get(type(doc), "a number")
+        raise ValidationError(f"{path}: the top level must be a JSON object, not {kind}")
     return config_from_dict(doc)
 
 

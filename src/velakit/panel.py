@@ -9,12 +9,13 @@ spending, % of GDP). Missing cells are NaN until repaired.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_input
 
 VARIABLES = ("sb", "gpc", "rd", "md", "ed", "sd")
 
@@ -115,7 +116,13 @@ def load_panel(path: str | Path, agency_id: str) -> MacroPanel:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    data = read_input(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:

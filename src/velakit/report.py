@@ -6,12 +6,16 @@ coefficients print with one decimal, standard errors and z-scores with two.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .mission import MissionPlan
 from .panel import VARIABLES
 from .spec_search import SpecificationReport
 from .vecm import CointegratingEquation, VecmModel
+
+if TYPE_CHECKING:
+    from .mission import MissionPlan
 
 OMITTED = "—"  # rendered for structural zeros, never "0.00"
 

@@ -281,3 +281,69 @@ class TestDeterminism:
         assert code == 0
         doc = json.loads((tmp_path / "o" / "mission.json").read_text())
         assert doc["manifest"]["timestamp"] == "1970-01-01T00:00:00Z"
+
+
+class TestInputContract:
+    """Unusable inputs exit 2 with the offending path named, never a traceback."""
+
+    def test_missing_panel_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code, _, err = run(["pipeline", "--input", str(missing), "--agency", "DEMO"], capsys)
+        assert code == 2
+        assert str(missing) in err
+
+    def test_panel_is_a_directory_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["ingest", "--input", str(tmp_path), "--agency", "DEMO"], capsys)
+        assert code == 2
+        assert str(tmp_path) in err
+
+    def test_config_is_a_directory_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["mission", "--config", str(tmp_path)], capsys)
+        assert code == 2
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_utf16_panel_exit_2(self, panel_csv, tmp_path, capsys, command):
+        utf16 = tmp_path / "utf16.csv"
+        utf16.write_text(panel_csv.read_text(encoding="utf-8"), encoding="utf-16")
+        code, _, err = run([command, "--input", str(utf16), "--agency", "DEMO"], capsys)
+        assert code == 2
+        assert str(utf16) in err
+        assert "UTF-8" in err
+
+    def test_utf16_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"agencies": []}', encoding="utf-16")
+        code, _, err = run(["mission", "--config", str(path)], capsys)
+        assert code == 2
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_out_dir_is_a_file_exit_2(self, panel_csv, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code, out, err = run([command, "--input", str(panel_csv), "--agency", "DEMO",
+                              "--out-dir", str(taken)], capsys)
+        assert code == 2
+        assert str(taken) in err
+        assert out == ""
+        assert taken.read_text() == "not a directory"
+
+    def test_out_dir_is_a_file_on_failed_pipeline_exit_2(self, tmp_path, capsys):
+        bad = write_levels_csv(tmp_path / "bad.csv", T=48, seed=2027,
+                               corrupt=("sb", 1990, -3.0))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(["pipeline", "--input", str(bad), "--agency", "DEMO",
+                            "--out-dir", str(taken)], capsys)
+        assert code == 2
+        assert str(taken) in err
+
+    @pytest.mark.parametrize("doc", ["[]", '"agencies"', "3", "null"])
+    def test_config_top_level_not_object_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        code, _, err = run(["mission", "--config", str(path)], capsys)
+        assert code == 2
+        assert str(path) in err
+        assert "top level must be a JSON object" in err
