@@ -5,6 +5,11 @@ MAX_DIM, and surface rank problems as typed errors instead of silently
 pseudo-inverting. OLS runs through a QR factorization; the normal-equations
 route via `cholesky_factor` is kept independent so tests can use it as an
 oracle.
+
+The stacked kernels (`_stacked_ols`, `_stacked_cholesky`, `_each`) run a
+stack of matrices in one pass and judge each member alone, at the
+thresholds of `ols_fit` and `cholesky_factor`: a failing member gets its
+own typed error and never fails its neighbours.
 """
 
 from __future__ import annotations
@@ -63,18 +68,9 @@ def ols_fit(X, Y) -> OlsFit:
         raise ValidationError(f"need more rows than regressors (rows={n}, cols={k})")
 
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        raise SingularMatrixError("all regressors are zero", column=0)
-    bad = np.nonzero(diag < PIVOT_RTOL * scale)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise SingularMatrixError(
-            f"regressor matrix is rank deficient at column {j} "
-            f"(pivot {diag[j]:.3e} vs scale {scale:.3e})",
-            column=j,
-        )
+    error = _rank_error(np.abs(np.diag(R)))
+    if error is not None:
+        raise error
     coef = np.linalg.solve(R, Q.T @ Y)
     resid = Y - X @ coef
     dof = n - k
@@ -82,36 +78,83 @@ def ols_fit(X, Y) -> OlsFit:
     return OlsFit(coefficients=coef, residuals=resid, residual_covariance=cov, dof=dof)
 
 
-def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Whether every pivot L_jj^2 of a factor clears PIVOT_RTOL * S_jj twice over.
+def _rank_error(diag: np.ndarray) -> SingularMatrixError | None:
+    """ols_fit's error for the |diagonal| of R, or None when every entry
+    clears PIVOT_RTOL relative to the largest."""
+    scale = diag.max() if diag.size else 0.0
+    if scale == 0.0:
+        return SingularMatrixError("all regressors are zero", column=0)
+    bad = np.flatnonzero(diag < PIVOT_RTOL * scale)
+    if not bad.size:
+        return None
+    j = int(bad[0])
+    return SingularMatrixError(
+        f"regressor matrix is rank deficient at column {j} "
+        f"(pivot {diag[j]:.3e} vs scale {scale:.3e})",
+        column=j,
+    )
 
-    Works on one matrix or a stack (reducing the last two axes). The
-    margin keeps a factor from LAPACK, whose pivots round differently from
-    the column loop's, to cases the loop accepts too; closer calls go to
-    the loop.
+
+def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Whether every pivot L_jj^2 of a factor of S clears PIVOT_RTOL * S_jj.
+
+    Works on one matrix or a stack (reducing the last two axes); a NaN
+    factor fails.
     """
     d = np.diagonal(S, axis1=-2, axis2=-1)
     lj = np.diagonal(L, axis1=-2, axis2=-1)
-    return ((d > 0) & (lj * lj > 2.0 * PIVOT_RTOL * d)).all(axis=-1)
+    return ((d > 0) & (lj * lj > PIVOT_RTOL * d)).all(axis=-1)
+
+
+def _symmetric(S: np.ndarray) -> np.ndarray:
+    """Whether each member of a stack is symmetric within SYMMETRY_RTOL."""
+    asym = S - S.swapaxes(-1, -2)
+    scale = np.maximum(np.abs(S).max(axis=(-2, -1)), 1.0)
+    return np.abs(asym, out=asym).max(axis=(-2, -1)) <= SYMMETRY_RTOL * scale
+
+
+def _each(fn, A: np.ndarray, *rest):
+    """fn(A, *rest) for a stack, and the mask of members for which it raises.
+
+    numpy.linalg raises LinAlgError for a whole stack when one member
+    fails. Then each member runs alone, as its n=1 slice, and the stack
+    runs again with the identity as A for the members that raise: their
+    results are placeholders.
+    """
+    try:
+        return fn(A, *rest), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    failed = np.zeros(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            fn(A[i : i + 1], *(b[i : i + 1] for b in rest))
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    A = np.where(failed[:, None, None], np.eye(A.shape[-1]), A)
+    return fn(A, *rest), failed
 
 
 def _stacked_ols(X: np.ndarray, Y: np.ndarray):
     """ols_fit of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass.
 
-    Returns (coefficients, residuals), or None when ols_fit could raise for
-    some member: too few rows or too many columns, or a diagonal of R that
-    does not clear PIVOT_RTOL relative to the largest by a factor of two
-    (rounding then cannot make this path accept a fit ols_fit rejects).
+    Returns (coefficients, residuals, errors): errors maps each member
+    ols_fit rejects to its SingularMatrixError (a diagonal of R below
+    PIVOT_RTOL relative to the largest); that member's coefficients and
+    residuals are placeholders. A shape ols_fit rejects raises its
+    ValidationError for the whole stack.
     """
     rows, cols = X.shape[-2:]
-    if not cols < rows <= 10**6 or max(cols, Y.shape[-1]) > MAX_DIM:
-        return None
+    if rows > 10**6 or cols > MAX_DIM:
+        raise ValidationError(f"X exceeds the supported size (cols capped at {MAX_DIM})")
+    if rows <= cols:
+        raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     scale = diag.max(axis=-1, keepdims=True)
-    if not ((scale > 0) & (diag > 2.0 * PIVOT_RTOL * scale)).all():
-        return None
-    coef = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
+    clear = ((scale > 0) & (diag >= PIVOT_RTOL * scale)).all(axis=-1)
+    errors = {} if clear.all() else {i: _rank_error(diag[i]) for i in np.flatnonzero(~clear)}
+    coef, _ = _each(np.linalg.solve, R, Q.swapaxes(-1, -2) @ Y)
     if cols == 1:
         # numpy's stacked matmul is slow over a single inner column; the
         # time-last broadcast product is the same single product per entry
@@ -120,23 +163,23 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
         resid = X @ coef
     # in place: a second block-sized temporary costs more than the product
     np.subtract(Y, resid, out=resid)
-    return coef, resid
+    return coef, resid, errors
 
 
 def cholesky_factor(S) -> np.ndarray:
     """Lower-triangular L with L L' = S for symmetric positive-definite S.
 
-    Factored by LAPACK; when that fails, or a pivot is too close to
+    Factored by LAPACK; when that fails, or a pivot does not clear
     PIVOT_RTOL times its diagonal entry, a column loop decides and reports
-    the failing pivot index. Used both for whitening the cointegration
-    eigenproblem and as the independent normal-equations oracle for ols_fit.
+    the failing pivot index. The stacked kernels ask it about the members
+    whose LAPACK factor fails (_stacked_cholesky); it is also the
+    independent normal-equations oracle for ols_fit.
     """
     S = as_matrix(S, "S")
     n, m = S.shape
     if n != m:
         raise ValidationError(f"S must be square, got {n}x{m}")
-    scale = np.abs(S).max() if n else 0.0
-    if n and np.abs(S - S.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    if n and not _symmetric(S):
         raise ValidationError("S is not symmetric within tolerance")
     try:
         L = np.linalg.cholesky(S)
@@ -166,8 +209,7 @@ def symmetric_eigendecomposition(S) -> tuple[np.ndarray, np.ndarray]:
     n, m = S.shape
     if n != m:
         raise ValidationError(f"S must be square, got {n}x{m}")
-    scale = np.abs(S).max() if n else 0.0
-    if n and np.abs(S - S.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    if n and not _symmetric(S):
         raise ValidationError("S is not symmetric within tolerance")
     try:
         w, V = np.linalg.eigh((S + S.T) / 2.0)
@@ -191,18 +233,26 @@ def general_eigenvalues(A) -> np.ndarray:
     return w[order]
 
 
-def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L X = B for lower-triangular L."""
-    return np.linalg.solve(L, B)
+def _stacked_cholesky(S: np.ndarray):
+    """cholesky_factor of each member of an (n, m, m) stack.
 
-
-def solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve U X = B for upper-triangular U."""
-    return np.linalg.solve(U, B)
+    Returns (factors, errors), errors mapping each member cholesky_factor
+    rejects to its error. LAPACK factors the stack in one call (see _each);
+    a member that fails _pivots_clear goes to cholesky_factor, which raises
+    or accepts it with its column loop. Symmetry is the caller's to check.
+    """
+    L, failed = _each(np.linalg.cholesky, S)
+    errors = {}
+    suspect = failed | ~_pivots_clear(S, L)
+    for i in np.flatnonzero(suspect) if suspect.any() else ():
+        try:
+            L[i] = cholesky_factor(S[i])
+        except (ValidationError, NotPositiveDefiniteError) as exc:
+            errors[i] = exc
+    return L, errors
 
 
 def pd_inverse(S: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via its Cholesky factor."""
     L = cholesky_factor(S)
-    eye = np.eye(S.shape[0])
-    return solve_upper(L.T, solve_lower(L, eye))
+    return np.linalg.solve(L.T, np.linalg.solve(L, np.eye(L.shape[0])))

@@ -118,7 +118,8 @@ def load_panel(path: str | Path, agency_id: str) -> MacroPanel:
         raise ValidationError(f"no such file: {path}")
     data = read_input(path)
     try:
-        text = data.decode("utf-8")
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

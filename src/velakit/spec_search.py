@@ -2,7 +2,8 @@
 
 Every subset containing the dependent budget variable is crossed with the
 candidate lag lengths; a fit is admissible when the trace test selects
-exactly one cointegrating relation. Admissible fits aggregate into a
+exactly one cointegrating relation. Same-size subsets at one lag run as
+one stack, each recording its own failure. Admissible fits aggregate into a
 per-variable correlation row where sign conflicts are adjudicated by the
 coefficient with the larger |z|.
 """
@@ -15,19 +16,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from .johansen import (
-    RESTRICTED_CONSTANT,
-    _stacked_rank_test,
-    concentrate,
-    rank_test,
-)
+from .johansen import RESTRICTED_CONSTANT, _check_case, _stacked_rank_test
 from .lag_selection import level_matrix
 from .vecm import (
     CointegratingEquation,
     VecmModel,
     Z_CRIT_5PCT,
     _stacked_models,
-    estimate_vecm,
+    _stacked_phillips,
     normalize_cointegrating_equation,
 )
 from .panel import VARIABLES
@@ -82,68 +78,52 @@ class SpecificationReport:
     correlation_row: dict[str, dict] | None = None
 
 
-def _fitted(subset, k: int, model: VecmModel) -> FittedSpec:
-    """A rank-1 fit with its solved equation and criteria (may raise)."""
-    return FittedSpec(
-        subset=subset,
-        k=k,
-        model=model,
-        equation=normalize_cointegrating_equation(model),
-        criteria={
-            "chi2": model.wald_chi2,
-            "aic": model.aic,
-            "bic": model.bic,
-            "loglik": model.loglik,
-        },
-    )
+def _rejected(subset, k: int, error: VelakitError) -> RejectedSpec:
+    return RejectedSpec(subset, k, f"{type(error).__name__}: {error}")
 
 
-def _fit_one(panel, subset, k: int, case: str) -> FittedSpec | RejectedSpec:
-    """Rank-test one subset at one lag and fit it when the rank is 1."""
+def _fitted(subset, k: int, model: VecmModel) -> FittedSpec | RejectedSpec:
+    """A rank-1 fit with its solved equation and criteria, or its rejection."""
     try:
-        m = concentrate(panel, subset, k=k, case=case)
-        rt = rank_test(m, case=case)
-        if rt.selected_rank != 1:
-            return RejectedSpec(subset, k, f"selected rank {rt.selected_rank}")
-        return _fitted(subset, k, estimate_vecm(panel, subset, k=k, r=1, case=case))
+        equation = normalize_cointegrating_equation(model)
     except VelakitError as exc:
-        return RejectedSpec(subset, k, f"{type(exc).__name__}: {exc}")
+        return _rejected(subset, k, exc)
+    criteria = {"chi2": model.wald_chi2, "aic": model.aic, "bic": model.bic,
+                "loglik": model.loglik}
+    return FittedSpec(subset=subset, k=k, model=model, equation=equation, criteria=criteria)
 
 
 def _fit_group(z: np.ndarray, subsets, names, k: int, case: str):
-    """_fit_one for same-size subsets at one lag, in one stacked pass.
+    """Rank-test same-size subsets at one lag and fit those of rank 1, in
+    one stacked pass; one record per subset.
 
     ``z`` holds the subsets' levels as an (n, T, p) array. The group's
     concentration and eigenproblem give the rank decisions, and the same
     moments and eigenvectors the rank-1 estimates (vecm._stacked_models).
-    Returns None where a check of the scalar path could fail for some
-    member; the caller then runs _fit_one for each.
+    A member that fails records its own typed error; a failure of the
+    whole group (too short a sample for the lag) is every member's.
     """
-    if not isinstance(k, (int, np.integer)):
-        return None
-    # non-finite intermediates only mean a failed check; the scalar re-run
-    # reports them
-    with np.errstate(all="ignore"):
-        ranked = _stacked_rank_test(z, k, case, vectors=True)
-        if ranked is None:
-            return None
-        W, X, S11, lam, candidates, _, ranks = ranked
-        keep = np.flatnonzero(ranks == 1)
-        models = []
-        if keep.size:
+    try:
+        W, X, S11, lam, candidates, _, ranks, errors = _stacked_rank_test(
+            z, k, case, vectors=True)
+    except VelakitError as exc:
+        return [_rejected(subset, k, exc) for subset in subsets]
+    out = [_rejected(subset, k, errors[i]) if i in errors
+           else None if rank == 1 else RejectedSpec(subset, k, f"selected rank {rank}")
+           for i, (subset, rank) in enumerate(zip(subsets, ranks.tolist()))]
+    keep = [i for i, record in enumerate(out) if record is None]
+    if keep:
+        kept = {}
+        try:
+            beta = _stacked_phillips(candidates[keep], 1, kept)
             models = _stacked_models(
                 z[keep], [names[i] for i in keep], k, 1, case, W[keep],
-                None if X is None else X[keep], S11[keep], lam[keep], candidates[keep])
-            if models is None:
-                return None
-    models = iter(models)
-    out = []
-    try:
-        for subset, rank in zip(subsets, ranks.tolist()):
-            out.append(_fitted(subset, k, next(models)) if rank == 1
-                       else RejectedSpec(subset, k, f"selected rank {rank}"))
-    except VelakitError:
-        return None
+                None if X is None else X[keep], S11[keep], lam[keep], beta, kept)
+        except VelakitError as exc:
+            kept = dict.fromkeys(range(len(keep)), exc)
+        for j, i in enumerate(keep):
+            out[i] = _rejected(subsets[i], k, kept[j]) if j in kept \
+                else _fitted(subsets[i], k, models[j])
     return out
 
 
@@ -152,32 +132,40 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
                        agency_id: str | None = None) -> SpecificationReport:
     """Fit every subset x lag candidate, keeping rank-1 fits.
 
+    The case and the lag candidates are validated first (ValidationError).
     Failures (selected rank != 1, singular moment matrices, short samples)
     are recorded with their reason rather than dropped silently. Subsets of
-    one size are fitted together at each lag (_fit_group); a group that
-    fails a check of the scalar path runs one spec at a time instead, so
-    the records are those of the scalar path either way, in subset-major,
-    lag-ascending order.
+    one size are fitted together at each lag (_fit_group); the records come
+    in subset-major, lag-ascending order.
     """
+    _check_case(case)
+    ks = list(k_candidates)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValidationError(f"lag candidate k={k!r} must be an integer >= 1")
+    ks.sort()
     agency = agency_id or getattr(panel, "agency_id", "?")
     subsets = list(subsets)
-    ks = sorted(k_candidates)
     by_size: dict[int, list[int]] = {}
     for pos, subset in enumerate(subsets):
         by_size.setdefault(len(subset), []).append(pos)
     outcome = {}
     for positions in by_size.values():
-        group = [subsets[pos] for pos in positions]
-        try:
-            levels = [level_matrix(panel, subset) for subset in group]
-        except VelakitError:
-            levels = None  # each member records its error on the scalar path
+        group, levels = [], []
+        for pos in positions:
+            try:
+                levels.append(level_matrix(panel, subsets[pos]))
+            except VelakitError as exc:
+                outcome.update(((pos, k), _rejected(subsets[pos], k, exc)) for k in ks)
+            else:
+                group.append(pos)
+        if not group:
+            continue
+        z = np.stack([zi for zi, _ in levels])
         for k in ks:
-            out = levels and _fit_group(np.stack([zi for zi, _ in levels]), group,
-                                        [names for _, names in levels], k, case)
-            if out is None:
-                out = [_fit_one(panel, subset, k, case) for subset in group]
-            outcome.update(((pos, k), spec) for pos, spec in zip(positions, out))
+            out = _fit_group(z, [subsets[pos] for pos in group],
+                             [names for _, names in levels], k, case)
+            outcome.update(((pos, k), spec) for pos, spec in zip(group, out))
     records = [outcome[pos, k] for pos in range(len(subsets)) for k in ks]
     fitted = [r for r in records if isinstance(r, FittedSpec)]
     rejected = [r for r in records if isinstance(r, RejectedSpec)]

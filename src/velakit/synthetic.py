@@ -8,15 +8,13 @@ fresh per-replication generator from (seed, replication index) through a
 Both studies run in blocks of CV_BLOCK replications, each drawn from its
 own generator into a shared block buffer. The critical-value study
 computes a block's trace statistics in one stacked pass
-(johansen._rank0_trace_stats). The recovery study steps the recursion once
+(johansen._stacked_rank_test). The recovery study steps the recursion once
 per time step for the whole block (_simulate, which generate_vecm_data
 runs for a single replication) and rank-tests and fits the block in one
-pass (johansen._stacked_rank_test and vecm._stacked_fit, which the
-specification search shares); a block that fails any check of the scalar
-path re-runs through concentrate/rank_test/estimate_vecm, which raises its
-typed error. Results agree with the one-replication-at-a-time path to
-1e-10 relative; reruns are byte-identical, but the last digits may differ
-from releases that ran one replication at a time.
+pass (johansen._stacked_rank_test and vecm._stacked_fit, the kernels of
+the specification search and of the n=1 public calls). A replication that
+fails raises its own typed error, the one its n=1 call raises; the first
+failing replication of a block wins. Reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,17 +25,15 @@ import numpy as np
 
 from .errors import ValidationError
 from .johansen import (
-    CASES,
     MAX_TABLE_DIM,
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
-    _rank0_trace_stats,
+    _check_case,
+    _raise_first,
     _stacked_rank_test,
-    concentrate,
-    rank_test,
 )
 from .linalg import general_eigenvalues
-from .vecm import _stacked_fit, companion_matrix, estimate_vecm
+from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
@@ -225,8 +221,7 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     Bootstrap standard errors come from resampling the replication
     statistics.
     """
-    if case not in CASES:
-        raise ValidationError(f"case must be one of {CASES}, got {case!r}")
+    _check_case(case)
     if reps < 1000:
         raise ValidationError(f"reps must be >= 1000, got {reps}")
     if T < 400:
@@ -245,7 +240,9 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
         if drift:
             z += drift
         np.cumsum(z, axis=1, out=z)
-        stats[start : start + len(z)] = _rank0_trace_stats(z, case)
+        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+        _raise_first(errors)
+        stats[start : start + len(z)] = trace[:, 0]
 
     qs = (90.0, 95.0, 99.0)
     percentiles = {f"{int(q)}%": float(np.percentile(stats, q)) for q in qs}
@@ -300,35 +297,17 @@ class RecoveryStudy:
 
 def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     """(trace_r0, selected rank, beta angle, mean squared alpha error) per
-    replication of an (n, T, p) block.
-
-    One stacked pass (johansen._stacked_rank_test, then vecm._stacked_fit
-    on its moments) when every check of the scalar path passes for the
-    whole block; otherwise the block re-runs through
-    concentrate/rank_test/estimate_vecm, one replication at a time, which
-    raises the scalar path's typed error.
-    """
-    fit = None
-    # non-finite intermediates only mean a failed check; the scalar re-run
-    # reports them
-    with np.errstate(all="ignore"):
-        ranked = _stacked_rank_test(z, spec.k, case, vectors=True)
-        if ranked is not None:
-            W, X, _, _, candidates, trace, ranks = ranked
-            fit = _stacked_fit(W, X, candidates, spec.r)
-    if fit is not None:
-        beta, coef, _ = fit
-        alpha = coef[:, : spec.r].swapaxes(1, 2)
-        return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
-                np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
-    rows = []
-    for zi in z:
-        rt = rank_test(concentrate(zi, k=spec.k, case=case), case=case)
-        model = estimate_vecm(zi, k=spec.k, r=spec.r, case=case)
-        rows.append((rt.trace_stats[0], rt.selected_rank,
-                     subspace_angle_deg(model.beta_variables(), spec.beta_true),
-                     np.mean((model.alpha - spec.alpha_true) ** 2)))
-    return tuple(np.array(col) for col in zip(*rows))
+    replication of an (n, T, p) block, in one stacked pass
+    (johansen._stacked_rank_test, then vecm._stacked_fit on its moments);
+    raises the error of the block's first failing replication."""
+    W, X, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
+        z, spec.k, case, vectors=True)
+    beta = _stacked_phillips(candidates, spec.r, errors)
+    coef, *_ = _stacked_fit(W, X, beta, errors)
+    _raise_first(errors)
+    alpha = coef[:, : spec.r].swapaxes(1, 2)
+    return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
+            np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
 
 
 def run_recovery_study(spec: SyntheticSpec, reps: int,
@@ -336,7 +315,8 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     """generate -> rank test -> estimate, compared against the true system.
 
     Replications run in stacked blocks of CV_BLOCK, each simulated and
-    fitted in one pass (see _recovery_block).
+    fitted in one pass (see _recovery_block); a failing replication raises
+    its own error.
     """
     if reps < 100:
         raise ValidationError(f"reps must be >= 100, got {reps}")

@@ -17,14 +17,18 @@ import numpy as np
 
 from .errors import NonNormalizableError, NumericalError, ValidationError
 from .johansen import (
-    CASES,
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
-    concentrate,
+    _check_case,
+    _flag,
+    _raise_first,
+    _record,
+    _stacked_concentrate,
+    _stacked_eigenproblem,
     solve_cointegration_eigenproblem,
 )
-from .lag_selection import information_criteria, level_matrix
-from .linalg import _pivots_clear, _stacked_ols, general_eigenvalues, ols_fit, pd_inverse
+from .lag_selection import level_matrix
+from .linalg import _each, _stacked_cholesky, _stacked_ols, as_matrix, general_eigenvalues
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -69,186 +73,114 @@ class VecmModel:
         return self.beta[: self.p]
 
 
-def _phillips_normalize(beta: np.ndarray, r: int) -> np.ndarray:
-    """Scale columns so the leading r x r block is the identity."""
-    top = beta[:r, :r]
-    scale = np.abs(beta).max()
-    if scale == 0 or abs(np.linalg.det(top)) < 1e-10 * max(scale**r, 1e-300):
-        raise NumericalError(
-            "cannot normalize beta: leading block is singular "
-            "(dependent variable may not enter the cointegrating space)"
-        )
-    return beta @ np.linalg.inv(top)
-
-
 def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
                   case: str = RESTRICTED_CONSTANT, beta=None) -> VecmModel:
     """Estimate the rank-r error-correction model.
 
-    When ``beta`` is supplied the eigenproblem step is skipped and the
-    remaining coefficients are the per-equation OLS estimates conditional
-    on that cointegrating matrix.
+    When ``beta`` is supplied the eigenproblem's vectors are not used and
+    the remaining coefficients are the per-equation OLS estimates
+    conditional on that cointegrating matrix.
     """
     z, names = level_matrix(data, vars)
-    T, p = z.shape
-    if case not in CASES:
-        raise ValidationError(f"case must be one of {CASES}, got {case!r}")
+    p = z.shape[1]
+    _check_case(case)
     if r == 0:
         raise ValidationError(
             "rank 0 means no error correction; difference the data and fit a "
             "VAR instead (rank tests remain available via rank_test)"
         )
+    _check_rank(r, p)
+    W, X, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    if beta is None:
+        beta_hat = _stacked_phillips(candidates, r, errors)
+    else:
+        _raise_first(errors)
+        beta_hat, p_aug = as_matrix(beta, "beta"), S11.shape[1]
+        if beta_hat.shape != (p_aug, r):
+            raise ValidationError(f"beta must have shape ({p_aug}, {r}), got {beta_hat.shape}")
+        beta_hat = beta_hat[None]
+    models = _stacked_models(z[None], [names], k, r, case, W, X, S11, lam, beta_hat, errors,
+                             beta_source="eigen" if beta is None else "fixed")
+    _raise_first(errors)
+    return models[0]
+
+
+def _check_rank(r: int, p: int) -> None:
     if not 1 <= r <= p - 1:
         raise ValidationError(f"rank must satisfy 1 <= r <= p-1={p - 1}, got {r}")
 
-    m = concentrate(z, names, k=k, case=case)
-    lam, beta_candidates = solve_cointegration_eigenproblem(m)
-    p_aug = m.S11.shape[0]
 
-    if beta is None:
-        beta_hat = _phillips_normalize(beta_candidates[:, :r].copy(), r)
-        beta_source = "eigen"
-    else:
-        beta_hat = np.asarray(beta, dtype=float)
-        if beta_hat.ndim == 1:
-            beta_hat = beta_hat[:, None]
-        if beta_hat.shape != (p_aug, r):
-            raise ValidationError(
-                f"beta must have shape ({p_aug}, {r}), got {beta_hat.shape}"
-            )
-        beta_source = "fixed"
+@np.errstate(all="ignore")
+def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarray:
+    """The first r beta candidates of each member of a stack (n, p_aug, r),
+    scaled so the leading r x r block is the identity.
 
-    # conditional regression: dz_t on (beta'z*_{t-1}, lagged dz, deterministics)
-    dz = np.diff(z, axis=0)
-    rows = np.arange(k, T)
-    T_eff = T - k
-    Y = dz[rows - 1]
-    lvl = z[rows - 1]
-    if case == RESTRICTED_CONSTANT:
-        lvl = np.column_stack([lvl, np.ones(T_eff)])
-    ec = lvl @ beta_hat
-
-    blocks = [ec]
-    for i in range(1, k):
-        blocks.append(dz[rows - 1 - i])
-    if case == UNRESTRICTED_CONSTANT:
-        blocks.append(np.ones((T_eff, 1)))
-    X = np.column_stack(blocks)
-    fit = ols_fit(X, Y)
-
-    coef = fit.coefficients
-    alpha = coef[:r].T
-    gammas = tuple(coef[r + (i - 1) * p : r + i * p].T for i in range(1, k))
-    mu = coef[-1].copy() if case == UNRESTRICTED_CONSTANT else np.zeros(p)
-    resid = fit.residuals
-    sigma = resid.T @ resid / T_eff
-
-    n_params = p * X.shape[1] + r * (p_aug - r)
-    loglik, aic, bic, _ = information_criteria(fit, T_eff, n_params)
-
-    beta_se, beta_z, wald, wald_dof = _beta_inference(m.R1, beta_hat, alpha, sigma, r)
-
-    return VecmModel(
-        vars=names,
-        k=k,
-        r=r,
-        case=case,
-        alpha=alpha,
-        beta=beta_hat,
-        gamma=gammas,
-        mu=mu,
-        sigma=sigma,
-        loglik=loglik,
-        aic=aic,
-        bic=bic,
-        beta_se=beta_se,
-        beta_z=beta_z,
-        wald_chi2=wald,
-        wald_dof=wald_dof,
-        eigenvalues=lam[: min(p, lam.size)],
-        T_eff=T_eff,
-        n_params=n_params,
-        beta_source=beta_source,
-        level_means=z.mean(axis=0),
-        residuals=resid,
-    )
-
-
-def _stacked_fit(W: np.ndarray, X: np.ndarray | None, candidates: np.ndarray, r: int):
-    """The rank-r fit of estimate_vecm for a stack, from the regressand W,
-    the short-run regressors X and the beta candidates of
-    johansen._stacked_rank_test: the rank test's moments, reused.
-
-    Returns (beta (n, p_aug, r), coefficients (n, r + short-run columns, p),
-    residuals (n, T_eff, p)) of the Phillips normalization and the
-    conditional regression of dz_t on (beta'z*_{t-1}, lagged dz,
-    deterministics), or None where a check of estimate_vecm's could fail:
-    the rank, the determinant test of _phillips_normalize (by a factor of
-    two, like the pivots), the pivots of the regression and the nonsingular
-    residual covariance that information_criteria needs.
+    Records NumericalError for a member whose leading block is singular:
+    |det| below 1e-10 * scale^r, scale being the largest |coefficient|.
     """
-    p_aug = candidates.shape[1]
-    p = W.shape[2] - p_aug
-    if not 1 <= r <= p - 1:
-        return None
     beta = candidates[:, :, :r]
     top = beta[:, :r, :r]
     scale = np.abs(beta).max(axis=(1, 2))
-    if not (np.abs(np.linalg.det(top)) >= 2e-10 * np.maximum(scale**r, 1e-300)).all():
-        return None
-    beta = beta @ np.linalg.inv(top)
+    singular = (scale == 0) | (np.abs(np.linalg.det(top)) < 1e-10 * np.maximum(scale**r, 1e-300))
+    _flag(errors, singular, NumericalError, "cannot normalize beta: leading block is singular "
+          "(dependent variable may not enter the cointegrating space)")
+    inverse, _ = _each(np.linalg.inv, top)
+    return beta @ inverse
+
+
+@np.errstate(all="ignore")
+def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: dict):
+    """The conditional regression of estimate_vecm for a stack: dz_t on
+    (beta'z*_{t-1}, lagged dz, deterministics), from the regressand W and
+    the short-run regressors X of johansen._stacked_concentrate and a beta
+    (n, p_aug, r).
+
+    Returns (coefficients (n, r + short-run columns, p), residuals
+    (n, T_eff, p), sigma (n, p, p), log det sigma). Records the
+    regression's SingularMatrixError and information_criteria's
+    ValidationError where det sigma is not positive.
+    """
+    T_eff = W.shape[1]
+    p = W.shape[2] - beta.shape[1]
     ec = W[:, :, p:] @ beta
-    fit = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2), W[:, :, :p])
-    if fit is None:
-        return None
-    coef, resid = fit
-    # information_criteria needs det(sigma) > 0. While the smallest
-    # eigenvalue of sigma stays above 1e-10 of the largest, the scalar
-    # path's sigma, which differs from it only by rounding, is positive
-    # definite too, and so is its computed determinant
-    w = np.linalg.eigvalsh(resid.swapaxes(1, 2) @ resid)
-    if not (w[:, 0] > 1e-10 * w[:, -1]).all():
-        return None
-    return beta, coef, resid
+    coef, resid, failures = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2),
+                                         W[:, :, :p])
+    _record(errors, failures)
+    sigma = resid.swapaxes(1, 2) @ resid / T_eff
+    sign, logdet = np.linalg.slogdet(sigma)
+    _flag(errors, sign <= 0, ValidationError, "residual covariance is singular")
+    return coef, resid, sigma, logdet
 
 
+@np.errstate(all="ignore")
 def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
                     case: str, W: np.ndarray, X: np.ndarray | None, S11: np.ndarray,
-                    lam: np.ndarray, candidates: np.ndarray):
-    """estimate_vecm for every series of an (n, T, p) stack, from the
-    moments and eigenvectors its rank test already computed.
+                    lam: np.ndarray, beta: np.ndarray, errors: dict,
+                    beta_source: str = "eigen") -> list[VecmModel | None]:
+    """estimate_vecm for every series of an (n, T, p) stack at a given beta
+    (n, p_aug, r), from the moments its rank test already computed.
 
-    ``names`` holds each series' variable names; W, X, S11, lam and
-    candidates are the outputs of johansen._stacked_rank_test(vectors=True)
-    for the same stack. Returns one
-    VecmModel per series, equal to estimate_vecm's up to rounding, or None
-    where a check of estimate_vecm's could fail or _beta_inference could
-    take another branch (see _stacked_fit and _stacked_beta_inference).
+    ``names`` holds each series' variable names; W, X, S11 and lam come
+    from johansen._stacked_rank_test for the same stack. Returns one
+    VecmModel per member, None for a member with an error in ``errors``.
     """
     n, T, p = z.shape
-    fit = _stacked_fit(W, X, candidates, r)
-    if fit is None:
-        return None
-    beta, coef, resid = fit
+    _check_rank(r, p)
+    coef, resid, sigma, logdet = _stacked_fit(W, X, beta, errors)
     T_eff = T - k
     alpha = coef[:, :r].swapaxes(1, 2)
-    sigma = resid.swapaxes(1, 2) @ resid / T_eff
     p_aug = beta.shape[1]
     n_params = p * coef.shape[1] + r * (p_aug - r)
-    # information_criteria, whose sigma is this one: _stacked_fit has
-    # checked that it is positive definite
-    _, logdet = np.linalg.slogdet(sigma)
+    # lag_selection.information_criteria, whose sigma is this one
     loglik = -(T_eff / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
     aic = (-2.0 * loglik + 2.0 * n_params) / T_eff
     bic = (-2.0 * loglik + n_params * math.log(T_eff)) / T_eff
     # R1'R1 restricted to the free coordinates, from the rank test's S11
-    inference = _stacked_beta_inference(T_eff * S11[:, r:, r:], beta, alpha, sigma)
-    if inference is None:
-        return None
-    beta_se, beta_z, wald = inference
+    beta_se, beta_z, wald = _stacked_beta_inference(T_eff * S11[:, r:, r:], beta, alpha, sigma)
     n_short = p * (k - 1)
     return [
-        VecmModel(
+        None if i in errors else VecmModel(
             vars=names[i],
             k=k,
             r=r,
@@ -268,6 +200,7 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
             eigenvalues=lam[i, :p],
             T_eff=T_eff,
             n_params=n_params,
+            beta_source=beta_source,
             level_means=z[i].mean(axis=0),
             residuals=resid[i],
         )
@@ -275,75 +208,31 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
     ]
 
 
-def _beta_inference(R1: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
-                    sigma: np.ndarray, r: int):
-    """Conditional standard errors and joint Wald test for the free beta rows.
-
-    With beta normalized to (I_r, b')' the free block b has asymptotic
-    covariance kron((R12'R12)^-1, (alpha' Sigma^-1 alpha)^-1), R12 being the
-    concentrated level residuals of the non-normalized coordinates.
-    """
-    p_aug = beta.shape[0]
-    n_free = p_aug - r
-    beta_se = np.zeros_like(beta)
-    beta_z = np.full_like(beta, np.nan)
-    if n_free == 0:
-        return beta_se, beta_z, 0.0, 0
-    identity_ok = np.allclose(beta[:r, :r], np.eye(r), atol=1e-8)
-    R12 = R1[:, r:]
-    try:
-        outer = pd_inverse(R12.T @ R12)
-        # symmetrized: for a nearly singular sigma the rounding of the
-        # product alone can exceed the symmetry tolerance of pd_inverse
-        inner = alpha.T @ pd_inverse(sigma) @ alpha
-        inner = pd_inverse(0.5 * (inner + inner.T))
-    except NumericalError:
-        return beta_se, beta_z, float("nan"), n_free * r
-    cov = np.kron(outer, inner)  # vec ordering: free row j outer, column i inner
-    diag = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(n_free, r)
-    beta_se[r:] = diag
-    if identity_ok:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta_z[r:] = np.where(diag > 0, beta[r:] / diag, np.nan)
-    b_vec = beta[r:].reshape(-1)
-    try:
-        wald = float(b_vec @ np.linalg.solve(cov, b_vec))
-    except np.linalg.LinAlgError:
-        wald = float("nan")
-    return beta_se, beta_z, wald, n_free * r
-
-
+@np.errstate(all="ignore")
 def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
                             sigma: np.ndarray):
-    """_beta_inference for stacks, from the Gram matrices R12'R12 (n, n_free,
-    n_free) of the free coordinates' concentrated level residuals.
+    """Conditional standard errors and joint Wald test for the free beta rows
+    of each member of a stack.
 
-    The standard errors take the diagonals of the two inverses from their
-    inverse Cholesky factors, and the Wald statistic is
-    tr(b' R12'R12 b alpha' sigma^-1 alpha), the same quadratic form without
-    the inverted covariance. Returns (beta_se, beta_z, wald), or None where
-    _beta_inference could take another branch: a Cholesky pivot of the Gram
-    matrix, sigma or alpha' sigma^-1 alpha that does not clear PIVOT_RTOL
-    by a factor of two, or a leading block of beta that is not clearly the
-    identity.
+    With beta normalized to (I_r, b')' the free block b has asymptotic
+    covariance kron((R12'R12)^-1, (alpha' sigma^-1 alpha)^-1), R12 being the
+    concentrated level residuals of the non-normalized coordinates (``gram``
+    holds R12'R12). The standard errors take the diagonals of the inverses
+    from inverse Cholesky factors; the Wald statistic is the quadratic form
+    tr(b' R12'R12 b alpha' sigma^-1 alpha). Returns (beta_se, beta_z, wald):
+    a member whose Gram matrix, sigma or alpha' sigma^-1 alpha
+    cholesky_factor rejects gets se 0, z NaN and Wald NaN; one whose leading
+    block is not the identity (np.allclose, atol 1e-8) gets z NaN.
     """
     n, p_aug, r = beta.shape
-    if not (np.abs(beta[:, :r, :r] - np.eye(r)) <= 0.5e-8).all():
-        return None
-    try:
-        L_gram = np.linalg.cholesky(gram)
-        L_sigma = np.linalg.cholesky(sigma)
-        whitened = np.linalg.solve(L_sigma, alpha)
-        info = whitened.swapaxes(1, 2) @ whitened  # alpha' sigma^-1 alpha
-        L_info = np.linalg.cholesky(info)
-        if not (_pivots_clear(gram, L_gram) & _pivots_clear(sigma, L_sigma)
-                & _pivots_clear(info, L_info)).all():
-            return None
-        # diag(S^-1) holds the squared column norms of L^-1
-        outer = np.linalg.solve(L_gram, np.broadcast_to(np.eye(p_aug - r), gram.shape))
-        inner = np.linalg.solve(L_info, np.broadcast_to(np.eye(r), info.shape))
-    except np.linalg.LinAlgError:
-        return None
+    L_gram, failures_gram = _stacked_cholesky(gram)
+    L_sigma, failures_sigma = _stacked_cholesky(sigma)
+    whitened = np.linalg.solve(L_sigma, alpha)
+    info = whitened.swapaxes(1, 2) @ whitened  # alpha' sigma^-1 alpha
+    L_info, failures_info = _stacked_cholesky(info)
+    # diag(S^-1) holds the squared column norms of L^-1
+    outer = np.linalg.solve(L_gram, np.broadcast_to(np.eye(p_aug - r), gram.shape))
+    inner = np.linalg.solve(L_info, np.broadcast_to(np.eye(r), info.shape))
     diag = np.sqrt((outer**2).sum(axis=1)[:, :, None] * (inner**2).sum(axis=1)[:, None, :])
     b = beta[:, r:]
     wald = ((gram @ b @ info) * b).sum(axis=(1, 2))
@@ -351,6 +240,13 @@ def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, alpha: np.ndarra
     beta_se[:, r:] = diag
     beta_z = np.full_like(beta, np.nan)
     beta_z[:, r:] = np.where(diag > 0, b / diag, np.nan)
+    failed = [*{*failures_gram, *failures_sigma, *failures_info}]
+    beta_se[failed] = 0.0
+    wald[failed] = np.nan
+    eye = np.eye(r)  # np.allclose(top, eye, atol=1e-8), without its overhead
+    identity = (np.abs(beta[:, :r, :r] - eye) <= 1e-8 + 1e-5 * eye).all(axis=(1, 2))
+    beta_z[failed] = np.nan
+    beta_z[~identity] = np.nan
     return beta_se, beta_z, wald
 
 

@@ -155,6 +155,15 @@ class TestExitCodes:
         assert code == 4
         assert "no admissible specification" in err
 
+    @pytest.mark.parametrize("lags", ["0", "-1"])
+    def test_invalid_lag_candidate_exit_2(self, capsys, lags):
+        demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
+        code, out, err = run(["specsearch", "--input", str(demo), "--agency", "DEMO",
+                              "--k-candidates", "1", lags], capsys)
+        assert code == 2
+        assert f"k={lags}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
     def test_non_finite_cell_exit_2(self, panel_csv, tmp_path, capsys, cell):
         lines = panel_csv.read_text().splitlines()
@@ -310,6 +319,16 @@ class TestInputContract:
         assert code == 2
         assert str(utf16) in err
         assert "UTF-8" in err
+
+    def test_byte_order_mark_panel_ingests(self, tmp_path, capsys):
+        # spreadsheet exports prefix UTF-8 files with EF BB BF
+        demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+        code, out, err = run(["ingest", "--input", str(marked), "--agency", "DEMO"], capsys)
+        assert (code, err) == (0, "")
+        plain, _, _ = run(["ingest", "--input", str(demo), "--agency", "DEMO"], capsys)
+        assert plain == 0 and out.startswith("panel DEMO: years 1973-")
 
     def test_utf16_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from velakit import johansen
-from velakit.errors import NotPositiveDefiniteError, NumericalError, ValidationError
+import scalar_reference
+from velakit.errors import NotPositiveDefiniteError, ValidationError, VelakitError
 from velakit.johansen import (
     MAXEIG_CRITICAL,
     TRACE_CRITICAL,
     MomentMatrices,
-    _rank0_trace_stats,
+    _stacked_rank_test,
     concentrate,
-    moments_from_residuals,
     rank_test,
     solve_cointegration_eigenproblem,
 )
@@ -22,8 +21,6 @@ def make_moments(S00, S01, S11, T=100):
         S01=np.asarray(S01, float),
         S11=np.asarray(S11, float),
         T_eff=T,
-        R0=np.zeros((T, np.asarray(S00).shape[0])),
-        R1=np.zeros((T, np.asarray(S11).shape[0])),
         p=np.asarray(S00).shape[0],
         case="uconst",
         vars=(),
@@ -36,17 +33,18 @@ class TestConcentrate:
         z = np.cumsum(rng.standard_normal((80, 2)), axis=0)
         m = concentrate(z, k=1, case="rconst")
         dz = np.diff(z, axis=0)
-        assert m.R0 == pytest.approx(dz)
-        assert m.R1[:, :2] == pytest.approx(z[:-1])
-        assert m.R1[:, 2] == pytest.approx(np.ones(79))
+        lvl = np.column_stack([z[:-1], np.ones(79)])
         assert m.S00 == pytest.approx(dz.T @ dz / 79)
+        assert m.S01 == pytest.approx(dz.T @ lvl / 79)
+        assert m.S11 == pytest.approx(lvl.T @ lvl / 79)
 
     def test_equal_residuals_collapse_moments(self):
-        rng = rng_for(2, 0)
-        R = rng.standard_normal((50, 3))
-        m = moments_from_residuals(R, R, 50)
-        assert m.S00 == pytest.approx(m.S11)
-        assert m.S01 == pytest.approx(m.S00)
+        # z_t = 2 z_{t-1} makes dz_t equal z_{t-1} exactly, so under uconst
+        # the two concentrated residuals, and all three moments, coincide
+        z = np.outer(2.0 ** np.arange(50), rng_for(2, 0).uniform(0.5, 2.0, 3))
+        m = concentrate(z, k=1, case="uconst")
+        assert m.S00 == pytest.approx(m.S11, rel=1e-12)
+        assert m.S01 == pytest.approx(m.S00, rel=1e-12)
 
     def test_s01_transpose_symmetry(self):
         rng = rng_for(3, 0)
@@ -60,8 +58,10 @@ class TestConcentrate:
         rng = rng_for(4, 0)
         z = np.cumsum(rng.standard_normal((70, 2)), axis=0) + 50.0
         m = concentrate(z, k=1, case="uconst")
-        assert np.abs(m.R0.mean(axis=0)).max() < 1e-10
-        assert np.abs(m.R1.mean(axis=0)).max() < 1e-10
+        dz, lvl = np.diff(z, axis=0), z[:-1]
+        dz, lvl = dz - dz.mean(axis=0), lvl - lvl.mean(axis=0)
+        assert m.S00 == pytest.approx(dz.T @ dz / 69, rel=1e-9)
+        assert m.S11 == pytest.approx(lvl.T @ lvl / 69, rel=1e-9)
 
     def test_no_cointegration_signal_gives_small_eigenvalues(self):
         # independent random walks: canonical correlations are O(1/T)
@@ -119,7 +119,7 @@ class TestEigenproblem:
         R1[:, 1] = 2.0 * R1[:, 0]  # exact collinearity
         rng = rng_for(8, 0)
         R0 = rng.standard_normal((40, 2))
-        m = moments_from_residuals(R0, R1, 40)
+        m = scalar_reference.moments_from_residuals(R0, R1, 40)
         with pytest.raises(NotPositiveDefiniteError, match="degenerate"):
             solve_cointegration_eigenproblem(m)
 
@@ -164,7 +164,7 @@ class TestRankTest:
     def test_dimension_cap(self):
         rng = rng_for(11, 0)
         R = rng.standard_normal((60, 7))
-        m = moments_from_residuals(R, np.cumsum(R, axis=0), 60)
+        m = scalar_reference.moments_from_residuals(R, np.cumsum(R, axis=0), 60)
         with pytest.raises(ValidationError, match="dimension"):
             rank_test(m, case="rconst")
 
@@ -227,30 +227,27 @@ def random_walk_stack(n, T, p, case, seed=31):
                      for i in range(n)])
 
 
-def scalar_trace_r0(z, case):
+def n1_trace_r0(z, case):
+    """The rank-0 trace statistic of one system from the public n=1 calls."""
     return rank_test(concentrate(z, k=1, case=case), case=case).trace_stats[0]
 
 
 class TestStackedRank0Kernel:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_agrees_with_scalar_path(self, case, p, monkeypatch):
+    def test_agrees_with_scalar_path(self, case, p):
         z = random_walk_stack(40, 400, p, case)
-        want = np.array([scalar_trace_r0(zi, case) for zi in z])
-
-        # the stack must go through the kernel, not the scalar re-run
-        def scalar_fallback(*args, **kwargs):
-            raise AssertionError("the stack fell back to the scalar path")
-
-        monkeypatch.setattr(johansen, "concentrate", scalar_fallback)
-        monkeypatch.setattr(johansen, "rank_test", scalar_fallback)
-        got = _rank0_trace_stats(z, case)
-        assert got.shape == (40,)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        want = np.array([scalar_reference.rank_test(zi, 1, case)[0][0] for zi in z])
+        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+        assert errors == {}
+        np.testing.assert_allclose(trace[:, 0], want, rtol=1e-10, atol=0.0)
+        assert np.array_equal(trace[:, 0], [n1_trace_r0(zi, case) for zi in z])
 
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     @pytest.mark.parametrize("fault", ["constant", "duplicate", "nonfinite", "exact_relation"])
     def test_degenerate_member_raises_scalar_error(self, case, fault):
+        # the faulty member records the error its n=1 call raises; its
+        # neighbours are unaffected
         z = random_walk_stack(6, 400, 2, case)
         if fault == "constant":
             z[3, :, 1] = 7.0
@@ -261,7 +258,11 @@ class TestStackedRank0Kernel:
         else:
             # dz_t = 0.01 z_{t-1}: canonical correlation 1
             z[3, :, 0] = 1.01 ** np.arange(400)
-        with pytest.raises((ValidationError, NumericalError)) as scalar:
-            scalar_trace_r0(z[3], case)
-        with pytest.raises(type(scalar.value)):
-            _rank0_trace_stats(z, case)
+        with pytest.raises(VelakitError) as n1:
+            n1_trace_r0(z[3], case)
+        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+        assert type(errors[3]) is type(n1.value)
+        assert str(errors[3]) == str(n1.value)
+        healthy = [0, 1, 2, 4, 5]
+        assert list(errors) == [3]
+        assert np.array_equal(trace[healthy, 0], [n1_trace_r0(z[i], case) for i in healthy])

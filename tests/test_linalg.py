@@ -3,6 +3,7 @@ import pytest
 
 from velakit.errors import NotPositiveDefiniteError, SingularMatrixError, ValidationError
 from velakit.linalg import (
+    _stacked_cholesky,
     _stacked_ols,
     cholesky_factor,
     general_eigenvalues,
@@ -69,9 +70,27 @@ class TestOls:
         rng = np.random.default_rng(cols)
         X = rng.standard_normal((7, 41, cols))
         Y = rng.standard_normal((7, 41, 3))
-        coef, resid = _stacked_ols(X, Y)
+        coef, resid, errors = _stacked_ols(X, Y)
+        assert errors == {}
         assert np.array_equal(resid, Y - X @ coef)
         for i in range(7):
+            fit = ols_fit(X[i], Y[i])
+            assert np.abs(coef[i] - fit.coefficients).max() < 1e-12
+
+    @pytest.mark.parametrize("fault", ["duplicate", "zero"])
+    def test_stacked_fit_reports_each_members_error(self, fault):
+        # a zero column makes R exactly singular, so LAPACK's solve raises
+        # for the whole stack; the members are then solved one by one
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((5, 30, 3))
+        Y = rng.standard_normal((5, 30, 2))
+        X[2, :, 1] = X[2, :, 0] if fault == "duplicate" else 0.0
+        coef, resid, errors = _stacked_ols(X, Y)
+        with pytest.raises(SingularMatrixError) as want:
+            ols_fit(X[2], Y[2])
+        assert list(errors) == [2]
+        assert str(errors[2]) == str(want.value) and errors[2].column == want.value.column
+        for i in (0, 1, 3, 4):
             fit = ols_fit(X[i], Y[i])
             assert np.abs(coef[i] - fit.coefficients).max() < 1e-12
 
@@ -133,6 +152,26 @@ class TestCholesky:
                 with pytest.raises(NotPositiveDefiniteError, match=f"at index {want}$"):
                     cholesky_factor(S)
         assert None in outcomes and len(outcomes) > 1  # both sides were reached
+
+
+    def test_stacked_factors_judge_each_member(self):
+        # member 1 is indefinite (LAPACK raises for the whole stack) and
+        # member 3 singular to rounding (LAPACK factors it, with a pivot far
+        # below PIVOT_RTOL); the others factor as cholesky_factor does
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((5, 4, 4))
+        S = A @ A.swapaxes(1, 2) + np.eye(4)
+        S[1] = [[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
+        v = rng.standard_normal((4, 3))
+        S[3] = v @ v.T + 1e-14 * np.eye(4)
+        L, errors = _stacked_cholesky(S)
+        assert sorted(errors) == [1, 3]
+        for i in (1, 3):
+            with pytest.raises(NotPositiveDefiniteError) as want:
+                cholesky_factor(S[i])
+            assert str(errors[i]) == str(want.value)
+        for i in (0, 2, 4):
+            assert np.array_equal(L[i], cholesky_factor(S[i]))
 
 
 class TestSymmetricEigen:

