@@ -62,13 +62,24 @@ def _make_out_dir(args) -> Path:
     return out
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write an artifact; a path that cannot be written is a ValidationError
+    naming it."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_artifacts(args, stem: str, payload: dict, text: str) -> None:
+    """Write the JSON and text artifacts to --out-dir, then the chosen
+    format to stdout, so a failed write leaves stdout empty."""
     out = _make_out_dir(args) if args.out_dir else None
     data = dump_json(payload) if args.format == "json" or out is not None else None
-    sys.stdout.write(data if args.format == "json" else text)
     if out is not None:
-        (out / f"{stem}.json").write_text(data, encoding="utf-8")
-        (out / f"{stem}.txt").write_text(text, encoding="utf-8")
+        _write_file(out / f"{stem}.json", data)
+        _write_file(out / f"{stem}.txt", text)
+    sys.stdout.write(data if args.format == "json" else text)
 
 
 def _load_log_panel(args):
@@ -234,7 +245,7 @@ def cmd_pipeline(args) -> int:
         payload["error"] = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"pipeline failed at stage {stage}: {exc}\n")
         if args.out_dir:
-            dump_json(payload, _make_out_dir(args) / f"pipeline_{args.agency}.json")
+            _write_file(_make_out_dir(args) / f"pipeline_{args.agency}.json", dump_json(payload))
         raise
 
     text = "".join(
@@ -309,19 +320,15 @@ def cmd_mc_validate(args) -> int:
     payload = {"manifest": manifest, **payload_body}
     _write_artifacts(args, f"mcvalidate_{args.study}", payload, text)
     if args.dump_reps and args.out_dir:
-        out = Path(args.out_dir) / f"mcvalidate_{args.study}_reps.csv"
-        with out.open("w", encoding="utf-8") as fh:
-            if stats is not None:
-                fh.write("rep,trace_r0\n")
-                for i, v in enumerate(stats):
-                    fh.write(f"{i},{float(v)!r}\n")
-            else:
-                fh.write("rep,selected_rank,beta_angle_deg,trace_r0\n")
-                for row in study.per_rep:
-                    fh.write(
-                        f"{row['rep']},{row['selected_rank']},"
-                        f"{float(row['beta_angle_deg'])!r},{float(row['trace_r0'])!r}\n"
-                    )
+        if stats is not None:
+            rows = ["rep,trace_r0\n"]
+            rows += [f"{i},{float(v)!r}\n" for i, v in enumerate(stats)]
+        else:
+            rows = ["rep,selected_rank,beta_angle_deg,trace_r0\n"]
+            rows += [f"{row['rep']},{row['selected_rank']},"
+                     f"{float(row['beta_angle_deg'])!r},{float(row['trace_r0'])!r}\n"
+                     for row in study.per_rep]
+        _write_file(Path(args.out_dir) / f"mcvalidate_{args.study}_reps.csv", "".join(rows))
     return EXIT_OK
 
 

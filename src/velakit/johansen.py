@@ -225,7 +225,7 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
                         out=Xt[:, (i - 1) * p : i * p])
         Xt[:, p * (k - 1) :] = 1.0
         X = Xt.swapaxes(1, 2)
-        _, R, failures = _stacked_ols(X, W)
+        _, R, _, failures = _stacked_ols(X, W)
         _record(errors, failures)
     S = R.swapaxes(1, 2) @ R
     S /= T_eff

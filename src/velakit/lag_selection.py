@@ -125,24 +125,40 @@ def fit_var(data, vars=None, k: int = 1, presample: int | None = None) -> VarFit
 
 
 def information_criteria(fit, T: int, n_params: int) -> tuple[float, float, float, float]:
-    """(loglik, AIC, BIC, HQIC) from a fit's residuals.
+    """(loglik, AIC, BIC, HQIC) of gaussian_criteria for Sigma_ml = eps'eps / T
+    from a fit's residuals; a singular Sigma_ml raises its ValidationError."""
+    resid = np.asarray(fit.residuals, dtype=float).reshape(len(fit.residuals), -1)
+    *criteria, errors = gaussian_criteria(((resid.T @ resid) / T)[None], T, n_params)
+    if errors:
+        raise errors[0]
+    return tuple(c[0] for c in criteria)
 
-    loglik = -(T/2) * (p ln 2pi + ln det Sigma_ml + p) with Sigma_ml =
-    eps'eps / T; criteria are per-observation: (-2 loglik + penalty) / T.
+
+def gaussian_loglik(T: int, p: int, logdet):
+    """Gaussian log-likelihood of T observations of p series at the ML
+    covariance Sigma_ml: -(T/2) * (p ln 2pi + ln det Sigma_ml + p)."""
+    return -(T / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
+
+
+def gaussian_criteria(sigma: np.ndarray, T: int, n_params: int):
+    """Log-likelihood and information criteria for a stack of ML residual
+    covariances sigma (n, p, p) from T observations.
+
+    Returns (loglik, AIC, BIC, HQIC, errors), each value an (n,) array; the
+    criteria are per observation, (-2 loglik + penalty) / T. errors maps
+    each member whose det sigma is not positive to a ValidationError; its
+    values are placeholders.
     """
-    resid = np.asarray(fit.residuals, dtype=float)
-    if resid.ndim == 1:
-        resid = resid[:, None]
-    p = resid.shape[1]
-    sigma = (resid.T @ resid) / T
     sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise ValidationError("residual covariance is singular")
-    loglik = -(T / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
-    aic = (-2.0 * loglik + 2.0 * n_params) / T
-    bic = (-2.0 * loglik + n_params * math.log(T)) / T
-    hqic = (-2.0 * loglik + 2.0 * n_params * math.log(math.log(T))) / T
-    return loglik, aic, bic, hqic
+    loglik = gaussian_loglik(T, sigma.shape[-1], logdet)
+    deviance = -2.0 * loglik
+    aic = (deviance + 2.0 * n_params) / T
+    bic = (deviance + n_params * math.log(T)) / T
+    hqic = (deviance + 2.0 * n_params * math.log(math.log(T))) / T
+    singular = sign <= 0
+    errors = {i: ValidationError("residual covariance is singular")
+              for i in np.flatnonzero(singular)} if singular.any() else {}
+    return loglik, aic, bic, hqic, errors
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ route via `cholesky_factor` is kept independent so tests can use it as an
 oracle.
 
 The stacked kernels (`_stacked_ols`, `_stacked_cholesky`, `_each`) run a
-stack of matrices in one pass and judge each member alone, at the
-thresholds of `ols_fit` and `cholesky_factor`: a failing member gets its
-own typed error and never fails its neighbours.
+stack of matrices in one pass and judge each member alone: a failing
+member gets its own typed error and never fails its neighbours.
+`_stacked_ols` is the only least-squares code; `ols_fit` is its n=1 call.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class OlsFit:
 
 
 def ols_fit(X, Y) -> OlsFit:
-    """Multi-response OLS via QR, with explicit rank-deficiency detection.
+    """Multi-response OLS, the n=1 call of _stacked_ols.
 
     Raises SingularMatrixError naming the offending column when a diagonal
     of R falls below PIVOT_RTOL relative to the largest one.
@@ -64,35 +64,12 @@ def ols_fit(X, Y) -> OlsFit:
     n, k = X.shape
     if Y.shape[0] != n:
         raise ValidationError(f"X has {n} rows but Y has {Y.shape[0]}")
-    if n <= k:
-        raise ValidationError(f"need more rows than regressors (rows={n}, cols={k})")
-
-    Q, R = np.linalg.qr(X)
-    error = _rank_error(np.abs(np.diag(R)))
-    if error is not None:
-        raise error
-    coef = np.linalg.solve(R, Q.T @ Y)
-    resid = Y - X @ coef
-    dof = n - k
-    cov = (resid.T @ resid) / dof
-    return OlsFit(coefficients=coef, residuals=resid, residual_covariance=cov, dof=dof)
-
-
-def _rank_error(diag: np.ndarray) -> SingularMatrixError | None:
-    """ols_fit's error for the |diagonal| of R, or None when every entry
-    clears PIVOT_RTOL relative to the largest."""
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        return SingularMatrixError("all regressors are zero", column=0)
-    bad = np.flatnonzero(diag < PIVOT_RTOL * scale)
-    if not bad.size:
-        return None
-    j = int(bad[0])
-    return SingularMatrixError(
-        f"regressor matrix is rank deficient at column {j} "
-        f"(pivot {diag[j]:.3e} vs scale {scale:.3e})",
-        column=j,
-    )
+    coef, resid, _, errors = _stacked_ols(X[None], Y[None])
+    if errors:
+        raise errors[0]
+    resid = resid[0]
+    return OlsFit(coefficients=coef[0], residuals=resid,
+                  residual_covariance=(resid.T @ resid) / (n - k), dof=n - k)
 
 
 def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -136,13 +113,15 @@ def _each(fn, A: np.ndarray, *rest):
 
 
 def _stacked_ols(X: np.ndarray, Y: np.ndarray):
-    """ols_fit of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass.
+    """OLS of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass
+    through a QR factorization of each X[i].
 
-    Returns (coefficients, residuals, errors): errors maps each member
-    ols_fit rejects to its SingularMatrixError (a diagonal of R below
-    PIVOT_RTOL relative to the largest); that member's coefficients and
-    residuals are placeholders. A shape ols_fit rejects raises its
-    ValidationError for the whole stack.
+    Returns (coefficients, residuals, pivots, errors): pivots (n, cols)
+    holds |diag R|, and errors maps each member with a pivot below
+    PIVOT_RTOL relative to its largest (or no nonzero pivot) to a
+    SingularMatrixError naming the first such column; that member's
+    coefficients and residuals are placeholders. Too few rows, or too many
+    columns, raises ValidationError for the whole stack.
     """
     rows, cols = X.shape[-2:]
     if rows > 10**6 or cols > MAX_DIM:
@@ -151,9 +130,17 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
         raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    scale = diag.max(axis=-1, keepdims=True)
-    clear = ((scale > 0) & (diag >= PIVOT_RTOL * scale)).all(axis=-1)
-    errors = {} if clear.all() else {i: _rank_error(diag[i]) for i in np.flatnonzero(~clear)}
+    scale = diag.max(axis=-1, keepdims=True, initial=0.0)
+    clear = (scale[..., 0] > 0) & (diag >= PIVOT_RTOL * scale).all(axis=-1)
+    errors = {}
+    for i in np.flatnonzero(~clear) if not clear.all() else ():
+        if scale[i, 0] == 0:
+            errors[i] = SingularMatrixError("all regressors are zero", column=0)
+            continue
+        j = int(np.argmax(diag[i] < PIVOT_RTOL * scale[i]))
+        errors[i] = SingularMatrixError(
+            f"regressor matrix is rank deficient at column {j} "
+            f"(pivot {diag[i, j]:.3e} vs scale {scale[i, 0]:.3e})", column=j)
     coef, _ = _each(np.linalg.solve, R, Q.swapaxes(-1, -2) @ Y)
     if cols == 1:
         # numpy's stacked matmul is slow over a single inner column; the
@@ -163,7 +150,7 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
         resid = X @ coef
     # in place: a second block-sized temporary costs more than the product
     np.subtract(Y, resid, out=resid)
-    return coef, resid, errors
+    return coef, resid, diag, errors
 
 
 def cholesky_factor(S) -> np.ndarray:

@@ -37,10 +37,6 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(read_input(Path(path))).hexdigest()
 
 
-def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     t = int(epoch) if epoch is not None else int(time.time())

@@ -132,17 +132,19 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
                        agency_id: str | None = None) -> SpecificationReport:
     """Fit every subset x lag candidate, keeping rank-1 fits.
 
-    The case and the lag candidates are validated first (ValidationError).
-    Failures (selected rank != 1, singular moment matrices, short samples)
-    are recorded with their reason rather than dropped silently. Subsets of
-    one size are fitted together at each lag (_fit_group); the records come
-    in subset-major, lag-ascending order.
+    The case and the lag candidates (distinct integers >= 1) are validated
+    first (ValidationError). Failures (selected rank != 1, singular moment
+    matrices, short samples) are recorded with their reason rather than
+    dropped silently. Subsets of one size are fitted together at each lag
+    (_fit_group); the records come in subset-major, lag-ascending order.
     """
     _check_case(case)
     ks = list(k_candidates)
-    for k in ks:
+    for i, k in enumerate(ks):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValidationError(f"lag candidate k={k!r} must be an integer >= 1")
+        if k in ks[:i]:
+            raise ValidationError(f"lag candidate k={k!r} is repeated")
     ks.sort()
     agency = agency_id or getattr(panel, "agency_id", "?")
     subsets = list(subsets)

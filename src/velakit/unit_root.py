@@ -1,6 +1,6 @@
 """Augmented Dickey-Fuller unit-root testing.
 
-Regression: dy_t = c [+ b*t] + gamma*y_{t-1} + sum_i phi_i dy_{t-i} + e_t.
+Regression: dy_t = c [+ b*t] + sum_i phi_i dy_{t-i} + gamma*y_{t-1} + e_t.
 The test statistic is the t-ratio on gamma, compared left-tailed against
 the embedded Dickey-Fuller table for the chosen deterministic case at the
 nearest tabulated sample size.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ols_fit
+from .linalg import _stacked_ols
 
 CONSTANT = "constant"
 CONSTANT_TREND = "constant+trend"
@@ -73,7 +73,12 @@ def default_adf_lags(T: int) -> int:
 
 
 def adf_test(y, lags: int, deterministic: str = CONSTANT) -> AdfResult:
-    """ADF t-test for a unit root in y; rejection is left-tailed at 5%."""
+    """ADF t-test for a unit root in y; rejection is left-tailed at 5%.
+
+    One QR factorization X = QR gives gamma and its standard error: with
+    y_{t-1} the last column of X, se(gamma) = s / |R_mm|, s^2 being the
+    dof-normalized residual variance.
+    """
     y = np.asarray(y, dtype=float).ravel()
     T = y.size
     if lags < 0:
@@ -89,27 +94,20 @@ def adf_test(y, lags: int, deterministic: str = CONSTANT) -> AdfResult:
     # rows t = lags+2 .. T in series time; one per regression observation
     resp = dy[lags:]
     n = resp.size
-    cols = [np.ones(n), y[lags:-1]]
-    if deterministic == CONSTANT_TREND:
-        cols.insert(1, np.arange(lags + 2, T + 1, dtype=float))
-    elif deterministic != CONSTANT:
-        raise ValidationError(
-            f"deterministic must be '{CONSTANT}' or '{CONSTANT_TREND}', got {deterministic!r}"
-        )
-    gamma_col = len(cols) - 1
-    for i in range(1, lags + 1):
-        cols.append(dy[lags - i : lags - i + n])
-    X = np.column_stack(cols)
-
-    fit = ols_fit(X, resp[:, None])
-    xtx_inv = np.linalg.inv(X.T @ X)
-    s2 = float(fit.residual_covariance[0, 0])
-    gamma_hat = float(fit.coefficients[gamma_col, 0])
-    se = math.sqrt(s2 * xtx_inv[gamma_col, gamma_col])
-    with np.errstate(divide="ignore"):
-        statistic = float(np.float64(gamma_hat) / np.float64(se))
-
     crit = critical_values(deterministic, n)
+    trend = [np.arange(lags + 2, T + 1, dtype=float)] if deterministic == CONSTANT_TREND else []
+    lagged = [dy[lags - i : lags - i + n] for i in range(1, lags + 1)]
+    X = np.column_stack([np.ones(n), *trend, *lagged, y[lags:-1]])
+
+    coef, resid, pivots, errors = _stacked_ols(X[None], resp[None, :, None])
+    if errors:
+        raise errors[0]
+    # gamma's column is last, so the last diagonal of (X'X)^-1 = R^-1 R^-T
+    # is 1 / R_mm^2
+    se = math.sqrt(float(resid[0, :, 0] @ resid[0, :, 0]) / (n - X.shape[1])) / pivots[0, -1]
+    with np.errstate(divide="ignore"):
+        statistic = float(coef[0, -1, 0] / se)
+
     return AdfResult(
         statistic=statistic,
         lags=lags,

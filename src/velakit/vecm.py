@@ -10,7 +10,6 @@ beta coefficient is zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .johansen import (
     _stacked_eigenproblem,
     solve_cointegration_eigenproblem,
 )
-from .lag_selection import level_matrix
+from .lag_selection import gaussian_criteria, gaussian_loglik, level_matrix
 from .linalg import _each, _stacked_cholesky, _stacked_ols, as_matrix, general_eigenvalues
 from .panel import VARIABLES
 
@@ -137,20 +136,23 @@ def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: 
     (n, p_aug, r).
 
     Returns (coefficients (n, r + short-run columns, p), residuals
-    (n, T_eff, p), sigma (n, p, p), log det sigma). Records the
-    regression's SingularMatrixError and information_criteria's
+    (n, T_eff, p), sigma (n, p, p), n_params, criteria), criteria being
+    lag_selection.gaussian_criteria's (loglik, AIC, BIC, HQIC) of sigma.
+    Records the regression's SingularMatrixError and gaussian_criteria's
     ValidationError where det sigma is not positive.
     """
     T_eff = W.shape[1]
-    p = W.shape[2] - beta.shape[1]
+    _, p_aug, r = beta.shape
+    p = W.shape[2] - p_aug
     ec = W[:, :, p:] @ beta
-    coef, resid, failures = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2),
-                                         W[:, :, :p])
+    coef, resid, _, failures = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2),
+                                            W[:, :, :p])
     _record(errors, failures)
     sigma = resid.swapaxes(1, 2) @ resid / T_eff
-    sign, logdet = np.linalg.slogdet(sigma)
-    _flag(errors, sign <= 0, ValidationError, "residual covariance is singular")
-    return coef, resid, sigma, logdet
+    n_params = p * coef.shape[1] + r * (p_aug - r)
+    *criteria, failures = gaussian_criteria(sigma, T_eff, n_params)
+    _record(errors, failures)
+    return coef, resid, sigma, n_params, criteria
 
 
 @np.errstate(all="ignore")
@@ -167,15 +169,10 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
     """
     n, T, p = z.shape
     _check_rank(r, p)
-    coef, resid, sigma, logdet = _stacked_fit(W, X, beta, errors)
+    coef, resid, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(W, X, beta, errors)
     T_eff = T - k
     alpha = coef[:, :r].swapaxes(1, 2)
     p_aug = beta.shape[1]
-    n_params = p * coef.shape[1] + r * (p_aug - r)
-    # lag_selection.information_criteria, whose sigma is this one
-    loglik = -(T_eff / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
-    aic = (-2.0 * loglik + 2.0 * n_params) / T_eff
-    bic = (-2.0 * loglik + n_params * math.log(T_eff)) / T_eff
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(T_eff * S11[:, r:, r:], beta, alpha, sigma)
     n_short = p * (k - 1)
@@ -373,12 +370,9 @@ def predict_one_step(model: VecmModel, history) -> np.ndarray:
 def concentrated_loglik_from_eigenvalues(m, r: int) -> float:
     """Johansen's concentrated log-likelihood at rank r, from the moment
     matrices; equals the residual-based value at the ML estimate."""
-    p = m.p
     lam, _ = solve_cointegration_eigenproblem(m)
     sign, logdet = np.linalg.slogdet(m.S00)
     if sign <= 0:
         raise NumericalError("S00 is not positive definite")
-    t = m.T_eff
-    return -(t / 2.0) * (
-        p * math.log(2.0 * math.pi) + p + logdet + float(np.sum(np.log1p(-lam[:r])))
-    )
+    # det sigma at the rank-r estimate is det S00 * prod_{i <= r} (1 - lambda_i)
+    return gaussian_loglik(m.T_eff, m.p, logdet + float(np.sum(np.log1p(-lam[:r]))))

@@ -155,7 +155,7 @@ class TestExitCodes:
         assert code == 4
         assert "no admissible specification" in err
 
-    @pytest.mark.parametrize("lags", ["0", "-1"])
+    @pytest.mark.parametrize("lags", ["0", "-1", "1"])
     def test_invalid_lag_candidate_exit_2(self, capsys, lags):
         demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
         code, out, err = run(["specsearch", "--input", str(demo), "--agency", "DEMO",
@@ -357,6 +357,35 @@ class TestInputContract:
                             "--out-dir", str(taken)], capsys)
         assert code == 2
         assert str(taken) in err
+
+    def test_artifact_is_a_directory_exit_2(self, panel_csv, tmp_path, capsys):
+        taken = tmp_path / "pipeline_DEMO.json"
+        taken.mkdir()
+        code, out, err = run(["pipeline", "--input", str(panel_csv), "--agency", "DEMO",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert f"cannot write {taken}" in err
+        assert out == ""
+
+    def test_failed_pipeline_artifact_is_a_directory_exit_2(self, tmp_path, capsys):
+        bad = write_levels_csv(tmp_path / "bad.csv", T=48, seed=2027,
+                               corrupt=("sb", 1990, -3.0))
+        taken = tmp_path / "pipeline_DEMO.json"
+        taken.mkdir()
+        code, _, err = run(["pipeline", "--input", str(bad), "--agency", "DEMO",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "pipeline failed at stage log-transform" in err
+        assert f"cannot write {taken}" in err
+
+    def test_dump_reps_csv_is_a_directory_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "mcvalidate_cv_reps.csv"
+        taken.mkdir()
+        code, _, err = run(["mc-validate", "--study", "cv", "--reps", "1000", "--T", "400",
+                            "--dump-reps", "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert f"cannot write {taken}" in err
+        assert (tmp_path / "mcvalidate_cv.json").is_file()
 
     @pytest.mark.parametrize("doc", ["[]", '"agencies"', "3", "null"])
     def test_config_top_level_not_object_exit_2(self, tmp_path, capsys, doc):

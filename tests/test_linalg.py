@@ -34,6 +34,12 @@ class TestOls:
             ols_fit(X, rng.standard_normal(10))
         assert err.value.column == 1
 
+    @pytest.mark.parametrize("cols", [0, 2])
+    def test_no_nonzero_regressor_raises(self, cols):
+        with pytest.raises(SingularMatrixError, match="all regressors are zero") as err:
+            ols_fit(np.zeros((6, cols)), np.ones(6))
+        assert err.value.column == 0
+
     def test_residuals_orthogonal_to_regressors(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 4))
@@ -70,7 +76,7 @@ class TestOls:
         rng = np.random.default_rng(cols)
         X = rng.standard_normal((7, 41, cols))
         Y = rng.standard_normal((7, 41, 3))
-        coef, resid, errors = _stacked_ols(X, Y)
+        coef, resid, _, errors = _stacked_ols(X, Y)
         assert errors == {}
         assert np.array_equal(resid, Y - X @ coef)
         for i in range(7):
@@ -85,7 +91,7 @@ class TestOls:
         X = rng.standard_normal((5, 30, 3))
         Y = rng.standard_normal((5, 30, 2))
         X[2, :, 1] = X[2, :, 0] if fault == "duplicate" else 0.0
-        coef, resid, errors = _stacked_ols(X, Y)
+        coef, resid, _, errors = _stacked_ols(X, Y)
         with pytest.raises(SingularMatrixError) as want:
             ols_fit(X[2], Y[2])
         assert list(errors) == [2]

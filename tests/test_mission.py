@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 from importlib import resources
+from math import ceil, floor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velakit.errors import ValidationError
 from velakit.mission import (
@@ -97,6 +101,20 @@ class TestLargestRemainder:
             a = largest_remainder(weights, 8)
             b = largest_remainder([w * 1000.0 for w in weights], 8)
             assert a == b
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weights=st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1,
+                            max_size=8).filter(lambda w: sum(w) > 0),
+           total=st.integers(0, 60))
+    def test_quota_rule(self, weights, total):
+        # each party gets the floor or the ceiling of its exact quota
+        # total * w / sum(w), and the allocations add up to total
+        alloc = largest_remainder(weights, total)
+        exact = [Fraction(w) for w in weights]
+        quotas = [total * w / sum(exact) for w in exact]
+        assert sum(alloc) == total
+        for a, q in zip(alloc, quotas):
+            assert floor(q) <= a <= ceil(q)
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValidationError):

@@ -340,7 +340,7 @@ class TestStackedSearch:
         with pytest.raises(ValidationError, match="case must be one of"):
             fit_specifications(panel, [("sb", "gpc")], case="nope")
 
-    @pytest.mark.parametrize("ks", [(1, 0), (-1,), (1.0,), (1, "2"), (True,)])
+    @pytest.mark.parametrize("ks", [(1, 0), (-1,), (1.0,), (1, "2"), (True,), (1, 1)])
     def test_invalid_lag_candidate_rejected_up_front(self, ks):
         panel = synthetic_log_panel(T=60, seed=4)
         with pytest.raises(ValidationError, match=f"k={ks[-1]!r}"):
