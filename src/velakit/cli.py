@@ -71,12 +71,16 @@ def _write_file(path: Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_artifacts(args, stem: str, payload: dict, text: str) -> None:
-    """Write the JSON and text artifacts to --out-dir, then the chosen
-    format to stdout, so a failed write leaves stdout empty."""
+def _write_artifacts(args, stem: str, payload: dict, text: str,
+                     extra: tuple[str, str] | None = None) -> None:
+    """Write the ``extra`` (name, text) file, if any, and the JSON and text
+    artifacts to --out-dir, then the chosen format to stdout, so a failed
+    write leaves stdout empty (and a failed extra leaves no JSON behind)."""
     out = _make_out_dir(args) if args.out_dir else None
     data = dump_json(payload) if args.format == "json" or out is not None else None
     if out is not None:
+        if extra is not None:
+            _write_file(out / extra[0], extra[1])
         _write_file(out / f"{stem}.json", data)
         _write_file(out / f"{stem}.txt", text)
     sys.stdout.write(data if args.format == "json" else text)
@@ -316,9 +320,7 @@ def cmd_mc_validate(args) -> int:
         stats = None
         payload_body = {"recovery_study": keep}
 
-    manifest = make_manifest(f"mc-validate/{args.study}", seeds=seeds)
-    payload = {"manifest": manifest, **payload_body}
-    _write_artifacts(args, f"mcvalidate_{args.study}", payload, text)
+    csv = None
     if args.dump_reps and args.out_dir:
         if stats is not None:
             rows = ["rep,trace_r0\n"]
@@ -328,7 +330,10 @@ def cmd_mc_validate(args) -> int:
             rows += [f"{row['rep']},{row['selected_rank']},"
                      f"{float(row['beta_angle_deg'])!r},{float(row['trace_r0'])!r}\n"
                      for row in study.per_rep]
-        _write_file(Path(args.out_dir) / f"mcvalidate_{args.study}_reps.csv", "".join(rows))
+        csv = (f"mcvalidate_{args.study}_reps.csv", "".join(rows))
+    manifest = make_manifest(f"mc-validate/{args.study}", seeds=seeds)
+    payload = {"manifest": manifest, **payload_body}
+    _write_artifacts(args, f"mcvalidate_{args.study}", payload, text, csv)
     return EXIT_OK
 
 

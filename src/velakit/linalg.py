@@ -21,8 +21,18 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError, ValidationError
 
 MAX_DIM = 64
+MAX_ROWS = 10**6
 PIVOT_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
+
+
+def _check_size(name: str, rows: int, cols: int) -> None:
+    """ValidationError naming the cap that fired when a matrix exceeds
+    MAX_ROWS rows or MAX_DIM columns."""
+    for count, cap, what in ((rows, MAX_ROWS, "rows"), (cols, MAX_DIM, "cols")):
+        if count > cap:
+            raise ValidationError(
+                f"{name} exceeds the supported size ({what} capped at {cap}, got {count})")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -32,8 +42,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m[:, None]
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if m.shape[0] > 10**6 or m.shape[1] > MAX_DIM:
-        raise ValidationError(f"{name} exceeds the supported size (cols capped at {MAX_DIM})")
+    _check_size(name, *m.shape)
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(m)
@@ -124,8 +133,7 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
     columns, raises ValidationError for the whole stack.
     """
     rows, cols = X.shape[-2:]
-    if rows > 10**6 or cols > MAX_DIM:
-        raise ValidationError(f"X exceeds the supported size (cols capped at {MAX_DIM})")
+    _check_size("X", rows, cols)
     if rows <= cols:
         raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
     Q, R = np.linalg.qr(X)

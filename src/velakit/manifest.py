@@ -68,7 +68,7 @@ def jsonable(obj):
     return json.loads(dump_json(obj))
 
 
-def dump_json(payload, path: str | Path | None = None) -> str:
+def dump_json(payload) -> str:
     """Indent-2 JSON text of payload, written in one walk over it.
 
     The text is ``json.dumps(value, indent=2)`` and a newline, where value
@@ -81,10 +81,7 @@ def dump_json(payload, path: str | Path | None = None) -> str:
     out: list[str] = []
     _write(payload, "\n", out)
     out.append("\n")
-    text = "".join(out)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "".join(out)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -5,16 +5,23 @@ error-correction recursion with Gaussian innovations, and studies derive a
 fresh per-replication generator from (seed, replication index) through a
 64-bit mix so results are order-independent and bit-reproducible.
 
-Both studies run in blocks of CV_BLOCK replications, each drawn from its
-own generator into a shared block buffer. The critical-value study
-computes a block's trace statistics in one stacked pass
-(johansen._stacked_rank_test). The recovery study steps the recursion once
-per time step for the whole block (_simulate, which generate_vecm_data
-runs for a single replication) and rank-tests and fits the block in one
-pass (johansen._stacked_rank_test and vecm._stacked_fit, the kernels of
-the specification search and of the n=1 public calls). A replication that
-fails raises its own typed error, the one its n=1 call raises; the first
-failing replication of a block wins. Reruns are byte-identical.
+Both studies fit in stacked blocks of CV_BLOCK replications, each drawn
+from its own generator. The critical-value study draws a block into a
+shared buffer and computes its trace statistics in one stacked pass
+(johansen._stacked_rank_test). The recovery study simulates up to
+SIM_BLOCK replications at once (_simulate, which generate_vecm_data runs
+for a single replication): the levels are time-major, a
+(T + BURN_IN + k, p, n) array with replication i in column i, so the lag
+window of every replication is one contiguous slab and each time step is
+three numpy calls for the whole block. The buffer costs
+SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes, 3.4 MB at T=500 and p=3. Each
+simulation block is rank-tested and fitted in CV_BLOCK slices, transposed
+(n, T, p) views (johansen._stacked_rank_test and vecm._stacked_fit, the
+kernels of the specification search and of the n=1 public calls). A
+replication that fails raises its own typed error, the one its n=1 call
+raises; the first failing replication of a fit block wins. Reruns are
+byte-identical, and a replication's levels do not depend on the block it
+is simulated in.
 """
 
 from __future__ import annotations
@@ -38,11 +45,14 @@ from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per stacked block of both Monte Carlo studies and bootstrap
-# resamples per block: enough to amortize the per-call overhead, few enough
-# to keep peak memory flat
+# replications per stacked fit block of both Monte Carlo studies and
+# bootstrap resamples per block: enough to amortize the per-call overhead,
+# few enough to keep peak memory flat
 CV_BLOCK = 32
 BOOT_BLOCK = 20
+# replications per simulation block of the recovery study, a multiple of
+# CV_BLOCK; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes
+SIM_BLOCK = 256
 
 
 def _splitmix64(x: int) -> int:
@@ -124,46 +134,62 @@ class SyntheticSpec:
 
 
 def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None) -> np.ndarray:
-    """Levels of replications ``reps``, the recursion stepping all of them at once.
+    """Levels of replications ``reps``, time-major, the recursion stepping all
+    of them at once.
 
-    Replication i draws its innovations from its own generator into row i
-    of an (n, T + BURN_IN + k, p) buffer (``buffer`` when given, else a new
-    one), where the levels are then built in place. Returns the last T
-    steps as an (n, T, p) view.
+    The levels live in a (T + BURN_IN + k, p, n) array laid over the front of
+    ``buffer`` (a flat float64 array of at least that size, when given; else
+    a new one), replication i in column i. Each replication draws its
+    innovations from its own generator into one contiguous (total, p)
+    scratch array, which is scaled there and copied into its column.
+    Returns the last T steps as a (T, p, n) view.
     """
     p, k = spec.p, spec.k
     n, total = len(reps), spec.T + BURN_IN + k
-    z = np.empty((n, total, p)) if buffer is None else buffer[:n]
+    size = total * p * n
+    z = (np.empty(size) if buffer is None else buffer[:size]).reshape(total, p, n)
     if spec.noise_scale > 0 or spec.ec_noise_scale:
-        for i, rep in enumerate(reps):
-            rng_for(spec.seed, rep).standard_normal(out=z[i])
-        if spec.ec_noise_scale is None:
-            z *= spec.noise_scale
-        else:
+        e = np.empty((total, p))
+        if spec.ec_noise_scale is not None:
             q, _ = np.linalg.qr(spec.beta_true)
-            inside = z @ (q @ q.T)
-            z -= inside
-            z *= spec.noise_scale
-            inside *= spec.ec_noise_scale
-            z += inside
+            proj = q @ q.T
+        for i, rep in enumerate(reps):
+            rng_for(spec.seed, rep).standard_normal(out=e)
+            if spec.ec_noise_scale is None:
+                e *= spec.noise_scale
+            else:
+                inside = e @ proj
+                e -= inside
+                e *= spec.noise_scale
+                inside *= spec.ec_noise_scale
+                e += inside
+            z[:, :, i] = e
     else:
         z.fill(0.0)
-    z += spec.mu_true
-    z[:, :k] = 0.0
+    z += spec.mu_true[:, None]
+    z[:k] = 0.0
     # the error-correction recursion in level form, z_t = mu + e_t +
-    # A_1 z_{t-1} + ... + A_k z_{t-k} with the A_i of the companion matrix;
-    # each replication's window z_{t-k}..z_{t-1} is one contiguous run. The
-    # products are summed in a fixed order (BLAS picks its kernel by n), so
-    # a replication's levels do not depend on the block it is simulated in
-    coef = spec.companion()[:p].reshape(p, k, p)[:, ::-1].reshape(p, k * p).T
+    # A_1 z_{t-1} + ... + A_k z_{t-k} with the A_i of the companion matrix.
+    # The window z_{t-k}..z_{t-1} of all replications is one contiguous
+    # (k*p, n) slab; each step multiplies it into a preallocated product,
+    # sums that over the window in a fixed order (never a BLAS kernel, whose
+    # choice depends on n) and adds the sum into z_t, so a replication's
+    # levels do not depend on the block it is simulated in
+    coef = spec.companion()[:p].reshape(p, k, p)[:, ::-1].reshape(p, k * p).T[:, :, None]
+    window = z.reshape(total * p, 1, n)
+    flat = z.reshape(total * p, n)
+    prod, acc = np.empty((k * p, p, n)), np.empty((p, n))
     for t in range(k, total):
-        z[:, t] += (z[:, t - k : t].reshape(n, k * p, 1) * coef).sum(axis=1)
-    return z[:, -spec.T :]
+        np.multiply(window[(t - k) * p : t * p], coef, out=prod)
+        np.add.reduce(prod, axis=0, out=acc)
+        step = flat[t * p : (t + 1) * p]
+        np.add(step, acc, out=step)
+    return z[-spec.T :]
 
 
 def generate_vecm_data(spec: SyntheticSpec, rep: int = 0) -> np.ndarray:
     """Simulate T observations of the level process (after 50 burn-in steps)."""
-    return _simulate(spec, range(rep, rep + 1))[0]
+    return np.ascontiguousarray(_simulate(spec, range(rep, rep + 1))[:, :, 0])
 
 
 def random_walk_spec(p: int, T: int, seed: int, noise_scale: float = 1.0) -> SyntheticSpec:
@@ -314,9 +340,9 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
                        case: str = RESTRICTED_CONSTANT) -> RecoveryStudy:
     """generate -> rank test -> estimate, compared against the true system.
 
-    Replications run in stacked blocks of CV_BLOCK, each simulated and
-    fitted in one pass (see _recovery_block); a failing replication raises
-    its own error.
+    Replications are simulated in blocks of up to SIM_BLOCK (see _simulate)
+    and fitted in stacked slices of CV_BLOCK (see _recovery_block); a
+    failing replication raises its own error.
     """
     if reps < 100:
         raise ValidationError(f"reps must be >= 100, got {reps}")
@@ -324,12 +350,13 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
         raise ValidationError("recovery study needs a cointegrated truth (r >= 1)")
     trace_r0, angles, alpha_sq = np.empty(reps), np.empty(reps), np.empty(reps)
     ranks = np.empty(reps, dtype=int)
-    buffer = np.empty((min(CV_BLOCK, reps), spec.T + BURN_IN + spec.k, spec.p))
-    for start in range(0, reps, CV_BLOCK):
-        block = range(start, min(start + CV_BLOCK, reps))
-        z = _simulate(spec, block, buffer)
-        i = slice(block.start, block.stop)
-        trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(z, spec, case)
+    buffer = np.empty(min(SIM_BLOCK, reps) * (spec.T + BURN_IN + spec.k) * spec.p)
+    for start in range(0, reps, SIM_BLOCK):
+        z = _simulate(spec, range(start, min(start + SIM_BLOCK, reps)), buffer)
+        for lo in range(0, z.shape[2], CV_BLOCK):
+            fit = z[:, :, lo : lo + CV_BLOCK].transpose(2, 0, 1)
+            i = slice(start + lo, start + lo + len(fit))
+            trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(fit, spec, case)
     per_rep = tuple(
         {
             "rep": rep,

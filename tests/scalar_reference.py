@@ -4,7 +4,9 @@ This is the scalar chain velakit ran before its stacked kernel became the
 only estimator: concentration by two QR regressions (ols_fit), whitening
 with cholesky_factor, symmetric_eigendecomposition, the Phillips
 normalization by an explicit inverse, OLS conditional on beta, and the
-conditional covariance of the free beta rows by explicit inverses.
+conditional covariance of the free beta rows by explicit inverses. Beside
+it sits the replication-major block simulator the Monte Carlo studies ran
+before the time-major one (simulate_reference).
 Numerics only: inputs are assumed valid, and degenerate ones raise
 whatever the linalg primitives raise.
 """
@@ -14,7 +16,37 @@ import numpy as np
 from velakit.johansen import TRACE_CRITICAL, MomentMatrices
 from velakit.lag_selection import information_criteria
 from velakit.linalg import cholesky_factor, ols_fit, symmetric_eigendecomposition
+from velakit.synthetic import BURN_IN, rng_for
 from velakit.vecm import VecmModel
+
+
+def simulate_reference(spec, reps):
+    """Levels of replications ``reps`` as an (n, T, p) array, built in an
+    (n, T + BURN_IN + k, p) buffer: replication i draws into row i, and
+    each step sums its window's products over the middle axis."""
+    p, k = spec.p, spec.k
+    n, total = len(reps), spec.T + BURN_IN + k
+    z = np.empty((n, total, p))
+    if spec.noise_scale > 0 or spec.ec_noise_scale:
+        for i, rep in enumerate(reps):
+            rng_for(spec.seed, rep).standard_normal(out=z[i])
+        if spec.ec_noise_scale is None:
+            z *= spec.noise_scale
+        else:
+            q, _ = np.linalg.qr(spec.beta_true)
+            inside = z @ (q @ q.T)
+            z -= inside
+            z *= spec.noise_scale
+            inside *= spec.ec_noise_scale
+            z += inside
+    else:
+        z.fill(0.0)
+    z += spec.mu_true
+    z[:, :k] = 0.0
+    coef = spec.companion()[:p].reshape(p, k, p)[:, ::-1].reshape(p, k * p).T
+    for t in range(k, total):
+        z[:, t] += (z[:, t - k : t].reshape(n, k * p, 1) * coef).sum(axis=1)
+    return z[:, -spec.T :]
 
 
 def moments_from_residuals(R0, R1, T_eff, case="rconst"):

@@ -381,11 +381,14 @@ class TestInputContract:
     def test_dump_reps_csv_is_a_directory_exit_2(self, tmp_path, capsys):
         taken = tmp_path / "mcvalidate_cv_reps.csv"
         taken.mkdir()
-        code, _, err = run(["mc-validate", "--study", "cv", "--reps", "1000", "--T", "400",
-                            "--dump-reps", "--out-dir", str(tmp_path)], capsys)
+        code, out, err = run(["mc-validate", "--study", "cv", "--reps", "1000", "--T", "400",
+                              "--dump-reps", "--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert f"cannot write {taken}" in err
-        assert (tmp_path / "mcvalidate_cv.json").is_file()
+        # the CSV is written first, so its failure prints and leaves nothing
+        assert out == ""
+        assert not (tmp_path / "mcvalidate_cv.json").exists()
+        assert not (tmp_path / "mcvalidate_cv.txt").exists()
 
     @pytest.mark.parametrize("doc", ["[]", '"agencies"', "3", "null"])
     def test_config_top_level_not_object_exit_2(self, tmp_path, capsys, doc):

@@ -5,6 +5,7 @@ from velakit.errors import NotPositiveDefiniteError, SingularMatrixError, Valida
 from velakit.linalg import (
     _stacked_cholesky,
     _stacked_ols,
+    as_matrix,
     cholesky_factor,
     general_eigenvalues,
     ols_fit,
@@ -68,6 +69,16 @@ class TestOls:
         X[2] = np.nan
         with pytest.raises(ValidationError):
             ols_fit(X, np.ones(5))
+
+    def test_size_caps_name_the_cap_that_fired(self):
+        # about 8 MB each; the checks run before any factorization
+        tall = np.zeros((10**6 + 1, 1))
+        with pytest.raises(ValidationError, match=r"rows capped at 1000000, got 1000001"):
+            as_matrix(tall)
+        with pytest.raises(ValidationError, match=r"X .*rows capped at 1000000"):
+            _stacked_ols(tall[None], tall[None])
+        with pytest.raises(ValidationError, match=r"cols capped at 64, got 65"):
+            as_matrix(np.zeros((2, 65)))
 
     @pytest.mark.parametrize("cols", [1, 2])
     def test_stacked_fit_is_the_regression_product(self, cols):

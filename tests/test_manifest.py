@@ -200,11 +200,13 @@ class TestDumpJsonMatchesReference:
         with pytest.raises(TypeError):
             jsonable([bad])
 
-    def test_path_argument_writes_returned_text(self, tmp_path):
+    def test_returns_text_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         payload = {"a": np.array([1.0, np.nan]), "b": "χ"}
-        text = dump_json(payload, tmp_path / "out.json")
-        assert (tmp_path / "out.json").read_bytes() == text.encode("utf-8")
-        assert text == reference_dump(payload)
+        assert dump_json(payload) == reference_dump(payload)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(TypeError):
+            dump_json(payload, tmp_path / "out.json")
 
 
 _float_arrays = hnp.arrays(

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference
 from velakit import synthetic
 from velakit.errors import ValidationError, VelakitError
 from velakit.johansen import concentrate, rank_test
 from velakit.synthetic import (
+    BURN_IN,
     SyntheticSpec,
     generate_vecm_data,
     monte_carlo_critical_values,
@@ -103,6 +106,64 @@ class TestGenerate:
     def test_seed_mixing_is_documented_rule(self):
         assert replication_seed(0, 0) != replication_seed(0, 1)
         assert replication_seed(5, 0) == replication_seed(5, 0)
+
+
+# a rank-1 family that is valid for every p in 2..6 and k in 1..3
+FAMILY_ALPHA = [-0.4, 0.2, 0.1, 0.0, -0.1, 0.05]
+FAMILY_BETA = [1.0, -2.0, 0.5, 0.25, 0.0, -0.5]
+FAMILY_GAMMA = (0.3, -0.15)
+
+
+def family_spec(p, k, T, seed, drift=False, ec_noise_scale=None):
+    return SyntheticSpec(
+        p=p, r=1, alpha_true=np.array(FAMILY_ALPHA[:p])[:, None],
+        beta_true=np.array(FAMILY_BETA[:p])[:, None],
+        gamma_true=tuple(g * np.eye(p) for g in FAMILY_GAMMA[: k - 1]),
+        mu_true=np.linspace(-0.2, 0.3, p) if drift else None,
+        ec_noise_scale=ec_noise_scale, T=T, seed=seed,
+    )
+
+
+class TestTimeMajorSimulator:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(2, 6), k=st.integers(1, 3), T=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), drift=st.booleans(),
+           ec_noise_scale=st.sampled_from([None, 1e-3]), size=st.integers(1, 70),
+           offset=st.integers(0, 10**6), spare=st.integers(0, 3), data=st.data())
+    def test_levels_do_not_depend_on_the_block(self, p, k, T, seed, drift, ec_noise_scale,
+                                               size, offset, spare, data):
+        spec = family_spec(p, k, T, seed, drift, ec_noise_scale)
+        block = range(offset, offset + size)
+        # a buffer with room for more replications, as a ragged last block gets
+        buffer = np.full((size + spare) * (T + BURN_IN + k) * p, np.nan)
+        got = synthetic._simulate(spec, block, buffer)
+        assert got.shape == (T, p, size)
+        j = data.draw(st.integers(0, size - 1), label="column")
+        assert np.array_equal(got[:, :, j], generate_vecm_data(spec, block[j]))
+        want = scalar_reference.simulate_reference(spec, block)
+        got = got.transpose(2, 0, 1)
+        if k * p < 8:
+            assert np.array_equal(got, want)
+        else:
+            # the window sum of the reference runs in another order from 8 terms on
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_generate_returns_contiguous_levels(self):
+        z = generate_vecm_data(family_spec(4, 2, T=40, seed=9), 3)
+        assert z.shape == (40, 4) and z.flags.c_contiguous
+
+    def test_ragged_simulation_block_matches_reference_fit_blocks(self):
+        # 301 replications: one full simulation block and a ragged one of 45
+        spec = study_spec(T=120, seed=41)
+        study = run_recovery_study(spec, reps=301)
+        want = []
+        block = synthetic.CV_BLOCK
+        for start in range(0, 301, block):
+            z = scalar_reference.simulate_reference(spec, range(start, min(start + block, 301)))
+            want += zip(*synthetic._recovery_block(z, spec, "rconst"))
+        assert [(row["trace_r0"], row["selected_rank"], row["beta_angle_deg"])
+                for row in study.per_rep] == [(t, r, a) for t, r, a, _ in want]
+        assert study.alpha_rmse == float(np.sqrt(np.mean([sq for *_, sq in want])))
 
 
 class TestCriticalValueStudy:
