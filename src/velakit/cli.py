@@ -279,17 +279,14 @@ def cmd_mission(args) -> int:
     payload = {"manifest": manifest, "plan": plan}
     text = render_mission_plan(plan)
     _write_artifacts(args, "mission", payload, text)
-    if args.format == "json":
-        sys.stdout.write(
-            f"pool {plan.pool_busd:.3f} B$  cost {plan.cost_busd:.3f} B$  "
-            f"margin {100 * plan.margin_fraction:.1f}%\n"
-        )
     return EXIT_OK
 
 
 def cmd_mc_validate(args) -> int:
     from .synthetic import monte_carlo_critical_values, run_recovery_study, study_spec
 
+    if args.dump_reps and not args.out_dir:
+        raise ValidationError("--dump-reps writes its CSV to --out-dir; give --out-dir")
     seeds = (args.seed,)
     if args.study == "cv":
         result = monte_carlo_critical_values(
@@ -321,7 +318,7 @@ def cmd_mc_validate(args) -> int:
         payload_body = {"recovery_study": keep}
 
     csv = None
-    if args.dump_reps and args.out_dir:
+    if args.dump_reps:
         if stats is not None:
             rows = ["rep,trace_r0\n"]
             rows += [f"{i},{float(v)!r}\n" for i, v in enumerate(stats)]
@@ -416,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, dest="T", default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-reps", action="store_true",
-                   help="also write per-replication statistics as CSV")
+                   help="also write per-replication statistics as CSV to --out-dir")
     p.set_defaults(func=cmd_mc_validate)
 
     return parser

@@ -57,7 +57,6 @@ class VecmModel:
     n_params: int
     beta_source: str = "eigen"
     level_means: np.ndarray = field(default=None, repr=False)
-    residuals: np.ndarray = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -135,9 +134,9 @@ def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: 
     the short-run regressors X of johansen._stacked_concentrate and a beta
     (n, p_aug, r).
 
-    Returns (coefficients (n, r + short-run columns, p), residuals
-    (n, T_eff, p), sigma (n, p, p), n_params, criteria), criteria being
-    lag_selection.gaussian_criteria's (loglik, AIC, BIC, HQIC) of sigma.
+    Returns (coefficients (n, r + short-run columns, p), sigma (n, p, p),
+    n_params, criteria), criteria being lag_selection.gaussian_criteria's
+    (loglik, AIC, BIC, HQIC) of sigma.
     Records the regression's SingularMatrixError and gaussian_criteria's
     ValidationError where det sigma is not positive.
     """
@@ -152,7 +151,7 @@ def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: 
     n_params = p * coef.shape[1] + r * (p_aug - r)
     *criteria, failures = gaussian_criteria(sigma, T_eff, n_params)
     _record(errors, failures)
-    return coef, resid, sigma, n_params, criteria
+    return coef, sigma, n_params, criteria
 
 
 @np.errstate(all="ignore")
@@ -169,7 +168,7 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
     """
     n, T, p = z.shape
     _check_rank(r, p)
-    coef, resid, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(W, X, beta, errors)
+    coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(W, X, beta, errors)
     T_eff = T - k
     alpha = coef[:, :r].swapaxes(1, 2)
     p_aug = beta.shape[1]
@@ -199,7 +198,6 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
             n_params=n_params,
             beta_source=beta_source,
             level_means=z[i].mean(axis=0),
-            residuals=resid[i],
         )
         for i in range(n)
     ]

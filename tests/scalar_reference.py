@@ -138,19 +138,10 @@ def estimate_vecm(z, k=1, r=1, case="rconst", vars=None):
     lam, candidates = eigenproblem(moments_from_residuals(R0, R1, T_eff, case))
     beta = candidates[:, :r]
     beta = beta @ np.linalg.inv(beta[:r, :r])
-    dz = np.diff(z, axis=0)
-    rows = np.arange(k, T)
-    lvl = z[rows - 1]
-    if case == "rconst":
-        lvl = np.column_stack([lvl, np.ones(T_eff)])
-    blocks = [lvl @ beta] + [dz[rows - 1 - i] for i in range(1, k)]
-    if case == "uconst":
-        blocks.append(np.ones((T_eff, 1)))
-    X = np.column_stack(blocks)
-    fit = ols_fit(X, dz[rows - 1])
+    fit = conditional_fit(z, beta, k, case)
     coef, resid = fit.coefficients, fit.residuals
     alpha = coef[:r].T
-    n_params = p * X.shape[1] + r * (beta.shape[0] - r)
+    n_params = p * coef.shape[0] + r * (beta.shape[0] - r)
     loglik, aic, bic, _ = information_criteria(fit, T_eff, n_params)
     beta_se, beta_z, wald = beta_inference(R1, beta, alpha, resid.T @ resid / T_eff, r)
     return VecmModel(
@@ -161,5 +152,19 @@ def estimate_vecm(z, k=1, r=1, case="rconst", vars=None):
         sigma=resid.T @ resid / T_eff, loglik=loglik, aic=aic, bic=bic,
         beta_se=beta_se, beta_z=beta_z, wald_chi2=wald, wald_dof=(beta.shape[0] - r) * r,
         eigenvalues=lam[:p], T_eff=T_eff, n_params=n_params,
-        level_means=z.mean(axis=0), residuals=resid,
+        level_means=z.mean(axis=0),
     )
+
+
+def conditional_fit(z, beta, k=1, case="rconst"):
+    """The OLS fit of dz_t on (beta'z*_{t-1}, lagged dz, deterministics)."""
+    T = len(z)
+    dz = np.diff(z, axis=0)
+    rows = np.arange(k, T)
+    lvl = z[rows - 1]
+    if case == "rconst":
+        lvl = np.column_stack([lvl, np.ones(T - k)])
+    blocks = [lvl @ beta] + [dz[rows - 1 - i] for i in range(1, k)]
+    if case == "uconst":
+        blocks.append(np.ones((T - k, 1)))
+    return ols_fit(np.column_stack(blocks), dz[rows - 1])

@@ -113,6 +113,17 @@ class TestPipeline:
         assert code == 0
         assert "admissible specs:" in out
 
+    def test_demo_artifact_has_no_residuals(self, tmp_path, capsys):
+        # the per-spec residual matrices were 63% of this artifact (331,515 bytes)
+        demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
+        code, _, _ = run(["pipeline", "--input", str(demo), "--agency", "DEMO",
+                          "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        data = (tmp_path / "pipeline_DEMO.json").read_bytes()
+        assert json.loads(data)["stages"]["specification_search"]["specs"][0]["model"]["beta"]
+        assert b'"residuals"' not in data
+        assert len(data) <= 132_606
+
 
 class TestExitCodes:
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
@@ -196,6 +207,11 @@ class TestMission:
         doc = json.loads((tmp_path / "o" / "mission.json").read_text())
         assert doc["plan"]["pool_busd"] == pytest.approx(34.3)
 
+    def test_json_stdout_is_the_artifact(self, tmp_path, capsys):
+        code, out, _ = run(["mission", "--format", "json", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out) == json.loads((tmp_path / "mission.json").read_text())
+
     def test_horizon_override_infeasible(self, capsys):
         code, out, _ = run(["mission", "--horizon-years", "1"], capsys)
         assert code == 0
@@ -260,6 +276,13 @@ class TestMcValidate:
         assert lines[0] == "rep,trace_r0"
         assert len(lines) == 1001
         float(lines[1].split(",")[1])
+
+    @pytest.mark.parametrize("study", ["cv", "recovery"])
+    def test_dump_reps_needs_out_dir_exit_2(self, study, capsys):
+        code, out, err = run(["mc-validate", "--study", study, "--dump-reps"], capsys)
+        assert code == 2
+        assert "--out-dir" in err
+        assert out == ""
 
 
 class TestDeterminism:

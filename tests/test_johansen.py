@@ -223,6 +223,27 @@ class TestRankTest:
         gap = np.abs(rank_test(ma).eigenvalues - rank_test(mb).eigenvalues).max()
         assert gap <= 1e-12 + 10 * np.finfo(float).eps * cond
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(2, 6), k=st.integers(1, 3), case=st.sampled_from(CASES),
+           seed=st.integers(0, 2**32 - 1),
+           spread=st.floats(1.0, 10.0, allow_subnormal=False))
+    def test_eigenvalues_invariant_under_column_transform(self, p, k, case, seed, spread):
+        # z -> z A for a nonsingular A moves the level term [z, 1] (or z) by
+        # an invertible block, so the canonical correlations do not move.
+        # A = Q1 diag(s) Q2 with s in [1, spread] keeps cond(A) <= 10; the
+        # rounding then grows with cond(S11) as in the permutation property
+        # (1500 such draws measured at most 1.0 * eps * cond(S11))
+        rng = rng_for(seed, 0)
+        z = np.cumsum(rng.standard_normal((50, p)), axis=0) * rng.uniform(0.01, 1.0, p) \
+            + rng.uniform(-10.0, 10.0, p)
+        q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        A = q1 @ np.diag(rng.uniform(1.0, spread, p)) @ q2
+        ma, mb = concentrate(z, k=k, case=case), concentrate(z @ A, k=k, case=case)
+        cond = max(np.linalg.cond(ma.S11), np.linalg.cond(mb.S11))
+        gap = np.abs(rank_test(ma).eigenvalues - rank_test(mb).eigenvalues).max()
+        assert gap <= 1e-12 + 10 * np.finfo(float).eps * cond
+
 
 class TestCriticalTables:
     def test_tables_monotone_in_dimension(self):

@@ -103,18 +103,34 @@ class TestLargestRemainder:
             assert a == b
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(weights=st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1,
-                            max_size=8).filter(lambda w: sum(w) > 0),
-           total=st.integers(0, 60))
-    def test_quota_rule(self, weights, total):
+    @given(weights=st.one_of(
+               st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1, max_size=8),
+               st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e9)), min_size=1, max_size=8),
+           ).filter(lambda w: sum(w) > 0),
+           total=st.one_of(st.integers(0, 60), st.integers(0, 10**9)), data=st.data())
+    def test_quota_rule(self, weights, total, data):
         # each party gets the floor or the ceiling of its exact quota
-        # total * w / sum(w), and the allocations add up to total
-        alloc = largest_remainder(weights, total)
+        # total * w / sum(w), and the allocations add up to total, also
+        # for weights nine orders of magnitude apart, large totals and any
+        # tie order
+        order = data.draw(st.permutations(range(len(weights))), label="tie_order")
+        alloc = largest_remainder(weights, total, tie_order=order)
         exact = [Fraction(w) for w in weights]
         quotas = [total * w / sum(exact) for w in exact]
         assert sum(alloc) == total
         for a, q in zip(alloc, quotas):
             assert floor(q) <= a <= ceil(q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 8), weight=st.floats(1e-6, 1e6), total=st.integers(0, 60),
+           data=st.data())
+    def test_equal_weights_leftovers_follow_tie_order(self, n, weight, total, data):
+        # equal weights leave equal remainders, so the leftovers go to the
+        # lowest tie_order values
+        order = data.draw(st.permutations(range(n)), label="tie_order")
+        alloc = largest_remainder([weight] * n, total, tie_order=order)
+        base, leftovers = divmod(total, n)
+        assert alloc == [base + (order[i] < leftovers) for i in range(n)]
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValidationError):

@@ -217,7 +217,7 @@ def n1_search(panel, subsets, k_candidates, case):
 
 
 MODEL_ARRAYS = ("eigenvalues", "alpha", "beta", "mu", "sigma", "beta_se", "beta_z",
-                "residuals", "level_means")
+                "level_means")
 MODEL_SCALARS = ("wald_chi2", "loglik", "aic", "bic")
 
 
