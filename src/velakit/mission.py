@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import floor, isfinite
 from pathlib import Path
 
@@ -60,6 +61,18 @@ class MissionConfig:
             raise ValidationError("horizon_years must be >= 1")
         if not (isfinite(self.esa_module_bias) and self.esa_module_bias >= 1.0):
             raise ValidationError("esa_module_bias must be finite and >= 1")
+        # the budget pool, the budget sum and every module weight are at most
+        # this product, so a finite one keeps them all finite
+        try:
+            bound = (sum(a.annual_budget_busd for a in self.agencies)
+                     * self.esa_module_bias * self.horizon_years)
+        except OverflowError:  # a horizon_years beyond the float range
+            bound = float("inf")
+        if not isfinite(bound):
+            raise ValidationError(
+                "annual_budget_busd values too large: their sum times esa_module_bias "
+                "and horizon_years overflows"
+            )
         if self.n_modules > self.n_payload_launches:
             raise ValidationError(
                 f"{self.n_modules} modules exceed the {self.n_payload_launches} "
@@ -144,12 +157,15 @@ def largest_remainder(weights: list[float], total: int,
     """
     if total < 0:
         raise ValidationError("cannot apportion a negative total")
-    if any(w < 0 for w in weights):
-        raise ValidationError("weights must be non-negative")
-    s = sum(weights)
+    if not all(isfinite(w) and w >= 0 for w in weights):
+        raise ValidationError("weights must be non-negative and finite")
+    # exact rational quotas: a float quota loses the total past 2**53 and
+    # overflows for huge weights
+    exact = [Fraction(w) for w in weights]
+    s = sum(exact)
     if s <= 0:
         raise ValidationError("weights sum to zero")
-    quotas = [total * w / s for w in weights]
+    quotas = [total * w / s for w in exact]
     alloc = [floor(q) for q in quotas]
     leftovers = total - sum(alloc)
     order = tie_order or list(range(len(weights)))

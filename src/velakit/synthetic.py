@@ -1,31 +1,37 @@
 """Seeded generators for cointegrated systems and Monte Carlo harnesses.
 
 Ground truth for the estimators: data are simulated forward from the
-error-correction recursion with Gaussian innovations, and studies derive a
-fresh per-replication generator from (seed, replication index) through a
-64-bit mix so results are order-independent and bit-reproducible.
+error-correction recursion with Gaussian innovations, and each replication
+draws from its own stream, ``rng_for(seed, index)``, a default_rng seeded
+with a 64-bit mix of (seed, replication index), so results are
+order-independent and bit-reproducible.
 
-Both studies fit in stacked blocks of CV_BLOCK replications, each drawn
-from its own generator. The critical-value study draws a block into a
-shared buffer and computes its trace statistics in one stacked pass
-(johansen._stacked_rank_test). The recovery study simulates up to
-SIM_BLOCK replications at once (_simulate, which generate_vecm_data runs
-for a single replication): the levels are time-major, a
-(T + BURN_IN + k, p, n) array with replication i in column i, so the lag
-window of every replication is one contiguous slab and each time step is
-three numpy calls for the whole block. The buffer costs
+The studies take their innovations from _replication_streams, which
+yields those same streams for a whole range of replications without
+building a generator per replication: it computes every replication's
+PCG64 state at once (numpy's SeedSequence mixing in uint32 arrays, then
+PCG64's seeding step in Python ints) and points one shared generator at
+each in turn. The critical-value study draws blocks of CV_BLOCK = 64
+replications into a shared buffer and computes their trace statistics in
+one stacked pass (johansen._stacked_rank_test). The recovery study
+simulates up to SIM_BLOCK replications at once (_simulate, which
+generate_vecm_data runs for a single replication): the levels are
+time-major, a (T + BURN_IN + k, p, n) array with replication i in column
+i, so the lag window of every replication is one contiguous slab and each
+time step is three numpy calls for the whole block. The buffer costs
 SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes, 3.4 MB at T=500 and p=3. Each
-simulation block is rank-tested and fitted in CV_BLOCK slices, transposed
-(n, T, p) views (johansen._stacked_rank_test and vecm._stacked_fit, the
-kernels of the specification search and of the n=1 public calls). A
-replication that fails raises its own typed error, the one its n=1 call
-raises; the first failing replication of a fit block wins. Reruns are
-byte-identical, and a replication's levels do not depend on the block it
-is simulated in.
+simulation block is rank-tested and fitted in FIT_BLOCK = 32 slices,
+transposed (n, T, p) views (johansen._stacked_rank_test and
+vecm._stacked_fit, the kernels of the specification search and of the n=1
+public calls). A replication that fails raises its own typed error, the
+one its n=1 call raises; the first failing replication of a fit block
+wins. Reruns are byte-identical, and a replication's statistics and
+levels do not depend on the block it is drawn, simulated or fitted in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +51,16 @@ from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per stacked fit block of both Monte Carlo studies and
-# bootstrap resamples per block: enough to amortize the per-call overhead,
-# few enough to keep peak memory flat
-CV_BLOCK = 32
+# replications per stacked block of the critical-value study, replications
+# per stacked fit slice of the recovery study and bootstrap resamples per
+# block: enough to amortize the per-call overhead, few enough to keep peak
+# memory flat. The recovery study fits in smaller slices because 64 there
+# was no faster and took 1.7 MB more peak memory
+CV_BLOCK = 64
+FIT_BLOCK = 32
 BOOT_BLOCK = 20
 # replications per simulation block of the recovery study, a multiple of
-# CV_BLOCK; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes
+# FIT_BLOCK; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes
 SIM_BLOCK = 256
 
 
@@ -64,11 +73,99 @@ def _splitmix64(x: int) -> int:
 
 
 def replication_seed(base_seed: int, index: int) -> int:
+    """The seed of replication ``index``; also takes a uint64 array of
+    indices, whose wrapping arithmetic gives the same seeds."""
     return _splitmix64((base_seed & 0xFFFFFFFFFFFFFFFF) + index)
 
 
 def rng_for(base_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(replication_seed(base_seed, index))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of ``steps`` successive SeedSequence
+    hash steps, as uint32 arrays: the constant is multiplied by ``mult``
+    between its two uses. The chain is kept in Python ints, since numpy
+    scalar overflow warns."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain[:-1], dtype=np.uint32), np.array(chain[1:], dtype=np.uint32)
+
+
+# mixing a pool of 4 words takes 4 + 4 * 3 hash steps; generate_state(4,
+# uint64) takes 8 output words
+_MIX_XOR, _MIX_MULT = _hash_constants(_INIT_A, _MULT_A, 16)
+_OUT_XOR, _OUT_MULT = _hash_constants(_INIT_B, _MULT_B, 8)
+_SHIFT = np.uint32(16)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.PCG64(seed)`` for each uint64 seed.
+
+    numpy's SeedSequence mixing runs for all seeds at once in uint32
+    arithmetic, the pool a (4, n) array: a seed's two 32-bit words (a seed
+    below 2**32 has one, and the missing word hashes as a zero word does)
+    and two zero words fill the pool, each word is mixed into the other
+    three, and generate_state(4, uint64) hashes the pool into initstate and
+    initseq. PCG64 then seeds its LCG from those: inc = 2 * initseq + 1 and
+    state = (inc + initstate) * mult + inc, mod 2**128, in Python ints.
+    """
+    def hashmix(value, xor, mult):
+        value = (value ^ xor[:, None]) * mult[:, None]
+        return value ^ (value >> _SHIFT)
+
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = hashmix(pool, _MIX_XOR[:4], _MIX_MULT[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        value = pool[dst] * _MIX_L - hashmix(pool[src], _MIX_XOR[steps], _MIX_MULT[steps]) * _MIX_R
+        pool[dst] = value ^ (value >> _SHIFT)
+    words = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MULT).astype(np.uint64)
+    # generate_state's uint64 words are little-endian pairs of its uint32 words
+    u0, u1, u2, u3 = (words[1::2] << np.uint64(32) | words[::2]).tolist()
+    states = []
+    for a, b, c, d in zip(u0, u1, u2, u3):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append(((((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _replication_streams(base_seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The generators ``rng_for(base_seed, i)`` for i in ``indices``, in order,
+    as one shared generator re-pointed for each replication.
+
+    The PCG64 states of all replications are computed at once
+    (_pcg64_states), and before each yield the shared bit generator is set
+    to the next one, which is much cheaper than a new default_rng. A
+    yielded generator draws exactly what its own rng_for would draw, until
+    the next one is yielded. The first state is checked against numpy's own
+    seeding, so a numpy that seeds PCG64 differently fails loudly.
+    """
+    if not len(indices):
+        return
+    seeds = replication_seed(base_seed, np.asarray(indices, dtype=np.uint64))
+    states = _pcg64_states(seeds)
+    bit_generator = np.random.PCG64(int(seeds[0]))
+    if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+        raise RuntimeError(f"numpy {np.__version__} seeds PCG64 differently from the "
+                           "SeedSequence mixing that synthetic._pcg64_states reproduces")
+    generator = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield generator
 
 
 @dataclass(frozen=True)
@@ -140,8 +237,9 @@ def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None
     The levels live in a (T + BURN_IN + k, p, n) array laid over the front of
     ``buffer`` (a flat float64 array of at least that size, when given; else
     a new one), replication i in column i. Each replication draws its
-    innovations from its own generator into one contiguous (total, p)
-    scratch array, which is scaled there and copied into its column.
+    innovations from its own stream (_replication_streams) into one
+    contiguous (total, p) scratch array, which is scaled there and copied
+    into its column.
     Returns the last T steps as a (T, p, n) view.
     """
     p, k = spec.p, spec.k
@@ -153,8 +251,8 @@ def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None
         if spec.ec_noise_scale is not None:
             q, _ = np.linalg.qr(spec.beta_true)
             proj = q @ q.T
-        for i, rep in enumerate(reps):
-            rng_for(spec.seed, rep).standard_normal(out=e)
+        for i, rng in enumerate(_replication_streams(spec.seed, reps)):
+            rng.standard_normal(out=e)
             if spec.ec_noise_scale is None:
                 e *= spec.noise_scale
             else:
@@ -259,10 +357,12 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     drift = 1.0 if case == UNRESTRICTED_CONSTANT else 0.0
     stats = np.empty(reps)
     buffer = np.empty((min(CV_BLOCK, reps), T, p_minus_r))
+    streams = _replication_streams(seed, range(reps))
     for start in range(0, reps, CV_BLOCK):
         z = buffer[: min(CV_BLOCK, reps - start)]
-        for i in range(len(z)):
-            rng_for(seed, start + i).standard_normal(out=z[i])
+        # zip takes from z first, so the block's end consumes no stream
+        for member, rng in zip(z, streams):
+            rng.standard_normal(out=member)
         if drift:
             z += drift
         np.cumsum(z, axis=1, out=z)
@@ -341,7 +441,7 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     """generate -> rank test -> estimate, compared against the true system.
 
     Replications are simulated in blocks of up to SIM_BLOCK (see _simulate)
-    and fitted in stacked slices of CV_BLOCK (see _recovery_block); a
+    and fitted in stacked slices of FIT_BLOCK (see _recovery_block); a
     failing replication raises its own error.
     """
     if reps < 100:
@@ -353,8 +453,8 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     buffer = np.empty(min(SIM_BLOCK, reps) * (spec.T + BURN_IN + spec.k) * spec.p)
     for start in range(0, reps, SIM_BLOCK):
         z = _simulate(spec, range(start, min(start + SIM_BLOCK, reps)), buffer)
-        for lo in range(0, z.shape[2], CV_BLOCK):
-            fit = z[:, :, lo : lo + CV_BLOCK].transpose(2, 0, 1)
+        for lo in range(0, z.shape[2], FIT_BLOCK):
+            fit = z[:, :, lo : lo + FIT_BLOCK].transpose(2, 0, 1)
             i = slice(start + lo, start + lo + len(fit))
             trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(fit, spec, case)
     per_rep = tuple(

@@ -239,6 +239,15 @@ class TestMission:
         assert code == 2
         assert "annual_budget_busd" in err
 
+    def test_overflowing_budgets_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"agencies": [
+            {"agency_id": aid, "annual_budget_busd": 1e308, "contribution_fraction": 0.2,
+             "provides_super_heavy": aid == "NASA"} for aid in ("ESA", "NASA")]}))
+        code, _, err = run(["mission", "--config", str(path)], capsys)
+        assert code == 2
+        assert "annual_budget_busd" in err
+
 
 class TestMcValidate:
     def test_recovery_study(self, tmp_path, capsys):

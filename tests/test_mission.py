@@ -107,12 +107,13 @@ class TestLargestRemainder:
                st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1, max_size=8),
                st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e9)), min_size=1, max_size=8),
            ).filter(lambda w: sum(w) > 0),
-           total=st.one_of(st.integers(0, 60), st.integers(0, 10**9)), data=st.data())
+           total=st.one_of(st.integers(0, 60), st.integers(0, 10**9),
+                           st.integers(2**53, 2**70)), data=st.data())
     def test_quota_rule(self, weights, total, data):
         # each party gets the floor or the ceiling of its exact quota
         # total * w / sum(w), and the allocations add up to total, also
-        # for weights nine orders of magnitude apart, large totals and any
-        # tie order
+        # for weights nine orders of magnitude apart, totals past 2**53
+        # and any tie order
         order = data.draw(st.permutations(range(len(weights))), label="tie_order")
         alloc = largest_remainder(weights, total, tie_order=order)
         exact = [Fraction(w) for w in weights]
@@ -135,6 +136,15 @@ class TestLargestRemainder:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             largest_remainder([0.0, 0.0], 3)
+
+    def test_total_past_float_precision(self):
+        assert largest_remainder([1.0], 2**53 + 3) == [2**53 + 3]
+        assert largest_remainder([1e308, 1e308], 2**64 + 1, tie_order=[1, 0]) == [2**63, 2**63 + 1]
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="finite"):
+            largest_remainder([1.0, weight], 3)
 
     def test_equal_remainder_ties_break_by_name(self):
         # three equal providers, 8 launches: quotas 2.67 each, two leftovers
@@ -269,6 +279,17 @@ class TestConfigParsing:
         doc = json.loads(SAMPLE.read_text())
         doc[name] = float("nan")
         with pytest.raises(ValidationError, match=name):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("budget, horizon", [(1e308, 5), (10.0, 10**400)],
+                             ids=["huge-budgets", "huge-horizon"])
+    def test_overflowing_budgets_rejected(self, budget, horizon):
+        # each field is finite, but the budget pool and module weights are not
+        doc = json.loads(SAMPLE.read_text())
+        for a in doc["agencies"]:
+            a["annual_budget_busd"] = budget
+        doc["horizon_years"] = horizon
+        with pytest.raises(ValidationError, match="annual_budget_busd"):
             config_from_dict(doc)
 
     def test_nonfinite_budget_rejected_by_constructor(self):

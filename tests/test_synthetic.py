@@ -108,6 +108,41 @@ class TestGenerate:
         assert replication_seed(5, 0) == replication_seed(5, 0)
 
 
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestReplicationStreams:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+           indices=st.one_of(st.just([]), st.integers(0, 10**6).map(lambda i: [i]),
+                             st.lists(st.integers(0, 10**6), max_size=12)))
+    def test_streams_are_the_replications_own_generators(self, seed, indices):
+        # same PCG64 state and the same first 64 normals as each replication's
+        # own default_rng, for any seed and any (unsorted, gapped) indices
+        count = 0
+        for index, rng in zip(indices, synthetic._replication_streams(seed, indices)):
+            want = np.random.default_rng(replication_seed(seed, index))
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.standard_normal(64), want.standard_normal(64))
+            count += 1
+        assert count == len(indices)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+                          min_size=1, max_size=10))
+    def test_states_match_numpy_seeding(self, seeds):
+        # raw seeds reach the one-word entropy of a seed below 2**32, which
+        # mixed replication seeds practically never do
+        got = synthetic._pcg64_states(np.array(seeds, dtype=np.uint64))
+        assert [{"state": state, "inc": inc} for state, inc in got] == [
+            np.random.PCG64(seed).state["state"] for seed in seeds]
+
+    def test_seeding_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_pcg64_states", lambda seeds: [(1, 1)] * len(seeds))
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
+            next(synthetic._replication_streams(3, range(4)))
+
+
 # a rank-1 family that is valid for every p in 2..6 and k in 1..3
 FAMILY_ALPHA = [-0.4, 0.2, 0.1, 0.0, -0.1, 0.05]
 FAMILY_BETA = [1.0, -2.0, 0.5, 0.25, 0.0, -0.5]
@@ -157,7 +192,7 @@ class TestTimeMajorSimulator:
         spec = study_spec(T=120, seed=41)
         study = run_recovery_study(spec, reps=301)
         want = []
-        block = synthetic.CV_BLOCK
+        block = synthetic.FIT_BLOCK
         for start in range(0, 301, block):
             z = scalar_reference.simulate_reference(spec, range(start, min(start + block, 301)))
             want += zip(*synthetic._recovery_block(z, spec, "rconst"))
@@ -213,7 +248,8 @@ class TestBlockedCriticalValueStudy:
                                             axis=0), k=1, case="uconst")).trace_stats[0]
             for rep in range(1001)
         ])
-        np.testing.assert_allclose(ragged_study.statistics, want, rtol=1e-10, atol=0.0)
+        # bit for bit: a replication's statistic does not depend on its block
+        assert np.array_equal(ragged_study.statistics, want)
 
     def test_percentiles_of_statistics(self, ragged_study):
         stats = ragged_study.statistics
@@ -346,9 +382,9 @@ class TestBlockedRecoveryStudy:
 class TestBlockedCriticalValues:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_failing_replication_raises_its_error(self, case, monkeypatch):
-        # replication 37 (second block) draws a second series that repeats
-        # the first, so its level moments are singular
-        real = synthetic.rng_for
+        # replication 101 (second block of 64) draws a second series that
+        # repeats the first, so its level moments are singular
+        real = synthetic._replication_streams
 
         class Repeating:
             def __init__(self, rng):
@@ -359,12 +395,13 @@ class TestBlockedCriticalValues:
                 out[:, 1] = out[:, 0]
                 return out
 
-        def rigged(seed, index=0):
-            return Repeating(real(seed, index)) if index == 37 else real(seed, index)
+        def rigged(seed, indices):
+            for index, rng in zip(indices, real(seed, indices)):
+                yield Repeating(rng) if index == 101 else rng
 
-        monkeypatch.setattr(synthetic, "rng_for", rigged)
+        monkeypatch.setattr(synthetic, "_replication_streams", rigged)
         z = np.empty((400, 2))
-        rigged(5, 37).standard_normal(out=z)
+        Repeating(rng_for(5, 101)).standard_normal(out=z)
         z = np.cumsum(z + (1.0 if case == "uconst" else 0.0), axis=0)
         with pytest.raises(VelakitError) as want:
             rank_test(concentrate(z, k=1, case=case), case=case)
