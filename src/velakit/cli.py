@@ -1,8 +1,9 @@
 """Command-line surface for the budget pipeline and mission planner.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 no admissible specification. Artifacts embed a run manifest; with
-SOURCE_DATE_EPOCH set, repeated runs are byte-identical.
+4 no admissible specification, 5 any other error (a fault in velakit: one
+stderr line naming its type, no traceback). Artifacts embed a run
+manifest; with SOURCE_DATE_EPOCH set, repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_SPEC = 4
+EXIT_INTERNAL = 5
 
 SAMPLE_CONFIG = Path(__file__).with_name("data") / "mission_config_sample.json"
 
@@ -141,7 +143,7 @@ def cmd_lagselect(args) -> int:
 def cmd_vecrank(args) -> int:
     _, _, logs = _load_log_panel(args)
     m = concentrate(logs, _parse_vars(args.vars), k=args.lags, case=args.case)
-    result = rank_test(m, case=args.case)
+    result = rank_test(m)
     manifest = make_manifest("vecrank", input_paths={"panel": args.input})
     payload = {"manifest": manifest, "agency": args.agency, "rank_test": result}
     _write_artifacts(args, f"vecrank_{args.agency}", payload, render_rank_table(result))
@@ -433,6 +435,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

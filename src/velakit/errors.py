@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 Exit-code mapping used by the CLI: ValidationError -> 2,
-NumericalError -> 3, NoAdmissibleSpecError -> 4.
+NumericalError -> 3, NoAdmissibleSpecError -> 4, and any other exception,
+including another VelakitError such as CorruptedBundleError, -> 5.
 """
 
 from pathlib import Path

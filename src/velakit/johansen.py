@@ -148,18 +148,18 @@ def _check_dimension(p: int) -> None:
         )
 
 
-def rank_test(m: MomentMatrices, case: str | None = None, level: float = 0.05) -> RankTestResult:
-    """Trace/max-eigenvalue statistics over r = 0..p-1 and the selected rank.
+def rank_test(m: MomentMatrices, level: float = 0.05) -> RankTestResult:
+    """Trace/max-eigenvalue statistics over r = 0..p-1 and the selected rank,
+    against the critical values of the moments' deterministic case.
 
     Selection uses the trace statistic: the smallest r that fails to reject
     at the requested level. If every null rejects the system looks
     stationary in levels and the selected rank is p.
     """
-    case = case or m.case
+    case, p = m.case, m.p
     _check_case(case)
     if level not in _LEVEL_KEY:
         raise ValidationError(f"level must be one of {sorted(_LEVEL_KEY)}, got {level}")
-    p = m.p
     _check_dimension(p)
     errors = {}
     lam, _ = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors)

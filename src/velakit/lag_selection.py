@@ -27,15 +27,11 @@ def argmin_with_ties(values) -> int:
     return best
 
 
-def max_feasible_lag(T: int, p: int, k_max: int = 8) -> int:
-    """Largest k <= k_max whose VAR(k) fit satisfies the sample precondition."""
-    best = 0
-    for k in range(1, k_max + 1):
-        if T - k > p * k + 1 + 2:
-            best = k
-    if best == 0:
-        raise ValidationError(f"sample too short for any VAR fit (T={T}, p={p})")
-    return best
+def max_feasible_lag(T: int, p: int) -> int:
+    """Largest lag k whose VAR(k) fit to T observations of p series keeps
+    more than two residual degrees of freedom per equation, T - k > (1 +
+    p*k) + 2, which is k <= (T - 4) // (p + 1); 0 when no lag does."""
+    return max(0, (T - 4) // (p + 1))
 
 
 def level_matrix(data, vars=None) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -86,27 +82,20 @@ class VarFit:
         return block.T
 
 
-def fit_var(data, vars=None, k: int = 1, presample: int | None = None) -> VarFit:
-    """Fit a VAR(k) in levels by per-equation OLS.
-
-    presample reserves that many initial rows instead of k, letting
-    select_lag align every candidate on a common sample.
-    """
+def fit_var(data, vars=None, k: int = 1) -> VarFit:
+    """Fit a VAR(k) in levels by per-equation OLS on rows k..T-1."""
     z, names = level_matrix(data, vars)
     T, p = z.shape
     if k < 1:
         raise ValidationError(f"lag order must be >= 1, got {k}")
-    skip = k if presample is None else presample
-    if skip < k:
-        raise ValidationError(f"presample {skip} smaller than lag order {k}")
-    T_eff = T - skip
+    T_eff = T - k
     n_regressors = 1 + p * k
-    if T_eff <= n_regressors + 2:
+    if k > max_feasible_lag(T, p):
         raise ValidationError(
             f"insufficient sample: T_eff={T_eff} for {n_regressors} regressors "
             f"(T={T}, p={p}, k={k})"
         )
-    rows = np.arange(skip, T)
+    rows = np.arange(k, T)
     X = np.ones((T_eff, n_regressors))
     for i in range(1, k + 1):
         X[:, 1 + (i - 1) * p : 1 + i * p] = z[rows - i]
@@ -170,17 +159,22 @@ class LagSelectionTable:
 
 
 def select_lag(data, vars=None, k_max: int = 4) -> LagSelectionTable:
-    """Score VAR(1..k_max) on the common sample and pick per-criterion argmins."""
+    """Score VAR(1..k_max) on the common sample, rows k_max..T-1, and pick
+    per-criterion argmins; the sample rule is checked once, for k_max."""
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     z, names = level_matrix(data, vars)
+    T, p = z.shape
+    longest = max_feasible_lag(T, p)
+    if k_max > longest:
+        raise ValidationError(
+            f"k_max={k_max} exceeds {longest}, the longest lag a VAR of "
+            f"T={T} observations of p={p} series allows"
+        )
     rows = []
     prev_ll = -math.inf
     for k in range(1, k_max + 1):
-        try:
-            fit = fit_var(z, names, k=k, presample=k_max)
-        except ValidationError as exc:
-            raise ValidationError(f"lag {k}: {exc}") from exc
+        fit = fit_var(z[k_max - k :], names, k=k)
         ll, aic, bic, hqic = information_criteria(fit, fit.T_eff, fit.n_params)
         if ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ValidationError(
@@ -196,7 +190,7 @@ def select_lag(data, vars=None, k_max: int = 4) -> LagSelectionTable:
     }
     return LagSelectionTable(
         vars=names,
-        sample_size=z.shape[0] - k_max,
+        sample_size=T - k_max,
         rows=tuple(rows),
         chosen_lag=chosen,
     )

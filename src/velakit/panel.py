@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class MacroPanel:
     agency_id: str
     years: np.ndarray
     series: dict[str, np.ndarray]
-    log_levels: bool = field(default=False)
 
     def __post_init__(self):
         years = np.asarray(self.years, dtype=int)
@@ -100,10 +99,7 @@ class MacroPanel:
 
 
 class LogLevelPanel(MacroPanel):
-    """Panel whose values are natural logs of a repaired MacroPanel."""
-
-    def __init__(self, agency_id: str, years, series):
-        super().__init__(agency_id=agency_id, years=years, series=series, log_levels=True)
+    """Natural logs of a repaired MacroPanel; the class itself is the marker."""
 
 
 def load_panel(path: str | Path, agency_id: str) -> MacroPanel:

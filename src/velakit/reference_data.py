@@ -1,8 +1,9 @@
 """Bundled capability tables: heavy-lift vehicles, habitat modules, Mars launches.
 
-The three CSVs ship inside the package and are validated on load against
-expected row counts and checksums; unavailable costs stay absent (None)
-rather than zero so cost aggregation cannot be corrupted.
+The three CSVs ship inside the package and are read-only: they are
+validated on load against expected row counts and checksums, and nothing
+writes them back. Unavailable costs stay absent (None) rather than zero so
+cost aggregation cannot be corrupted.
 """
 
 from __future__ import annotations
@@ -171,57 +172,3 @@ def query_super_heavy(vehicles, status: str | None = None) -> list[LaunchVehicle
         if v.super_heavy and (status is None or v.status == status)
     ]
     return sorted(hits, key=lambda v: (v.payload_to_leo_kg, v.name))
-
-
-def serialize_tables(vehicles, habitats, launches, out_dir: Path) -> list[Path]:
-    """Write the three tables back out in the bundled CSV schema."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    def _write(name: str, header: list[str], rows: list[list]) -> None:
-        path = out_dir / name
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-        paths.append(path)
-
-    _write(
-        "launch_vehicles.csv",
-        ["status", "vehicle", "payload_to_leo_kg", "cost_per_launch_musd", "operator_government"],
-        [
-            [
-                v.status,
-                v.name,
-                f"{v.payload_to_leo_kg:g}",
-                "" if v.cost_per_launch_musd is None else f"{v.cost_per_launch_musd:.2f}",
-                v.operator_government,
-            ]
-            for v in vehicles
-        ],
-    )
-    _write(
-        "habitat_modules.csv",
-        ["year", "government", "station", "module_name", "mass_kg"],
-        [[h.year, h.government, h.station, h.module_name, f"{h.mass_kg:g}"] for h in habitats],
-    )
-    _write(
-        "mars_launches.csv",
-        ["year", "vehicle", "government", "mission_name", "payload_type",
-         "payload_mass_kg", "cost_musd", "cost_estimated"],
-        [
-            [
-                m.year,
-                m.vehicle,
-                m.government,
-                m.mission_name,
-                "+".join(sorted(m.payload_type, key=lambda s: (s != "lander", s))),
-                f"{m.payload_mass_kg:g}",
-                "" if m.cost_musd is None else f"{m.cost_musd:.2f}",
-                "true" if m.cost_estimated else "false",
-            ]
-            for m in launches
-        ],
-    )
-    return paths

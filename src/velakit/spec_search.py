@@ -32,25 +32,17 @@ DEPENDENT = "sb"
 DEFAULT_MIN_SIZE = 4
 
 
-def enumerate_specifications(vars=VARIABLES, min_size: int = DEFAULT_MIN_SIZE) -> list[tuple[str, ...]]:
-    """All subsets containing the dependent, size >= min_size, ordered by
-    descending size then lexicographically in canonical variable order."""
-    vars = tuple(vars)
-    if DEPENDENT not in vars:
-        raise ValidationError(f"variable set must contain {DEPENDENT!r}")
+def enumerate_specifications(min_size: int = DEFAULT_MIN_SIZE) -> list[tuple[str, ...]]:
+    """All subsets of VARIABLES containing the dependent, size >= min_size, by
+    descending size, then in canonical variable order as combinations yields."""
     if min_size < 2:
         raise ValidationError(f"min_size must be >= 2, got {min_size}")
-    others = [v for v in vars if v != DEPENDENT]
-    order = {name: i for i, name in enumerate(vars)}
-    out: list[tuple[str, ...]] = []
-    for size in range(len(vars), min_size - 1, -1):
-        group = []
-        for combo in combinations(others, size - 1):
-            subset = (DEPENDENT, *sorted(combo, key=order.get))
-            group.append(subset)
-        group.sort(key=lambda s: tuple(order[v] for v in s))
-        out.extend(group)
-    return out
+    if min_size > len(VARIABLES):
+        raise ValidationError(
+            f"min_size must be <= {len(VARIABLES)}, the number of variables, got {min_size}")
+    others = [v for v in VARIABLES if v != DEPENDENT]
+    return [(DEPENDENT, *combo) for size in range(len(VARIABLES), min_size - 1, -1)
+            for combo in combinations(others, size - 1)]
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def run_specification_search(panel, min_size: int = DEFAULT_MIN_SIZE,
                              k_candidates=(1, 2),
                              case: str = RESTRICTED_CONSTANT) -> SpecificationReport:
     """enumerate -> fit -> aggregate, returning a complete report."""
-    subsets = enumerate_specifications(VARIABLES, min_size=min_size)
+    subsets = enumerate_specifications(min_size)
     report = fit_specifications(panel, subsets, k_candidates=k_candidates, case=case)
     row = build_correlation_table(report)
     return SpecificationReport(

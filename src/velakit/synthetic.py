@@ -190,9 +190,11 @@ class SyntheticSpec:
     ec_noise_scale: float | None = None
     T: int = 400
     seed: int = 0
-    generator_id: str = GENERATOR_ID
+    generator_id: str = field(default=GENERATOR_ID, init=False)
 
     def __post_init__(self):
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
+            raise ValidationError(f"T must be an integer >= 1, got {self.T!r}")
         alpha = np.asarray(self.alpha_true, dtype=float).reshape(self.p, self.r)
         beta = np.asarray(self.beta_true, dtype=float).reshape(self.p, self.r)
         mu = (
@@ -287,6 +289,8 @@ def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None
 
 def generate_vecm_data(spec: SyntheticSpec, rep: int = 0) -> np.ndarray:
     """Simulate T observations of the level process (after 50 burn-in steps)."""
+    if isinstance(rep, bool) or not isinstance(rep, (int, np.integer)) or rep < 0:
+        raise ValidationError(f"rep must be an integer >= 0, got {rep!r}")
     return np.ascontiguousarray(_simulate(spec, range(rep, rep + 1))[:, :, 0])
 
 
@@ -303,11 +307,8 @@ def random_walk_spec(p: int, T: int, seed: int, noise_scale: float = 1.0) -> Syn
     )
 
 
-def study_spec(p: int = 3, T: int = 400, seed: int = 0,
-               noise_scale: float = 1.0) -> SyntheticSpec:
-    """Default rank-1 system used throughout the validation studies."""
-    if p != 3:
-        raise ValidationError("the default study system is 3-dimensional")
+def study_spec(T: int = 400, seed: int = 0) -> SyntheticSpec:
+    """Default 3-dimensional rank-1 system used throughout the validation studies."""
     return SyntheticSpec(
         p=3,
         r=1,
@@ -315,7 +316,6 @@ def study_spec(p: int = 3, T: int = 400, seed: int = 0,
         beta_true=np.array([[1.0], [-2.0], [0.5]]),
         T=T,
         seed=seed,
-        noise_scale=noise_scale,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def synthetic_log_panel(T=60, seed=4, start=1961, noise_scale=0.05):
     {rd, ed, sd} independent random walks."""
     from velakit.panel import LogLevelPanel
 
-    spec = study_spec(T=T, seed=seed, noise_scale=noise_scale)
+    spec = dataclasses.replace(study_spec(T=T, seed=seed), noise_scale=noise_scale)
     z = generate_vecm_data(spec)
     rng = rng_for(seed, 10_001)
     walks = np.cumsum(rng.standard_normal((T, 3)) * noise_scale, axis=0)

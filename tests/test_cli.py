@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from velakit import cli
 from velakit.cli import main
+from velakit.errors import VelakitError
 
 from conftest import write_levels_csv
 
@@ -52,6 +54,16 @@ class TestLagselect:
             capsys)
         assert code == 0
         assert "chosen:" in out
+
+    def test_infeasible_kmax_exit_2(self, panel_csv, capsys):
+        # T=48 and p=6 allow at most VAR(6); the error is reported once
+        code, out, err = run(
+            ["lagselect", "--input", str(panel_csv), "--agency", "DEMO", "--kmax", "9"],
+            capsys)
+        assert code == 2
+        assert err == ("error: k_max=9 exceeds 6, the longest lag a VAR of T=48 "
+                       "observations of p=6 series allows\n")
+        assert out == ""
 
 
 class TestVecrank:
@@ -165,6 +177,28 @@ class TestExitCodes:
              "--min-size", "6"], capsys)
         assert code == 4
         assert "no admissible specification" in err
+
+    def test_min_size_above_variable_count_exit_2(self, capsys):
+        demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
+        code, out, err = run(["specsearch", "--input", str(demo), "--agency", "DEMO",
+                              "--min-size", "7"], capsys)
+        assert code == 2
+        assert "min_size" in err and "6, the number of variables" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom\nsecond line"),
+                                       VelakitError("bare toolkit error")],
+                             ids=["runtime-error", "velakit-error"])
+    def test_unexpected_error_exit_5(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_mission", failing)
+        code, out, err = run(["mission"], capsys)
+        assert code == cli.EXIT_INTERNAL == 5
+        assert err == f"internal error: {type(error).__name__}: {error}".replace("\n", " ") + "\n"
+        assert "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize("lags", ["0", "-1", "1"])
     def test_invalid_lag_candidate_exit_2(self, capsys, lags):
@@ -285,6 +319,14 @@ class TestMcValidate:
         assert lines[0] == "rep,trace_r0"
         assert len(lines) == 1001
         float(lines[1].split(",")[1])
+
+    @pytest.mark.parametrize("T", ["0", "-5"])
+    def test_recovery_T_below_one_exit_2(self, T, capsys):
+        code, out, err = run(["mc-validate", "--study", "recovery", "--T", T,
+                              "--reps", "100"], capsys)
+        assert code == 2
+        assert err == f"error: T must be an integer >= 1, got {T}\n"
+        assert out == ""
 
     @pytest.mark.parametrize("study", ["cv", "recovery"])
     def test_dump_reps_needs_out_dir_exit_2(self, study, capsys):

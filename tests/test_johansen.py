@@ -132,7 +132,7 @@ class TestRankTest:
         # lam = [0.5, 0.2], T=100: trace(0) = 91.63, trace(1) = 22.31
         s = np.sqrt(np.array([0.5, 0.2]))
         m = make_moments(np.eye(2), np.diag(s), np.eye(2), T=100)
-        rt = rank_test(m, case="uconst")
+        rt = rank_test(m)
         assert rt.eigenvalues == pytest.approx([0.5, 0.2])
         assert rt.trace_stats[0] == pytest.approx(91.629073, abs=1e-4)
         assert rt.trace_stats[1] == pytest.approx(22.314355, abs=1e-4)
@@ -140,7 +140,7 @@ class TestRankTest:
     def test_tiny_eigenvalues_select_zero(self):
         s = np.sqrt(np.array([0.008, 0.002]))
         m = make_moments(np.eye(2), np.diag(s), np.eye(2), T=23)
-        rt = rank_test(m, case="rconst")
+        rt = rank_test(m)
         assert rt.selected_rank == 0
 
     def test_trace_is_sum_of_maxeig(self):
@@ -169,7 +169,7 @@ class TestRankTest:
         R = rng.standard_normal((60, 7))
         m = scalar_reference.moments_from_residuals(R, np.cumsum(R, axis=0), 60)
         with pytest.raises(ValidationError, match="dimension"):
-            rank_test(m, case="rconst")
+            rank_test(m)
 
     def test_true_rank_one_recovered(self):
         spec = study_spec(T=400, seed=13)
@@ -186,8 +186,8 @@ class TestRankTest:
         z = np.cumsum(rng.standard_normal((120, 3)), axis=0)
         shifted = z.copy()
         shifted[:, 1] += np.log(1000.0)
-        a = rank_test(concentrate(z, k=2, case="uconst"), case="uconst")
-        b = rank_test(concentrate(shifted, k=2, case="uconst"), case="uconst")
+        a = rank_test(concentrate(z, k=2, case="uconst"))
+        b = rank_test(concentrate(shifted, k=2, case="uconst"))
         assert a.eigenvalues == pytest.approx(b.eigenvalues, abs=1e-8)
 
     def test_beta_scaling_leaves_statistics_unchanged(self):
@@ -272,7 +272,7 @@ def random_walk_stack(n, T, p, case, seed=31):
 
 def n1_trace_r0(z, case):
     """The rank-0 trace statistic of one system from the public n=1 calls."""
-    return rank_test(concentrate(z, k=1, case=case), case=case).trace_stats[0]
+    return rank_test(concentrate(z, k=1, case=case)).trace_stats[0]
 
 
 class TestStackedRank0Kernel:

@@ -141,5 +141,5 @@ class TestSelectLag:
     def test_annotated_error_includes_lag(self):
         rng = rng_for(5, 1)
         z = rng.standard_normal((14, 3))
-        with pytest.raises(ValidationError, match="lag"):
+        with pytest.raises(ValidationError, match="k_max=3 exceeds 2, the longest lag"):
             select_lag(z, k_max=3)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velakit.errors import ValidationError
 from velakit.panel import (
     VARIABLES,
     LogLevelPanel,
+    MacroPanel,
     interpolate_missing,
     load_panel,
     to_log_levels,
@@ -153,6 +156,25 @@ class TestInterpolate:
         twice = interpolate_missing(once)
         for var in VARIABLES:
             assert twice.series[var] == pytest.approx(once.series[var], abs=0.0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n_years=st.integers(12, 40))
+    def test_repair_is_idempotent_bit_for_bit(self, data, n_years):
+        # any gap pattern that leaves each series two observed cells:
+        # interior runs, boundary runs, alternating cells
+        years = np.arange(1980, 1980 + n_years)
+        series = {}
+        for var in VARIABLES:
+            observed = data.draw(st.lists(st.booleans(), min_size=n_years, max_size=n_years)
+                                 .filter(lambda m: sum(m) >= 2), label=var)
+            values = data.draw(st.lists(st.floats(0.01, 1e6), min_size=n_years,
+                                        max_size=n_years), label=f"{var} values")
+            series[var] = np.where(observed, values, np.nan)
+        once = interpolate_missing(MacroPanel(agency_id="X", years=years, series=series))
+        twice = interpolate_missing(once)
+        assert once.missing_cells() == []
+        for var in VARIABLES:
+            assert twice.series[var].tobytes() == once.series[var].tobytes()
 
     def test_observed_cells_unchanged(self):
         panel = make_panel(missing=[("gpc", 2010)])

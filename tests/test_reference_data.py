@@ -1,11 +1,14 @@
+import shutil
+from importlib import resources
+
 import pytest
 
 from velakit.errors import CorruptedBundleError
 from velakit.reference_data import (
+    EXPECTED,
     LaunchVehicle,
     load_reference_tables,
     query_super_heavy,
-    serialize_tables,
 )
 
 
@@ -84,29 +87,27 @@ class TestQuerySuperHeavy:
         assert payloads == sorted(payloads)
 
 
+def copy_bundle(out_dir):
+    """Copy the packaged CSVs into out_dir, for tampering with."""
+    for name in EXPECTED:
+        shutil.copyfile(resources.files("velakit").joinpath("data", name), out_dir / name)
+
+
 class TestRoundTripAndCorruption:
-    def test_serialize_load_identity(self, tables, tmp_path):
-        vehicles, habitats, launches = tables
-        serialize_tables(vehicles, habitats, launches, tmp_path)
-        again = load_reference_tables(data_dir=tmp_path, verify_checksums=False)
-        assert again == tables
+    def test_copied_bundle_loads_identically(self, tables, tmp_path):
+        copy_bundle(tmp_path)
+        assert load_reference_tables(data_dir=tmp_path, verify_checksums=True) == tables
 
-    def test_serialized_bytes_match_bundle(self, tables, tmp_path):
-        # the writer reproduces the bundled files exactly, so the checksums
-        # also validate a freshly serialized copy
-        serialize_tables(*tables, tmp_path)
-        load_reference_tables(data_dir=tmp_path, verify_checksums=True)
-
-    def test_missing_row_detected(self, tables, tmp_path):
-        serialize_tables(*tables, tmp_path)
+    def test_missing_row_detected(self, tmp_path):
+        copy_bundle(tmp_path)
         path = tmp_path / "habitat_modules.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CorruptedBundleError, match="expected 10"):
             load_reference_tables(data_dir=tmp_path, verify_checksums=False)
 
-    def test_checksum_mismatch_detected(self, tables, tmp_path):
-        serialize_tables(*tables, tmp_path)
+    def test_checksum_mismatch_detected(self, tmp_path):
+        copy_bundle(tmp_path)
         path = tmp_path / "launch_vehicles.csv"
         path.write_text(path.read_text().replace("95000", "95001"))
         with pytest.raises(CorruptedBundleError, match="checksum"):

@@ -29,22 +29,22 @@ from conftest import synthetic_log_panel
 
 class TestEnumerate:
     def test_single_maximal_subset(self):
-        subsets = enumerate_specifications(VARIABLES, min_size=6)
+        subsets = enumerate_specifications(min_size=6)
         assert subsets == [VARIABLES]
 
     def test_min_size_five_counts(self):
-        subsets = enumerate_specifications(VARIABLES, min_size=5)
+        subsets = enumerate_specifications(min_size=5)
         assert len(subsets) == 6
         assert subsets[0] == VARIABLES
         assert all(len(s) == 5 for s in subsets[1:])
 
     def test_all_contain_dependent(self):
-        subsets = enumerate_specifications(VARIABLES, min_size=2)
+        subsets = enumerate_specifications(min_size=2)
         assert all("sb" in s for s in subsets)
         assert len(subsets) == 2**5 - 1  # every non-empty regressor subset
 
     def test_ordering(self):
-        subsets = enumerate_specifications(VARIABLES, min_size=4)
+        subsets = enumerate_specifications(min_size=4)
         sizes = [len(s) for s in subsets]
         assert sizes == sorted(sizes, reverse=True)
         five = [s for s in subsets if len(s) == 5]
@@ -52,7 +52,13 @@ class TestEnumerate:
 
     def test_min_size_guard(self):
         with pytest.raises(ValidationError):
-            enumerate_specifications(VARIABLES, min_size=1)
+            enumerate_specifications(min_size=1)
+
+    @pytest.mark.parametrize("min_size", [7, 8])
+    def test_min_size_above_variable_count(self, min_size):
+        # no subset is that large, so the request names no candidate at all
+        with pytest.raises(ValidationError, match=f"min_size must be <= 6, .* got {min_size}"):
+            enumerate_specifications(min_size=min_size)
 
 
 def equation_stub(dependent="sb", coefficients=None, z_scores=None):
@@ -203,7 +209,7 @@ def n1_search(panel, subsets, k_candidates, case):
     for subset in subsets:
         for k in sorted(k_candidates):
             try:
-                rt = rank_test(concentrate(panel, subset, k=k, case=case), case=case)
+                rt = rank_test(concentrate(panel, subset, k=k, case=case))
                 if rt.selected_rank != 1:
                     rejected.append((subset, k, f"selected rank {rt.selected_rank}"))
                     continue
@@ -245,7 +251,7 @@ class TestStackedSearch:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_matches_scalar_path(self, case, seed):
         panel = synthetic_log_panel(T=60, seed=seed)
-        subsets = enumerate_specifications(VARIABLES, min_size=2)
+        subsets = enumerate_specifications(min_size=2)
         # interleave the sizes: records follow the subset order, not the groups
         subsets = subsets[1::2] + subsets[::2]
         want_fitted, want_rejected = n1_search(panel, subsets, (1, 2, 3), case)

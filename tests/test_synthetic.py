@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestSpecValidation:
         spec = random_walk_spec(4, 100, seed=1)
         assert spec.r == 0
 
+    @pytest.mark.parametrize("T", [0, -5, 2.5, True, "400"])
+    def test_sample_size_below_one_or_not_integer_rejected(self, T):
+        with pytest.raises(ValidationError, match=f"T must be an integer >= 1, got {T!r}"):
+            study_spec(T=T)
+
+    def test_generator_id_is_fixed(self):
+        assert study_spec().generator_id == synthetic.GENERATOR_ID
+        with pytest.raises(TypeError):
+            SyntheticSpec(p=2, r=0, alpha_true=np.zeros((2, 0)), beta_true=np.zeros((2, 0)),
+                          generator_id="other")
+
 
 class TestGenerate:
     def test_deterministic_drift(self):
@@ -61,6 +74,11 @@ class TestGenerate:
     def test_different_reps_differ(self):
         spec = study_spec(T=50, seed=123)
         assert not np.allclose(generate_vecm_data(spec, 0), generate_vecm_data(spec, 1))
+
+    @pytest.mark.parametrize("rep", [-1, -(2**70), 1.0, True])
+    def test_replication_index_below_zero_or_not_integer_rejected(self, rep):
+        with pytest.raises(ValidationError, match="rep must be an integer >= 0"):
+            generate_vecm_data(study_spec(T=20), rep)
 
     def test_shape(self):
         z = generate_vecm_data(study_spec(T=64, seed=5))
@@ -325,7 +343,7 @@ def scalar_replication(spec, rep, case):
 
 def n1_replication(z, spec, case):
     """One replication through the public n=1 calls (raises its error)."""
-    rank_test(concentrate(z, k=spec.k, case=case), case=case)
+    rank_test(concentrate(z, k=spec.k, case=case))
     estimate_vecm(z, k=spec.k, r=spec.r, case=case)
 
 
@@ -359,7 +377,7 @@ class TestBlockedRecoveryStudy:
         assert study.beta_angle_median_deg == pytest.approx(np.median(angles), abs=1e-9)
 
     @pytest.mark.parametrize("spec", [
-        study_spec(T=100, seed=36, noise_scale=0.0),
+        dataclasses.replace(study_spec(T=100, seed=36), noise_scale=0.0),
         # S11 is nearly singular in one replication (82, in the third block)
         SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=5.5e-5, T=100, seed=20),
     ], ids=["noiseless", "ec-noise"])
@@ -404,7 +422,7 @@ class TestBlockedCriticalValues:
         Repeating(rng_for(5, 101)).standard_normal(out=z)
         z = np.cumsum(z + (1.0 if case == "uconst" else 0.0), axis=0)
         with pytest.raises(VelakitError) as want:
-            rank_test(concentrate(z, k=1, case=case), case=case)
+            rank_test(concentrate(z, k=1, case=case))
         with pytest.raises(VelakitError) as blocked:
             monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
         assert blocked.type is type(want.value)
