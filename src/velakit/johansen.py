@@ -276,12 +276,14 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
 
 
 @np.errstate(all="ignore")
-def _stacked_trace_test(lam: np.ndarray, T_eff: int, p: int, case: str,
+def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str,
                         key: str = "95%"):
     """Trace statistics (n, p) for r = 0..p-1 and selected ranks (n,) from
     stacked descending eigenvalues (n, >= p).
 
-    The statistic for r sums log(1 - lambda) over the p - r smallest
+    ``T_eff`` is the effective sample size of every member (an int) or of
+    each (an (n, 1) array, for a stack whose members differ in lag). The
+    statistic for r sums log(1 - lambda) over the p - r smallest
     eigenvalues, smallest first; the selected rank is the smallest r whose
     statistic falls below the ``key`` critical value for p - r, or p when
     every null rejects.

@@ -2,10 +2,11 @@
 
 Every subset containing the dependent budget variable is crossed with the
 candidate lag lengths; a fit is admissible when the trace test selects
-exactly one cointegrating relation. Same-size subsets at one lag run as
-one stack, each recording its own failure. Admissible fits aggregate into a
-per-variable correlation row where sign conflicts are adjudicated by the
-coefficient with the larger |z|.
+exactly one cointegrating relation. Same-size subsets run as one stack
+over all lag candidates, each member recording its own failure: each lag
+is concentrated on its own, and the stages after it run once per size.
+Admissible fits aggregate into a per-variable correlation row where sign
+conflicts are adjudicated by the coefficient with the larger |z|.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from .johansen import RESTRICTED_CONSTANT, _check_case, _stacked_rank_test
+from .johansen import (
+    RESTRICTED_CONSTANT,
+    _check_case,
+    _check_dimension,
+    _record,
+    _stacked_concentrate,
+    _stacked_eigenproblem,
+    _stacked_trace_test,
+)
 from .lag_selection import level_matrix
 from .vecm import (
     CointegratingEquation,
@@ -85,37 +94,67 @@ def _fitted(subset, k: int, model: VecmModel) -> FittedSpec | RejectedSpec:
     return FittedSpec(subset=subset, k=k, model=model, equation=equation, criteria=criteria)
 
 
-def _fit_group(z: np.ndarray, subsets, names, k: int, case: str):
-    """Rank-test same-size subsets at one lag and fit those of rank 1, in
-    one stacked pass; one record per subset.
+def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
+    """Rank-test same-size subsets at every lag in ``ks`` and fit those of
+    rank 1; returns one record per (subset index, lag).
 
-    ``z`` holds the subsets' levels as an (n, T, p) array. The group's
-    concentration and eigenproblem give the rank decisions, and the same
-    moments and eigenvectors the rank-1 estimates (vecm._stacked_models).
-    A member that fails records its own typed error; a failure of the
-    whole group (too short a sample for the lag) is every member's.
+    ``z`` holds the subsets' levels as an (n, T, p) array. Each lag is
+    concentrated on its own, since W and X change shape with k; the lags'
+    moments all have one shape, so they stack lag-major along the member
+    axis and the eigenproblem, the trace test, the normalization and the
+    rank-1 estimates (vecm._stacked_models) run once for the whole size. A
+    member that fails records its own typed error; a failure of a whole lag
+    (too short a sample for it) is that lag's records', and one of the
+    whole size (more variables than the critical-value table covers) every
+    record's.
     """
+    n, T, p = z.shape
     try:
-        W, X, S11, lam, candidates, _, ranks, errors = _stacked_rank_test(
-            z, k, case, vectors=True)
+        _check_dimension(p)
     except VelakitError as exc:
-        return [_rejected(subset, k, exc) for subset in subsets]
-    out = [_rejected(subset, k, errors[i]) if i in errors
-           else None if rank == 1 else RejectedSpec(subset, k, f"selected rank {rank}")
-           for i, (subset, rank) in enumerate(zip(subsets, ranks.tolist()))]
-    keep = [i for i, record in enumerate(out) if record is None]
-    if keep:
-        kept = {}
+        return {(i, k): _rejected(subsets[i], k, exc) for i in range(n) for k in ks}
+    out, lags, errors = {}, [], {}
+    for k in ks:
         try:
-            beta = _stacked_phillips(candidates[keep], 1, kept)
-            models = _stacked_models(
-                z[keep], [names[i] for i in keep], k, 1, case, W[keep],
-                None if X is None else X[keep], S11[keep], lam[keep], beta, kept)
+            W, X, *moments, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
-            kept = dict.fromkeys(range(len(keep)), exc)
-        for j, i in enumerate(keep):
-            out[i] = _rejected(subsets[i], k, kept[j]) if j in kept \
-                else _fitted(subsets[i], k, models[j])
+            out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
+            continue
+        _record(errors, {len(lags) * n + i: e for i, e in failures.items()})
+        lags.append((k, W, X, moments))
+    if not lags:
+        return out
+    S00, S01, S11 = map(np.concatenate, zip(*(moments for *_, moments in lags)))
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    _, ranks = _stacked_trace_test(lam, np.repeat([T - k for k, *_ in lags], n)[:, None], p,
+                                   case)
+    keep = []  # stack positions j, lag j // n and subset j % n, of the rank-1 members
+    for j, rank in enumerate(ranks.tolist()):
+        i, k = j % n, lags[j // n][0]
+        if j in errors:
+            out[i, k] = _rejected(subsets[i], k, errors[j])
+        elif rank != 1:
+            out[i, k] = RejectedSpec(subsets[i], k, f"selected rank {rank}")
+        else:
+            keep.append(j)
+    if not keep:
+        return out
+    keep = np.array(keep)
+    lag_of, member = np.divmod(keep, n)
+    ks_kept, W_kept, X_kept = zip(*(
+        (k, W[rows], None if X is None else X[rows])
+        for b, (k, W, X, _) in enumerate(lags) if (rows := member[lag_of == b]).size))
+    kept = {}
+    try:
+        beta = _stacked_phillips(candidates[keep], 1, kept)
+        models = _stacked_models(z[member], [names[i] for i in member], ks_kept, 1, case,
+                                 W_kept, X_kept, S11[keep], lam[keep], beta, kept)
+    except VelakitError as exc:
+        kept = dict.fromkeys(range(len(keep)), exc)
+    for pos, (b, i) in enumerate(zip(lag_of.tolist(), member.tolist())):
+        k = lags[b][0]
+        out[i, k] = _rejected(subsets[i], k, kept[pos]) if pos in kept \
+            else _fitted(subsets[i], k, models[pos])
     return out
 
 
@@ -124,14 +163,20 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
                        agency_id: str | None = None) -> SpecificationReport:
     """Fit every subset x lag candidate, keeping rank-1 fits.
 
-    The case and the lag candidates (distinct integers >= 1) are validated
-    first (ValidationError). Failures (selected rank != 1, singular moment
-    matrices, short samples) are recorded with their reason rather than
-    dropped silently. Subsets of one size are fitted together at each lag
-    (_fit_group); the records come in subset-major, lag-ascending order.
+    The case, the subsets (at least one) and the lag candidates (at least
+    one, distinct integers >= 1) are validated first (ValidationError).
+    Failures (selected rank != 1, singular moment matrices, short samples)
+    are recorded with their reason rather than dropped silently. Subsets of
+    one size are fitted together, at every lag in one stack (_fit_group);
+    the records come in subset-major, lag-ascending order.
     """
     _check_case(case)
+    subsets = list(subsets)
+    if not subsets:
+        raise ValidationError("no subsets to fit: subsets is empty")
     ks = list(k_candidates)
+    if not ks:
+        raise ValidationError("no lag candidates to fit: k_candidates is empty")
     for i, k in enumerate(ks):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValidationError(f"lag candidate k={k!r} must be an integer >= 1")
@@ -139,7 +184,6 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
             raise ValidationError(f"lag candidate k={k!r} is repeated")
     ks.sort()
     agency = agency_id or getattr(panel, "agency_id", "?")
-    subsets = list(subsets)
     by_size: dict[int, list[int]] = {}
     for pos, subset in enumerate(subsets):
         by_size.setdefault(len(subset), []).append(pos)
@@ -155,11 +199,9 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
                 group.append(pos)
         if not group:
             continue
-        z = np.stack([zi for zi, _ in levels])
-        for k in ks:
-            out = _fit_group(z, [subsets[pos] for pos in group],
-                             [names for _, names in levels], k, case)
-            outcome.update(((pos, k), spec) for pos, spec in zip(group, out))
+        out = _fit_group(np.stack([zi for zi, _ in levels]), [subsets[pos] for pos in group],
+                         [names for _, names in levels], ks, case)
+        outcome.update(((group[i], k), spec) for (i, k), spec in out.items())
     records = [outcome[pos, k] for pos in range(len(subsets)) for k in ks]
     fitted = [r for r in records if isinstance(r, FittedSpec)]
     rejected = [r for r in records if isinstance(r, RejectedSpec)]

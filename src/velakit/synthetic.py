@@ -294,7 +294,7 @@ def generate_vecm_data(spec: SyntheticSpec, rep: int = 0) -> np.ndarray:
     return np.ascontiguousarray(_simulate(spec, range(rep, rep + 1))[:, :, 0])
 
 
-def random_walk_spec(p: int, T: int, seed: int, noise_scale: float = 1.0) -> SyntheticSpec:
+def random_walk_spec(p: int, T: int, seed: int) -> SyntheticSpec:
     """p independent driftless random walks (rank 0)."""
     return SyntheticSpec(
         p=p,
@@ -303,7 +303,6 @@ def random_walk_spec(p: int, T: int, seed: int, noise_scale: float = 1.0) -> Syn
         beta_true=np.zeros((p, 0)),
         T=T,
         seed=seed,
-        noise_scale=noise_scale,
     )
 
 

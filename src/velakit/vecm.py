@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonNormalizableError, NumericalError, ValidationError
+from .errors import NonNormalizableError, NumericalError, ValidationError, VelakitError
 from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
@@ -155,26 +155,45 @@ def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: 
 
 
 @np.errstate(all="ignore")
-def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
-                    case: str, W: np.ndarray, X: np.ndarray | None, S11: np.ndarray,
-                    lam: np.ndarray, beta: np.ndarray, errors: dict,
-                    beta_source: str = "eigen") -> list[VecmModel | None]:
+def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k, r: int,
+                    case: str, W, X, S11: np.ndarray, lam: np.ndarray, beta: np.ndarray,
+                    errors: dict, beta_source: str = "eigen") -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), from the moments its rank test already computed.
 
     ``names`` holds each series' variable names; W, X, S11 and lam come
-    from johansen._stacked_rank_test for the same stack. Returns one
-    VecmModel per member, None for a member with an error in ``errors``.
+    from johansen._stacked_rank_test for the same stack. A stack whose
+    members differ in lag passes k, W and X as sequences, one entry per
+    lag, each lag's members consecutive in the stack (W and X change shape
+    with k, so each lag's come from its own johansen._stacked_concentrate):
+    the conditional regression (_stacked_fit) runs per lag and the beta
+    inference once, with each member's own T_eff in the Gram matrix
+    T_eff * S11. A failure of one lag's regression as a whole is each of
+    its members' error. Returns one VecmModel per member, None for a member
+    with an error in ``errors``.
     """
-    n, T, p = z.shape
+    _, T, p = z.shape
     _check_rank(r, p)
-    coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(W, X, beta, errors)
-    T_eff = T - k
-    alpha = coef[:, :r].swapaxes(1, 2)
+    lags = [(k, W, X)] if np.ndim(k) == 0 else list(zip(k, W, X))
+    fits, parts, start = [], [], 0  # per lag: (k, first member, coefficients, n_params)
+    for k, W, X in lags:
+        m, failures = len(W), {}
+        try:
+            coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(
+                W, X, beta[start : start + m], failures)
+        except VelakitError as exc:  # the whole lag's, overriding its members' own
+            errors.update(dict.fromkeys(range(start, start + m), exc))
+            coef, sigma, n_params = np.zeros((m, r, p)), np.broadcast_to(np.eye(p), (m, p, p)), 0
+            loglik = aic = bic = np.full(m, np.nan)
+        _record(errors, {start + i: e for i, e in failures.items()})
+        fits.append((k, start, coef, n_params))
+        parts.append((coef[:, :r].swapaxes(1, 2), sigma, loglik, aic, bic, np.full(m, T - k)))
+        start += m
+    alpha, sigma, loglik, aic, bic, T_eff = map(np.concatenate, zip(*parts))
     p_aug = beta.shape[1]
     # R1'R1 restricted to the free coordinates, from the rank test's S11
-    beta_se, beta_z, wald = _stacked_beta_inference(T_eff * S11[:, r:, r:], beta, alpha, sigma)
-    n_short = p * (k - 1)
+    beta_se, beta_z, wald = _stacked_beta_inference(
+        T_eff[:, None, None] * S11[:, r:, r:], beta, alpha, sigma)
     return [
         None if i in errors else VecmModel(
             vars=names[i],
@@ -183,8 +202,8 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
             case=case,
             alpha=alpha[i],
             beta=beta[i],
-            gamma=tuple(coef[i, r + j : r + j + p].T for j in range(0, n_short, p)),
-            mu=coef[i, -1].copy() if case == UNRESTRICTED_CONSTANT else np.zeros(p),
+            gamma=tuple(coef[i - start, r + j : r + j + p].T for j in range(0, p * (k - 1), p)),
+            mu=coef[i - start, -1].copy() if case == UNRESTRICTED_CONSTANT else np.zeros(p),
             sigma=sigma[i],
             loglik=float(loglik[i]),
             aic=float(aic[i]),
@@ -194,12 +213,13 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k: int, r: int,
             wald_chi2=float(wald[i]),
             wald_dof=(p_aug - r) * r,
             eigenvalues=lam[i, :p],
-            T_eff=T_eff,
+            T_eff=T - k,
             n_params=n_params,
             beta_source=beta_source,
             level_means=z[i].mean(axis=0),
         )
-        for i in range(n)
+        for k, start, coef, n_params in fits
+        for i in range(start, start + len(coef))
     ]
 
 

@@ -11,6 +11,7 @@ from velakit.johansen import (
     TRACE_CRITICAL,
     MomentMatrices,
     _stacked_rank_test,
+    _stacked_trace_test,
     concentrate,
     rank_test,
     solve_cointegration_eigenproblem,
@@ -309,3 +310,22 @@ class TestStackedRank0Kernel:
         healthy = [0, 1, 2, 4, 5]
         assert list(errors) == [3]
         assert np.array_equal(trace[healthy, 0], [n1_trace_r0(z[i], case) for i in healthy])
+
+
+class TestPerMemberSampleSize:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(1, 6), n=st.integers(1, 12), case=st.sampled_from(CASES),
+           key=st.sampled_from(["90%", "95%", "99%"]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_rows_equal_their_scalar_calls(self, p, n, case, key, seed, data):
+        # a stack whose members differ in lag passes one T_eff per member;
+        # each row is its scalar call, bit for bit, selected rank included
+        T_eff = np.array(data.draw(st.lists(st.integers(10, 500), min_size=n, max_size=n)))
+        # descending eigenvalues spread over [0, 1), so every rank occurs
+        lam = -np.sort(-rng_for(seed, 0).uniform(0.0, 0.6, (n, p + 1)) ** 3, axis=1)
+        trace, ranks = _stacked_trace_test(lam, T_eff[:, None], p, case, key)
+        for i in range(n):
+            want_trace, want_rank = _stacked_trace_test(lam[i : i + 1], int(T_eff[i]), p, case,
+                                                        key)
+            assert np.array_equal(trace[i], want_trace[0])
+            assert ranks[i] == want_rank[0]

@@ -2,10 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference
 from velakit.errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from velakit.johansen import _stacked_rank_test, concentrate, rank_test
+from velakit.johansen import (
+    _stacked_concentrate,
+    _stacked_eigenproblem,
+    _stacked_rank_test,
+    concentrate,
+    rank_test,
+)
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
@@ -15,7 +23,7 @@ from velakit.spec_search import (
     fit_specifications,
     run_specification_search,
 )
-from velakit.synthetic import rng_for
+from velakit.synthetic import generate_vecm_data, random_walk_spec, rng_for
 from velakit.vecm import (
     CointegratingEquation,
     _stacked_models,
@@ -351,3 +359,132 @@ class TestStackedSearch:
         panel = synthetic_log_panel(T=60, seed=4)
         with pytest.raises(ValidationError, match=f"k={ks[-1]!r}"):
             fit_specifications(panel, [("sb", "gpc", "md")], k_candidates=ks)
+
+
+def duplicated_panel(T, seed):
+    """The synthetic panel with sd a copy of ed: a subset holding both is
+    degenerate, at any lag."""
+    base = synthetic_log_panel(T=T, seed=seed)
+    series = {v: base.series[v].copy() for v in VARIABLES}
+    series["sd"] = series["ed"].copy()
+    return LogLevelPanel(agency_id="DUP", years=base.years, series=series)
+
+
+def single_lag_records(panel, subsets, k, case):
+    """Each subset's record from fit_specifications at the one lag k: a
+    FittedSpec, or the reason of its rejection. When no subset is
+    admissible at k the call raises; its reasons are then the n=1 calls'."""
+    try:
+        report = fit_specifications(panel, subsets, (k,), case=case)
+    except NoAdmissibleSpecError:
+        fitted, rejected = n1_search(panel, subsets, (k,), case)
+        assert not fitted
+        return {s: reason for s, _, reason in rejected}
+    return {r.subset: r if isinstance(r, FittedSpec) else r.reason
+            for r in report.specs + report.rejected}
+
+
+def assert_merges_single_lags(panel, subsets, ks, case):
+    """fit_specifications over ks gives, record for record, the subset-major
+    merge of its single-lag calls."""
+    per_lag = {k: single_lag_records(panel, subsets, k, case) for k in ks}
+    want = [(s, k, per_lag[k][s]) for s in subsets for k in sorted(ks)]
+    want_fitted = [(s, k, r) for s, k, r in want if isinstance(r, FittedSpec)]
+    want_rejected = [(s, k, r) for s, k, r in want if isinstance(r, str)]
+    if not want_fitted:
+        with pytest.raises(NoAdmissibleSpecError, match=f"[(]{len(want)} attempts[)]"):
+            fit_specifications(panel, subsets, ks, case=case)
+        return
+    report = fit_specifications(panel, subsets, ks, case=case)
+    assert [(r.subset, r.k, r.reason) for r in report.rejected] == want_rejected
+    assert [(f.subset, f.k) for f in report.specs] == [(s, k) for s, k, _ in want_fitted]
+    for got, (_, _, spec) in zip(report.specs, want_fitted):
+        assert_same_model(got.model, spec.model, f"{got.subset} k={got.k}")
+        assert (got.model.T_eff, got.model.n_params) == (spec.model.T_eff, spec.model.n_params)
+        assert got.equation == spec.equation and got.criteria == spec.criteria
+
+
+class TestMergedLags:
+    """All lags of one subset size share one stack after concentration; a
+    lag's records do not depend on which other lags share it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ks=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+           case=st.sampled_from(["rconst", "uconst"]), seed=st.integers(0, 10**6),
+           T=st.sampled_from([40, 60]),
+           subsets=st.permutations(enumerate_specifications(min_size=2)),
+           count=st.integers(1, 31))
+    def test_records_are_the_single_lag_records(self, ks, case, seed, T, subsets, count):
+        assert_merges_single_lags(duplicated_panel(T, seed), subsets[:count], ks, case)
+
+    def test_member_errors_keep_their_lag(self):
+        # the degenerate subset fails differently at each lag: in the k=1
+        # eigenproblem, and in the k=2 concentration, whose error must land
+        # on its k=2 member of the merged stack, not on its k=1 member
+        panel = duplicated_panel(40, 42)
+        subsets = [("sb", "gpc", "rd", "md", "ed"), ("sb", "gpc", "md", "ed", "sd"),
+                   ("sb", "gpc", "md")]
+        report = fit_specifications(panel, subsets, (2, 1))
+        reasons = {(r.subset, r.k): r.reason for r in report.rejected}
+        assert reasons[subsets[1], 1].startswith(
+            "NotPositiveDefiniteError: degenerate moment matrix: non-positive-definite pivot")
+        assert reasons[subsets[1], 2].startswith(
+            "SingularMatrixError: regressor matrix is rank deficient at column 4")
+        assert_merges_single_lags(panel, subsets, (2, 1), "rconst")
+
+    def test_short_lag_fails_alone(self):
+        # at k=8 the sizes 4 and 5 are short of sample; their other lags,
+        # and the size-3 subsets at k=8, are still fitted
+        panel = duplicated_panel(40, 42)
+        subsets = [("sb", "gpc", "rd", "md", "ed"), ("sb", "gpc", "md", "ed"),
+                   ("sb", "gpc", "rd", "md"), ("sb", "gpc", "md")]
+        report = fit_specifications(panel, subsets, (1, 8))
+        short = {(r.subset, r.k) for r in report.rejected
+                 if r.reason.startswith("ValidationError: insufficient sample: T_eff=32")}
+        assert short == {(s, 8) for s in subsets[:3]}
+        assert {(f.subset, f.k) for f in report.specs} >= {(subsets[2], 1), (subsets[3], 1)}
+        assert_merges_single_lags(panel, subsets, (1, 8), "rconst")
+
+    def test_oversized_subset_fails_at_every_lag(self):
+        # seven columns exceed the critical-value table: one record per lag,
+        # all with that reason, although the k=2 concentration would also
+        # fail (the duplicated sb makes its short-run regressors singular)
+        panel = synthetic_log_panel(T=40, seed=42)
+        subsets = [("sb", "gpc", "rd", "md", "ed", "sd", "sb"), ("sb", "gpc", "md")]
+        report = fit_specifications(panel, subsets, (1, 2))
+        reason = "ValidationError: critical values tabulated up to dimension 6, got p=7"
+        assert [(r.subset, r.k, r.reason) for r in report.rejected] == [
+            (subsets[0], 1, reason), (subsets[0], 2, reason)]
+        assert_merges_single_lags(panel, subsets, (1, 2), "rconst")
+
+    def test_failed_lag_regression_is_its_members_error(self):
+        # at k=33 two series leave 64 short-run regressors, the column cap:
+        # the concentration passes, but the conditional regression adds the
+        # error-correction column and fails as a whole. That lag's members
+        # record the error estimate_vecm raises; the k=1 members are fitted
+        z = np.stack([generate_vecm_data(random_walk_spec(2, 110, seed=9), rep)
+                      for rep in range(3)])
+        lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
+        errors = {}
+        S00, S01, S11 = (np.concatenate([lag[j] for lag in lags]) for j in (2, 3, 4))
+        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+        assert errors == {}
+        beta = _stacked_phillips(candidates, 1, errors)
+        names = [("y0", "y1")] * 6
+        models = _stacked_models(np.concatenate([z, z]), names, [1, 33], 1, "rconst",
+                                 [lag[0] for lag in lags], [lag[1] for lag in lags],
+                                 S11, lam, beta, errors)
+        with pytest.raises(ValidationError, match="cols capped at 64, got 65") as n1:
+            estimate_vecm(z[0], k=33, r=1)
+        assert sorted(errors) == [3, 4, 5]
+        assert all(errors[i] is errors[3] and str(errors[i]) == str(n1.value) for i in errors)
+        assert models[3:] == [None] * 3
+        for i in range(3):
+            assert_same_model(models[i], estimate_vecm(z[i], k=1, r=1), f"member {i}")
+
+    @pytest.mark.parametrize("subsets, ks, what", [
+        ([], (1, 2), "subsets"), ([("sb", "gpc")], (), "k_candidates")])
+    def test_empty_request_rejected_up_front(self, subsets, ks, what):
+        # an empty request is an invalid argument, not a search outcome
+        with pytest.raises(ValidationError, match=f"{what} is empty"):
+            fit_specifications(synthetic_log_panel(T=60, seed=4), subsets, k_candidates=ks)

@@ -99,7 +99,7 @@ class TestGenerate:
                       gamma_true=([[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.25]],
                                   [[-0.1, 0.0, 0.05], [0.0, 0.1, 0.0], [0.0, 0.0, -0.1]])),
         SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=1e-4, T=60, seed=5),
-        random_walk_spec(2, 60, seed=6, noise_scale=0.5),
+        dataclasses.replace(random_walk_spec(2, 60, seed=6), noise_scale=0.5),
     ], ids=["k1", "k3-mu", "ec-noise", "rank0"])
     def test_matches_per_step_recursion(self, spec):
         # the error-correction form, one step and one replication at a time

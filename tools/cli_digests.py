@@ -1,0 +1,70 @@
+"""Digests of the velakit CLI's outputs on the demo panel, one line per command.
+
+Each command runs in a fresh interpreter, from the checkout's root, with
+SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
+own. The line gives the exit code and the sha256 of stdout, stderr and each
+artifact. Two runs of one checkout must print the same lines (the rerun
+contract); a change that claims bit-identical outputs must print the lines
+of its parent commit.
+
+    python3 tools/cli_digests.py                  # this checkout
+    python3 tools/cli_digests.py --root ../other  # another checkout
+
+Standard library only; velakit is imported from the checkout's src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PANEL = ["--input", "sample_data/demo_panel.csv", "--agency", "DEMO"]
+COMMANDS = {
+    "specsearch": ["specsearch", *PANEL],
+    "specsearch-k123": ["specsearch", *PANEL, "--min-size", "2", "--k-candidates", "1", "2", "3"],
+    "specsearch-k123-uconst": ["specsearch", *PANEL, "--min-size", "2",
+                               "--k-candidates", "1", "2", "3", "--case", "uconst"],
+    "pipeline-table": ["pipeline", *PANEL, "--format", "table"],
+    "pipeline-json": ["pipeline", *PANEL, "--format", "json"],
+    "vecrank": ["vecrank", *PANEL],
+    "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_line(root: Path, name: str, argv: list[str]) -> str:
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000", "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as out_dir:
+        proc = subprocess.run([sys.executable, "-m", "velakit.cli", *argv, "--out-dir", out_dir],
+                              cwd=root, env=env, capture_output=True, check=False)
+        artifacts = sorted(Path(out_dir).rglob("*"))
+        fields = [f"exit={proc.returncode}", f"stdout={sha256(proc.stdout)}",
+                  f"stderr={sha256(proc.stderr)}"]
+        fields += [f"{path.relative_to(out_dir)}={sha256(path.read_bytes())}"
+                   for path in artifacts if path.is_file()]
+    return f"{name} " + " ".join(fields)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="root of the velakit checkout to run (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if not (root / "src" / "velakit" / "cli.py").is_file():
+        parser.error(f"{root} is not a velakit checkout")
+    for name, command in COMMANDS.items():
+        print(digest_line(root, name, command), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
