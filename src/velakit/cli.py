@@ -88,6 +88,17 @@ def _write_artifacts(args, stem: str, payload: dict, text: str,
     sys.stdout.write(data if args.format == "json" else text)
 
 
+def _emit(args, stem: str, body: dict, text: str, manifest=None,
+          extra: tuple[str, str] | None = None) -> int:
+    """Write a command's artifacts and output (_write_artifacts): the payload
+    is the manifest, by default the panel manifest of args.command and
+    --input, followed by ``body``."""
+    if manifest is None:
+        manifest = make_manifest(args.command, input_paths={"panel": args.input})
+    _write_artifacts(args, stem, {"manifest": manifest, **body}, text, extra)
+    return EXIT_OK
+
+
 def _load_log_panel(args):
     panel = load_panel(args.input, args.agency)
     repaired = interpolate_missing(panel)
@@ -96,9 +107,7 @@ def _load_log_panel(args):
 
 def cmd_ingest(args) -> int:
     panel, repaired, logs = _load_log_panel(args)
-    manifest = make_manifest("ingest", input_paths={"panel": args.input})
-    payload = {
-        "manifest": manifest,
+    body = {
         "agency": panel.agency_id,
         "years": [int(y) for y in panel.years],
         "missing_before_repair": [list(c) for c in panel.missing_cells()],
@@ -110,8 +119,7 @@ def cmd_ingest(args) -> int:
         f"panel {panel.agency_id}: years {panel.years[0]}-{panel.years[-1]} "
         f"({panel.n_years} rows), {n_missing} missing cell(s) repaired\n"
     )
-    _write_artifacts(args, f"panel_{panel.agency_id}", payload, text)
-    return EXIT_OK
+    return _emit(args, f"panel_{panel.agency_id}", body, text)
 
 
 def cmd_adf(args) -> int:
@@ -125,29 +133,23 @@ def cmd_adf(args) -> int:
         results[f"d.{name}"] = adf_test(
             np.diff(logs.series[name]), lags=max(0, diff_lags), deterministic=deterministic
         )
-    manifest = make_manifest("adf", input_paths={"panel": args.input})
-    payload = {"manifest": manifest, "agency": args.agency, "results": results}
-    _write_artifacts(args, f"adf_{args.agency}", payload, render_adf_table(results))
-    return EXIT_OK
+    return _emit(args, f"adf_{args.agency}", {"agency": args.agency, "results": results},
+                 render_adf_table(results))
 
 
 def cmd_lagselect(args) -> int:
     _, _, logs = _load_log_panel(args)
     table = select_lag(logs, _parse_vars(args.vars), k_max=args.kmax)
-    manifest = make_manifest("lagselect", input_paths={"panel": args.input})
-    payload = {"manifest": manifest, "agency": args.agency, "table": table}
-    _write_artifacts(args, f"lagselect_{args.agency}", payload, render_lag_table(table))
-    return EXIT_OK
+    return _emit(args, f"lagselect_{args.agency}", {"agency": args.agency, "table": table},
+                 render_lag_table(table))
 
 
 def cmd_vecrank(args) -> int:
     _, _, logs = _load_log_panel(args)
     m = concentrate(logs, _parse_vars(args.vars), k=args.lags, case=args.case)
     result = rank_test(m)
-    manifest = make_manifest("vecrank", input_paths={"panel": args.input})
-    payload = {"manifest": manifest, "agency": args.agency, "rank_test": result}
-    _write_artifacts(args, f"vecrank_{args.agency}", payload, render_rank_table(result))
-    return EXIT_OK
+    return _emit(args, f"vecrank_{args.agency}", {"agency": args.agency, "rank_test": result},
+                 render_rank_table(result))
 
 
 def cmd_vecm(args) -> int:
@@ -156,9 +158,7 @@ def cmd_vecm(args) -> int:
                           case=args.case)
     equation = normalize_cointegrating_equation(model) if args.rank == 1 else None
     moduli, unit_count, stable = stability_check(model)
-    manifest = make_manifest("vecm", input_paths={"panel": args.input})
-    payload = {
-        "manifest": manifest,
+    body = {
         "agency": args.agency,
         "model": model,
         "equation": equation,
@@ -169,8 +169,7 @@ def cmd_vecm(args) -> int:
         if equation is not None
         else f"estimated rank-{args.rank} model over {model.vars} (no single equation)\n"
     )
-    _write_artifacts(args, f"vecm_{args.agency}", payload, text)
-    return EXIT_OK
+    return _emit(args, f"vecm_{args.agency}", body, text)
 
 
 def _spec_report_payload(report):
@@ -210,17 +209,15 @@ def cmd_specsearch(args) -> int:
     report = run_specification_search(
         logs, min_size=args.min_size, k_candidates=tuple(args.k_candidates), case=args.case
     )
-    manifest = make_manifest("specsearch", input_paths={"panel": args.input})
-    payload = {"manifest": manifest, **_spec_report_payload(report)}
-    _write_artifacts(args, f"specsearch_{args.agency}", payload, _spec_report_text(report))
-    return EXIT_OK
+    return _emit(args, f"specsearch_{args.agency}", _spec_report_payload(report),
+                 _spec_report_text(report))
 
 
 def cmd_pipeline(args) -> int:
     """ingest -> repair -> log -> ADF -> lag selection -> spec search -> table."""
     stages: dict[str, object] = {}
     manifest = make_manifest("pipeline", input_paths={"panel": args.input})
-    payload = {"manifest": manifest, "agency": args.agency, "stages": stages}
+    body = {"agency": args.agency, "stages": stages}
     stage = "ingest"
     try:
         panel = load_panel(args.input, args.agency)
@@ -247,8 +244,8 @@ def cmd_pipeline(args) -> int:
         )
         stages["specification_search"] = _spec_report_payload(report)
     except VelakitError as exc:
-        payload["failed_stage"] = stage
-        payload["error"] = f"{type(exc).__name__}: {exc}"
+        payload = {"manifest": manifest, **body, "failed_stage": stage,
+                   "error": f"{type(exc).__name__}: {exc}"}
         sys.stderr.write(f"pipeline failed at stage {stage}: {exc}\n")
         if args.out_dir:
             _write_file(_make_out_dir(args) / f"pipeline_{args.agency}.json", dump_json(payload))
@@ -263,8 +260,7 @@ def cmd_pipeline(args) -> int:
             _spec_report_text(report),
         ]
     )
-    _write_artifacts(args, f"pipeline_{args.agency}", payload, text)
-    return EXIT_OK
+    return _emit(args, f"pipeline_{args.agency}", body, text, manifest)
 
 
 def cmd_mission(args) -> int:
@@ -277,11 +273,8 @@ def cmd_mission(args) -> int:
         config = dataclasses.replace(config, horizon_years=args.horizon_years)
         command = f"mission --horizon-years {args.horizon_years}"
     plan = allocate(config)
-    manifest = make_manifest(command, config_digest=file_digest(config_path))
-    payload = {"manifest": manifest, "plan": plan}
-    text = render_mission_plan(plan)
-    _write_artifacts(args, "mission", payload, text)
-    return EXIT_OK
+    return _emit(args, "mission", {"plan": plan}, render_mission_plan(plan),
+                 make_manifest(command, config_digest=file_digest(config_path)))
 
 
 def cmd_mc_validate(args) -> int:
@@ -305,7 +298,7 @@ def cmd_mc_validate(args) -> int:
         )
         stats = result.statistics
         result = dataclasses.replace(result, statistics=None)
-        payload_body = {"critical_value_study": result}
+        body = {"critical_value_study": result}
     else:
         spec = study_spec(T=args.T, seed=args.seed)
         study = run_recovery_study(spec, reps=args.reps, case=args.case)
@@ -317,7 +310,7 @@ def cmd_mc_validate(args) -> int:
             f"  alpha rmse: {study.alpha_rmse:.4f}\n"
         )
         stats = None
-        payload_body = {"recovery_study": keep}
+        body = {"recovery_study": keep}
 
     csv = None
     if args.dump_reps:
@@ -330,10 +323,8 @@ def cmd_mc_validate(args) -> int:
                      f"{float(row['beta_angle_deg'])!r},{float(row['trace_r0'])!r}\n"
                      for row in study.per_rep]
         csv = (f"mcvalidate_{args.study}_reps.csv", "".join(rows))
-    manifest = make_manifest(f"mc-validate/{args.study}", seeds=seeds)
-    payload = {"manifest": manifest, **payload_body}
-    _write_artifacts(args, f"mcvalidate_{args.study}", payload, text, csv)
-    return EXIT_OK
+    return _emit(args, f"mcvalidate_{args.study}", body, text,
+                 make_manifest(f"mc-validate/{args.study}", seeds=seeds), csv)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -186,13 +186,15 @@ def rank_test(m: MomentMatrices, level: float = 0.05) -> RankTestResult:
 def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     """concentrate for each series of an (n, T, p) stack of levels, in one pass.
 
-    Returns (W, X, S00, S01, S11, errors): W (n, T_eff, p + p_aug) holds
-    the regressand dz_t in its first p columns and the level term (z_{t-1},
-    and a ones column under rconst) in the rest, X the short-run
-    regressors (None when there are none), and the S are the T-normalized
-    concentrated moments, blocks of one cross product of the joint
-    residuals. errors starts with non-finite levels and the short-run
-    regression's SingularMatrixError.
+    One regression of [dz_t, z*_{t-1}] (z*_{t-1} being z_{t-1}, and a ones
+    column under rconst) on the short-run regressors (the lagged
+    differences, and a ones column under uconst). Returns (R, B, S00, S01,
+    S11, errors): R (n, T_eff, p + p_aug) holds its residuals, R0 in the
+    first p columns and R1 in the rest; B (n, short-run columns, p + p_aug)
+    its coefficients (no rows when there are no short-run regressors, R
+    then being [dz_t, z*_{t-1}] itself); and the S are the T-normalized
+    concentrated moments, blocks of R'R / T_eff. errors starts with
+    non-finite levels and the short-run regression's SingularMatrixError.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -217,7 +219,7 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     Wt[:, p : 2 * p] = zt[:, :, k - 1 : -1]
     Wt[:, 2 * p :] = 1.0
     W = R = Wt.swapaxes(1, 2)
-    X = None
+    B = np.zeros((n, 0, p + p_aug))
     if n_short:
         Xt = np.empty((n, n_short, T_eff))
         for i in range(1, k):
@@ -225,11 +227,11 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
                         out=Xt[:, (i - 1) * p : i * p])
         Xt[:, p * (k - 1) :] = 1.0
         X = Xt.swapaxes(1, 2)
-        _, R, _, failures = _stacked_ols(X, W)
+        B, R, _, failures = _stacked_ols(X, W)
         _record(errors, failures)
     S = R.swapaxes(1, 2) @ R
     S /= T_eff
-    return W, X, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], errors
+    return R, B, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], errors
 
 
 @np.errstate(all="ignore")
@@ -298,13 +300,14 @@ def _stacked_rank_test(z: np.ndarray, k: int, case: str, vectors: bool = False):
     """concentrate and rank_test for each series of an (n, T, p) stack of
     levels, in one pass.
 
-    Returns (W, X, S11, eigenvalues, candidates, trace, ranks, errors) of
+    Returns (R, B, S11, eigenvalues, candidates, trace, ranks, errors) of
     _stacked_concentrate, _stacked_eigenproblem (candidates only with
-    ``vectors``) and _stacked_trace_test at 5%; the estimators reuse them.
+    ``vectors``) and _stacked_trace_test at 5%; the estimators take alpha,
+    sigma and the short-run coefficients from R and B (vecm._stacked_fit).
     """
     n, T, p = z.shape
     _check_dimension(p)
-    W, X, S00, S01, S11, errors = _stacked_concentrate(z, k, case)
+    R, B, S00, S01, S11, errors = _stacked_concentrate(z, k, case)
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=vectors)
     trace, ranks = _stacked_trace_test(lam, T - k, p, case)
-    return W, X, S11, lam, candidates, trace, ranks, errors
+    return R, B, S11, lam, candidates, trace, ranks, errors

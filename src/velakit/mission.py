@@ -132,8 +132,6 @@ def config_from_dict(doc: dict) -> MissionConfig:
 
 def load_config(path: str | Path) -> MissionConfig:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such config file: {path}")
     try:
         doc = json.loads(read_input(path).decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -91,10 +91,14 @@ class MacroPanel:
         return out
 
     def matrix(self, vars: tuple[str, ...] = VARIABLES) -> np.ndarray:
-        """Stack the named series as a (years x vars) array."""
+        """Stack the named series as a (years x vars) array; an unknown or
+        repeated name is a ValidationError naming it."""
         unknown = [v for v in vars if v not in VARIABLES]
         if unknown:
             raise ValidationError(f"unknown variables {unknown}")
+        repeated = [v for i, v in enumerate(vars) if v in vars[:i]]
+        if repeated:
+            raise ValidationError(f"repeated variables {repeated}")
         return np.column_stack([self.series[v] for v in vars])
 
 
@@ -110,8 +114,6 @@ def load_panel(path: str | Path, agency_id: str) -> MacroPanel:
     unknown columns are rejected with row/column diagnostics.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
     data = read_input(path)
     try:
         # utf-8-sig: spreadsheet exports often start with a byte-order mark

@@ -99,7 +99,7 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     rank 1; returns one record per (subset index, lag).
 
     ``z`` holds the subsets' levels as an (n, T, p) array. Each lag is
-    concentrated on its own, since W and X change shape with k; the lags'
+    concentrated on its own, since R and B change shape with k; the lags'
     moments all have one shape, so they stack lag-major along the member
     axis and the eigenproblem, the trace test, the normalization and the
     rank-1 estimates (vecm._stacked_models) run once for the whole size. A
@@ -116,12 +116,12 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     out, lags, errors = {}, [], {}
     for k in ks:
         try:
-            W, X, *moments, failures = _stacked_concentrate(z, k, case)
+            R, B, *moments, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
             out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
             continue
         _record(errors, {len(lags) * n + i: e for i, e in failures.items()})
-        lags.append((k, W, X, moments))
+        lags.append((k, R, B, moments))
     if not lags:
         return out
     S00, S01, S11 = map(np.concatenate, zip(*(moments for *_, moments in lags)))
@@ -141,14 +141,13 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
         return out
     keep = np.array(keep)
     lag_of, member = np.divmod(keep, n)
-    ks_kept, W_kept, X_kept = zip(*(
-        (k, W[rows], None if X is None else X[rows])
-        for b, (k, W, X, _) in enumerate(lags) if (rows := member[lag_of == b]).size))
+    fit_lags = [(k, R[rows], B[rows])
+                for b, (k, R, B, _) in enumerate(lags) if (rows := member[lag_of == b]).size]
     kept = {}
     try:
         beta = _stacked_phillips(candidates[keep], 1, kept)
-        models = _stacked_models(z[member], [names[i] for i in member], ks_kept, 1, case,
-                                 W_kept, X_kept, S11[keep], lam[keep], beta, kept)
+        models = _stacked_models(z[member], [names[i] for i in member], fit_lags, 1, case,
+                                 S11[keep], lam[keep], beta, kept)
     except VelakitError as exc:
         kept = dict.fromkeys(range(len(keep)), exc)
     for pos, (b, i) in enumerate(zip(lag_of.tolist(), member.tolist())):

@@ -423,12 +423,12 @@ class RecoveryStudy:
 def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     """(trace_r0, selected rank, beta angle, mean squared alpha error) per
     replication of an (n, T, p) block, in one stacked pass
-    (johansen._stacked_rank_test, then vecm._stacked_fit on its moments);
+    (johansen._stacked_rank_test, then vecm._stacked_fit on its R and B);
     raises the error of the block's first failing replication."""
-    W, X, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
+    R, B, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
         z, spec.k, case, vectors=True)
     beta = _stacked_phillips(candidates, spec.r, errors)
-    coef, *_ = _stacked_fit(W, X, beta, errors)
+    coef, *_ = _stacked_fit(R, B, beta, errors)
     _raise_first(errors)
     alpha = coef[:, : spec.r].swapaxes(1, 2)
     return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),

@@ -1,8 +1,11 @@
 """Error-correction model estimation at a fixed cointegration rank.
 
 beta comes from the Johansen eigenproblem (or is supplied), normalized so
-its leading r x r block is the identity; alpha and the short-run matrices
-follow by per-equation OLS conditional on beta. Standard errors for the
+its leading r x r block is the identity. alpha, sigma and the short-run
+matrices conditional on beta come from the rank test's concentration
+(Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta, sigma that
+regression's residual covariance, and the short-run coefficients are the
+concentration's B0 - B1 beta alpha'. Standard errors for the
 free beta rows use the conditional (fixed-alpha) asymptotic covariance, and
 the headline chi-square is the joint Wald test that every non-normalized
 beta coefficient is zero.
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonNormalizableError, NumericalError, ValidationError, VelakitError
+from .errors import NonNormalizableError, NumericalError, ValidationError
 from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
@@ -88,7 +91,7 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
             "VAR instead (rank tests remain available via rank_test)"
         )
     _check_rank(r, p)
-    W, X, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
+    R, B, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
     if beta is None:
         beta_hat = _stacked_phillips(candidates, r, errors)
@@ -98,8 +101,8 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
         if beta_hat.shape != (p_aug, r):
             raise ValidationError(f"beta must have shape ({p_aug}, {r}), got {beta_hat.shape}")
         beta_hat = beta_hat[None]
-    models = _stacked_models(z[None], [names], k, r, case, W, X, S11, lam, beta_hat, errors,
-                             beta_source="eigen" if beta is None else "fixed")
+    models = _stacked_models(z[None], [names], [(k, R, B)], r, case, S11, lam, beta_hat,
+                             errors, beta_source="eigen" if beta is None else "fixed")
     _raise_first(errors)
     return models[0]
 
@@ -128,25 +131,26 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
 
 
 @np.errstate(all="ignore")
-def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: dict):
-    """The conditional regression of estimate_vecm for a stack: dz_t on
-    (beta'z*_{t-1}, lagged dz, deterministics), from the regressand W and
-    the short-run regressors X of johansen._stacked_concentrate and a beta
-    (n, p_aug, r).
+def _stacked_fit(R: np.ndarray, B: np.ndarray, beta: np.ndarray, errors: dict):
+    """The regression of dz_t on (beta'z*_{t-1}, lagged dz, deterministics)
+    for a stack, from the concentrated residuals R and short-run
+    coefficients B of johansen._stacked_concentrate and a beta (n, p_aug, r).
 
-    Returns (coefficients (n, r + short-run columns, p), sigma (n, p, p),
-    n_params, criteria), criteria being lag_selection.gaussian_criteria's
-    (loglik, AIC, BIC, HQIC) of sigma.
+    By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 (the first p
+    columns of R) on R1 beta, sigma comes from its residuals, and the
+    short-run rows are B0 - B1 beta alpha'. Returns (coefficients (n, r +
+    short-run columns, p), alpha' first, sigma (n, p, p), n_params,
+    criteria), criteria being lag_selection.gaussian_criteria's (loglik,
+    AIC, BIC, HQIC) of sigma.
     Records the regression's SingularMatrixError and gaussian_criteria's
     ValidationError where det sigma is not positive.
     """
-    T_eff = W.shape[1]
+    T_eff = R.shape[1]
     _, p_aug, r = beta.shape
-    p = W.shape[2] - p_aug
-    ec = W[:, :, p:] @ beta
-    coef, resid, _, failures = _stacked_ols(ec if X is None else np.concatenate([ec, X], axis=2),
-                                            W[:, :, :p])
+    p = R.shape[2] - p_aug
+    coef, resid, _, failures = _stacked_ols(R[:, :, p:] @ beta, R[:, :, :p])
     _record(errors, failures)
+    coef = np.concatenate([coef, B[:, :, :p] - B[:, :, p:] @ beta @ coef], axis=1)
     sigma = resid.swapaxes(1, 2) @ resid / T_eff
     n_params = p * coef.shape[1] + r * (p_aug - r)
     *criteria, failures = gaussian_criteria(sigma, T_eff, n_params)
@@ -155,36 +159,28 @@ def _stacked_fit(W: np.ndarray, X: np.ndarray | None, beta: np.ndarray, errors: 
 
 
 @np.errstate(all="ignore")
-def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], k, r: int,
-                    case: str, W, X, S11: np.ndarray, lam: np.ndarray, beta: np.ndarray,
+def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], lags: list, r: int,
+                    case: str, S11: np.ndarray, lam: np.ndarray, beta: np.ndarray,
                     errors: dict, beta_source: str = "eigen") -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
-    (n, p_aug, r), from the moments its rank test already computed.
+    (n, p_aug, r), from the concentration its rank test already ran.
 
-    ``names`` holds each series' variable names; W, X, S11 and lam come
-    from johansen._stacked_rank_test for the same stack. A stack whose
-    members differ in lag passes k, W and X as sequences, one entry per
-    lag, each lag's members consecutive in the stack (W and X change shape
-    with k, so each lag's come from its own johansen._stacked_concentrate):
-    the conditional regression (_stacked_fit) runs per lag and the beta
-    inference once, with each member's own T_eff in the Gram matrix
-    T_eff * S11. A failure of one lag's regression as a whole is each of
-    its members' error. Returns one VecmModel per member, None for a member
-    with an error in ``errors``.
+    ``names`` holds each series' variable names; S11 and lam come from
+    johansen._stacked_rank_test for the same stack. ``lags`` holds one
+    (k, R, B) per lag, R and B being that lag's johansen._stacked_concentrate
+    output for its members, which sit consecutively in the stack in the
+    order of ``lags`` (R and B change shape with k). _stacked_fit runs per
+    lag and the beta inference once, with each member's own T_eff in the
+    Gram matrix T_eff * S11. Returns one VecmModel per member, None for a
+    member with an error in ``errors``.
     """
     _, T, p = z.shape
     _check_rank(r, p)
-    lags = [(k, W, X)] if np.ndim(k) == 0 else list(zip(k, W, X))
     fits, parts, start = [], [], 0  # per lag: (k, first member, coefficients, n_params)
-    for k, W, X in lags:
-        m, failures = len(W), {}
-        try:
-            coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(
-                W, X, beta[start : start + m], failures)
-        except VelakitError as exc:  # the whole lag's, overriding its members' own
-            errors.update(dict.fromkeys(range(start, start + m), exc))
-            coef, sigma, n_params = np.zeros((m, r, p)), np.broadcast_to(np.eye(p), (m, p, p)), 0
-            loglik = aic = bic = np.full(m, np.nan)
+    for k, R, B in lags:
+        m, failures = len(R), {}
+        coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(
+            R, B, beta[start : start + m], failures)
         _record(errors, {start + i: e for i, e in failures.items()})
         fits.append((k, start, coef, n_params))
         parts.append((coef[:, :r].swapaxes(1, 2), sigma, loglik, aic, bic, np.full(m, T - k)))

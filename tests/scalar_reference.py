@@ -3,10 +3,13 @@
 This is the scalar chain velakit ran before its stacked kernel became the
 only estimator: concentration by two QR regressions (ols_fit), whitening
 with cholesky_factor, symmetric_eigendecomposition, the Phillips
-normalization by an explicit inverse, OLS conditional on beta, and the
-conditional covariance of the free beta rows by explicit inverses. Beside
-it sits the replication-major block simulator the Monte Carlo studies ran
-before the time-major one (simulate_reference).
+normalization by an explicit inverse, OLS conditional on beta over the
+full design [beta'z*_{t-1}, lagged dz, deterministics] (a second regression,
+where the kernel takes alpha, sigma and Gamma from the concentration's
+residuals and coefficients), and the conditional covariance of the free
+beta rows by explicit inverses. Beside it sits the replication-major block
+simulator the Monte Carlo studies ran before the time-major one
+(simulate_reference).
 Numerics only: inputs are assumed valid, and degenerate ones raise
 whatever the linalg primitives raise.
 """

@@ -97,7 +97,8 @@ class TestLoadPanel:
             load_panel(path, "DEMO")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError, match="no such file"):
+        with pytest.raises(ValidationError,
+                           match="cannot read .*nope.csv: No such file or directory"):
             load_panel(tmp_path / "nope.csv", "DEMO")
 
     def test_short_row_rejected(self, tmp_path):

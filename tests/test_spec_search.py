@@ -17,7 +17,9 @@ from velakit.johansen import (
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
+    RejectedSpec,
     SpecificationReport,
+    _fit_group,
     build_correlation_table,
     enumerate_specifications,
     fit_specifications,
@@ -333,12 +335,12 @@ class TestStackedSearch:
         # stack, is its n=1 fit
         z = np.stack([panel.matrix(s) for s in subsets[:2]])
         for k in (1, 2):
-            W, X, S11, lam, candidates, _, _, errors = _stacked_rank_test(
+            R, B, S11, lam, candidates, _, _, errors = _stacked_rank_test(
                 z, k, "rconst", vectors=True)
             assert list(errors) == [0]
             beta = _stacked_phillips(candidates, 1, errors)
-            models = _stacked_models(z, [subsets[0], subsets[1]], k, 1, "rconst", W, X, S11,
-                                     lam, beta, errors)
+            models = _stacked_models(z, [subsets[0], subsets[1]], [(k, R, B)], 1, "rconst",
+                                     S11, lam, beta, errors)
             assert models[0] is None
             assert_same_model(models[1], estimate_vecm(panel, subsets[1], k=k, r=1),
                               f"{subsets[1]} k={k}")
@@ -446,41 +448,67 @@ class TestMergedLags:
         assert_merges_single_lags(panel, subsets, (1, 8), "rconst")
 
     def test_oversized_subset_fails_at_every_lag(self):
-        # seven columns exceed the critical-value table: one record per lag,
-        # all with that reason, although the k=2 concentration would also
-        # fail (the duplicated sb makes its short-run regressors singular)
+        # seven distinct columns exceed the critical-value table: one record
+        # per lag, each with the reason of the one-system call
+        panel = synthetic_log_panel(T=40, seed=42)
+        z = np.column_stack([panel.matrix(), np.cumsum(rng_for(42, 7).standard_normal(40))])
+        names = (*VARIABLES, "x")
+        reason = "ValidationError: critical values tabulated up to dimension 6, got p=7"
+        assert n1_search(z, [names], (1, 2), "rconst") == ([], [(names, 1, reason),
+                                                                (names, 2, reason)])
+        assert _fit_group(z[None], [names], [names], (1, 2), "rconst") == {
+            (0, 1): RejectedSpec(names, 1, reason), (0, 2): RejectedSpec(names, 2, reason)}
+        with pytest.raises(NoAdmissibleSpecError, match="[(]2 attempts[)]"):
+            fit_specifications(z, [names], (1, 2))
+
+    def test_repeated_variable_fails_at_every_lag(self):
+        # a subset naming sb twice is an invalid input: the search records the
+        # error concentrate raises for it at each lag, before any dimension check
         panel = synthetic_log_panel(T=40, seed=42)
         subsets = [("sb", "gpc", "rd", "md", "ed", "sd", "sb"), ("sb", "gpc", "md")]
+        with pytest.raises(ValidationError, match=r"repeated variables \['sb'\]") as n1:
+            concentrate(panel, subsets[0], k=2)
+        reason = f"ValidationError: {n1.value}"
         report = fit_specifications(panel, subsets, (1, 2))
-        reason = "ValidationError: critical values tabulated up to dimension 6, got p=7"
-        assert [(r.subset, r.k, r.reason) for r in report.rejected] == [
+        assert [(r.subset, r.k, r.reason) for r in report.rejected][:2] == [
             (subsets[0], 1, reason), (subsets[0], 2, reason)]
         assert_merges_single_lags(panel, subsets, (1, 2), "rconst")
 
-    def test_failed_lag_regression_is_its_members_error(self):
-        # at k=33 two series leave 64 short-run regressors, the column cap:
-        # the concentration passes, but the conditional regression adds the
-        # error-correction column and fails as a whole. That lag's members
-        # record the error estimate_vecm raises; the k=1 members are fitted
+    def test_lag_at_the_column_cap_fits(self):
+        # at k=33 two series leave 64 short-run regressors, the column cap.
+        # The concentration takes them, and the fit adds no column to that
+        # regression, so the lag fits, alone and merged with k=1, and equals
+        # lstsq on the full 65-column conditional design
         z = np.stack([generate_vecm_data(random_walk_spec(2, 110, seed=9), rep)
                       for rep in range(3)])
-        lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
-        errors = {}
-        S00, S01, S11 = (np.concatenate([lag[j] for lag in lags]) for j in (2, 3, 4))
-        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
-        assert errors == {}
-        beta = _stacked_phillips(candidates, 1, errors)
         names = [("y0", "y1")] * 6
-        models = _stacked_models(np.concatenate([z, z]), names, [1, 33], 1, "rconst",
-                                 [lag[0] for lag in lags], [lag[1] for lag in lags],
+        R, B, S11, lam, candidates, _, _, errors = _stacked_rank_test(
+            z, 33, "rconst", vectors=True)
+        beta = _stacked_phillips(candidates, 1, errors)
+        single = _stacked_models(z, names[:3], [(33, R, B)], 1, "rconst", S11, lam, beta, errors)
+        assert errors == {}
+
+        lags = [(k, *_stacked_concentrate(z, k, "rconst")) for k in (1, 33)]
+        S00, S01, S11 = (np.concatenate([lag[j] for lag in lags]) for j in (3, 4, 5))
+        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+        beta = _stacked_phillips(candidates, 1, errors)
+        merged = _stacked_models(np.concatenate([z, z]), names,
+                                 [(k, R, B) for k, R, B, *_ in lags], 1, "rconst",
                                  S11, lam, beta, errors)
-        with pytest.raises(ValidationError, match="cols capped at 64, got 65") as n1:
-            estimate_vecm(z[0], k=33, r=1)
-        assert sorted(errors) == [3, 4, 5]
-        assert all(errors[i] is errors[3] and str(errors[i]) == str(n1.value) for i in errors)
-        assert models[3:] == [None] * 3
+        assert errors == {}
         for i in range(3):
-            assert_same_model(models[i], estimate_vecm(z[i], k=1, r=1), f"member {i}")
+            assert_same_model(merged[i], estimate_vecm(z[i], k=1, r=1), f"k=1 member {i}")
+            assert_same_model(merged[3 + i], single[i], f"k=33 member {i}")
+            model = estimate_vecm(z[i], k=33, r=1)
+            assert_same_model(model, single[i], f"k=33 member {i}")
+            dz = np.diff(z[i], axis=0)
+            level = np.column_stack([z[i, 32:-1], np.ones(77)])
+            design = np.column_stack([level @ model.beta]
+                                     + [dz[32 - j : -j] for j in range(1, 33)])
+            coef = np.linalg.lstsq(design, dz[32:], rcond=None)[0]
+            gamma = np.vstack([g.T for g in model.gamma])
+            for got, want in ((model.alpha.T, coef[:1]), (gamma, coef[1:])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("subsets, ks, what", [
         ([], (1, 2), "subsets"), ([("sb", "gpc")], (), "k_candidates")])

@@ -27,6 +27,8 @@ from velakit.vecm import (
     stability_check,
 )
 
+from conftest import synthetic_log_panel
+
 
 def make_model(alpha, beta, gamma=(), mu=None, case="rconst", vars=None, k=1, r=1,
                level_means=None):
@@ -137,6 +139,56 @@ class TestEstimate:
         model = estimate_vecm(generate_vecm_data(spec, 5), r=2)
         assert np.isfinite(model.beta_se).all()
         assert np.isfinite(model.wald_chi2)
+
+
+def mp_conditional_fit(mpmath, z, beta, k, case):
+    """alpha' (first row), the short-run rows and sigma of the OLS of dz_t on
+    (beta'z*_{t-1}, lagged dz, a ones column under uconst) at 40 digits,
+    through the normal equations. The float64 levels and beta are converted
+    exactly and differenced in 40 digits, so only that arithmetic rounds."""
+    T, p = z.shape
+    with mpmath.workdps(40):
+        levels = [[mpmath.mpf(float(v)) for v in row] for row in z]
+        b = [mpmath.mpf(float(v)) for v in beta[:, 0]]
+        dz = [[levels[t][j] - levels[t - 1][j] for j in range(p)] for t in range(1, T)]
+        rows, resp = [], []
+        for t in range(k, T):  # dz[t - 1] = z[t] - z[t - 1]
+            level = levels[t - 1] + [1] * (case == "rconst")
+            row = [sum(bi * li for bi, li in zip(b, level))]
+            for i in range(1, k):
+                row += dz[t - 1 - i]
+            rows.append(row + [1] * (case == "uconst"))
+            resp.append(dz[t - 1])
+        X, Y = mpmath.matrix(rows), mpmath.matrix(resp)
+        coef = (X.T * X) ** -1 * (X.T * Y)
+        E = Y - X * coef
+        sigma = E.T * E / (T - k)
+        return (np.array(coef.tolist(), dtype=float), np.array(sigma.tolist(), dtype=float))
+
+
+class TestConditionalFitAgainstHighPrecision:
+    """alpha, sigma, Gamma and mu with beta fixed, from the concentration's
+    residuals and coefficients, against the 40-digit regression."""
+
+    @pytest.mark.parametrize("subset, k, case", [
+        # the six-variable rconst spec whose S11 is worst conditioned (2.3e7)
+        (("sb", "gpc", "rd", "md", "ed", "sd"), 2, "rconst"),
+        (("sb", "gpc", "md", "ed"), 3, "uconst"),
+    ])
+    def test_fields_match(self, subset, k, case):
+        mpmath = pytest.importorskip("mpmath")
+        panel = synthetic_log_panel(T=60, seed=5)
+        beta = estimate_vecm(panel, subset, k=k, r=1, case=case).beta
+        model = estimate_vecm(panel, subset, k=k, r=1, case=case, beta=beta)
+        coef, sigma = mp_conditional_fit(mpmath, panel.matrix(subset), beta, k, case)
+        fields = [(model.alpha.T, coef[:1]), (model.sigma, sigma)]
+        if k > 1:
+            gamma = np.vstack([g.T for g in model.gamma])
+            fields.append((gamma, coef[1 : 1 + len(gamma)]))
+        if case == "uconst":
+            fields.append((model.mu, coef[-1]))
+        for got, want in fields:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestEquivariance:
@@ -365,13 +417,13 @@ class TestBlockPosition:
         assert ranks[i] == want.selected_rank
 
         # the rank-1 fit as the specification search and estimate_vecm run it
-        W, X, S11, lam, candidates, trace, ranks, errors = _stacked_rank_test(
+        R, B, S11, lam, candidates, trace, ranks, errors = _stacked_rank_test(
             z, k, case, vectors=True)
         one = _stacked_rank_test(z[i : i + 1], k, case, vectors=True)
         assert np.array_equal(trace[i], one[5][0]) and ranks[i] == one[6][0]
         beta = _stacked_phillips(candidates, 1, errors)
         names = [tuple(f"y{j}" for j in range(p))] * n
-        got = _stacked_models(z, names, k, 1, case, W, X, S11, lam, beta, errors)[i]
+        got = _stacked_models(z, names, [(k, R, B)], 1, case, S11, lam, beta, errors)[i]
         model = estimate_vecm(z[i], k=k, r=1, case=case)
         for name in ("eigenvalues", "beta", "alpha", "sigma", "beta_se", "beta_z",
                      "wald_chi2", "loglik"):

@@ -1,4 +1,8 @@
-"""Digests of the velakit CLI's outputs on the demo panel, one line per command.
+"""Digests of the velakit CLI's outputs, one line per command.
+
+Every subcommand runs: the panel commands on the demo panel, mission on the
+bundled sample config (as is and with a one-year horizon), and both
+mc-validate studies at small sizes with their per-replication CSVs.
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -25,6 +29,9 @@ from pathlib import Path
 
 PANEL = ["--input", "sample_data/demo_panel.csv", "--agency", "DEMO"]
 COMMANDS = {
+    "ingest": ["ingest", *PANEL],
+    "adf": ["adf", *PANEL],
+    "lagselect": ["lagselect", *PANEL],
     "specsearch": ["specsearch", *PANEL],
     "specsearch-k123": ["specsearch", *PANEL, "--min-size", "2", "--k-candidates", "1", "2", "3"],
     "specsearch-k123-uconst": ["specsearch", *PANEL, "--min-size", "2",
@@ -33,6 +40,11 @@ COMMANDS = {
     "pipeline-json": ["pipeline", *PANEL, "--format", "json"],
     "vecrank": ["vecrank", *PANEL],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
+    "mission": ["mission"],
+    "mission-horizon1": ["mission", "--horizon-years", "1"],
+    "mc-validate-cv": ["mc-validate", "--study", "cv", "--reps", "1000", "--dump-reps"],
+    "mc-validate-recovery": ["mc-validate", "--study", "recovery", "--reps", "100",
+                             "--T", "120", "--dump-reps"],
 }
 
 
