@@ -216,10 +216,13 @@ def cmd_specsearch(args) -> int:
 def cmd_pipeline(args) -> int:
     """ingest -> repair -> log -> ADF -> lag selection -> spec search -> table."""
     stages: dict[str, object] = {}
-    manifest = make_manifest("pipeline", input_paths={"panel": args.input})
+    # an input that cannot be read fails in the ingest stage, whose failure
+    # artifact then carries a manifest without its digest
+    manifest = make_manifest("pipeline")
     body = {"agency": args.agency, "stages": stages}
     stage = "ingest"
     try:
+        manifest = make_manifest("pipeline", input_paths={"panel": args.input})
         panel = load_panel(args.input, args.agency)
         stages["ingest"] = {
             "years": [int(y) for y in panel.years],

@@ -4,7 +4,9 @@ Every subset containing the dependent budget variable is crossed with the
 candidate lag lengths; a fit is admissible when the trace test selects
 exactly one cointegrating relation. Same-size subsets run as one stack
 over all lag candidates, each member recording its own failure: each lag
-is concentrated on its own, and the stages after it run once per size.
+is concentrated on its own, and the stages after it run once per size,
+the fit on every lag's residuals padded to T - 1 rows and the solved
+equations of all the size's rank-1 members in one pass.
 Admissible fits aggregate into a per-variable correlation row where sign
 conflicts are adjudicated by the coefficient with the larger |z|.
 """
@@ -31,9 +33,9 @@ from .vecm import (
     CointegratingEquation,
     VecmModel,
     Z_CRIT_5PCT,
+    _stacked_equations,
     _stacked_models,
     _stacked_phillips,
-    normalize_cointegrating_equation,
 )
 from .panel import VARIABLES
 
@@ -83,17 +85,6 @@ def _rejected(subset, k: int, error: VelakitError) -> RejectedSpec:
     return RejectedSpec(subset, k, f"{type(error).__name__}: {error}")
 
 
-def _fitted(subset, k: int, model: VecmModel) -> FittedSpec | RejectedSpec:
-    """A rank-1 fit with its solved equation and criteria, or its rejection."""
-    try:
-        equation = normalize_cointegrating_equation(model)
-    except VelakitError as exc:
-        return _rejected(subset, k, exc)
-    criteria = {"chi2": model.wald_chi2, "aic": model.aic, "bic": model.bic,
-                "loglik": model.loglik}
-    return FittedSpec(subset=subset, k=k, model=model, equation=equation, criteria=criteria)
-
-
 def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     """Rank-test same-size subsets at every lag in ``ks`` and fit those of
     rank 1; returns one record per (subset index, lag).
@@ -101,12 +92,13 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     ``z`` holds the subsets' levels as an (n, T, p) array. Each lag is
     concentrated on its own, since R and B change shape with k; the lags'
     moments all have one shape, so they stack lag-major along the member
-    axis and the eigenproblem, the trace test, the normalization and the
-    rank-1 estimates (vecm._stacked_models) run once for the whole size. A
-    member that fails records its own typed error; a failure of a whole lag
-    (too short a sample for it) is that lag's records', and one of the
-    whole size (more variables than the critical-value table covers) every
-    record's.
+    axis and the eigenproblem, the trace test, the normalization, the
+    rank-1 estimates (vecm._stacked_models, on residuals of T - 1 rows) and
+    the solved equations (vecm._stacked_equations) run once for the whole
+    size. A member that fails records its own typed error; a failure of a
+    whole lag (too short a sample for it) is that lag's records', and one
+    of the whole size (more variables than the critical-value table
+    covers) every record's.
     """
     n, T, p = z.shape
     try:
@@ -149,11 +141,13 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
         models = _stacked_models(z[member], [names[i] for i in member], fit_lags, 1, case,
                                  S11[keep], lam[keep], beta, kept)
     except VelakitError as exc:
-        kept = dict.fromkeys(range(len(keep)), exc)
+        kept, models = dict.fromkeys(range(len(keep)), exc), [None] * len(keep)
+    equations = _stacked_equations(models, kept)
     for pos, (b, i) in enumerate(zip(lag_of.tolist(), member.tolist())):
-        k = lags[b][0]
-        out[i, k] = _rejected(subsets[i], k, kept[pos]) if pos in kept \
-            else _fitted(subsets[i], k, models[pos])
+        k, model = lags[b][0], models[pos]
+        out[i, k] = _rejected(subsets[i], k, kept[pos]) if pos in kept else FittedSpec(
+            subsets[i], k, model, equations[pos], {"chi2": model.wald_chi2, "aic": model.aic,
+                                                   "bic": model.bic, "loglik": model.loglik})
     return out
 
 

@@ -423,14 +423,14 @@ class RecoveryStudy:
 def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     """(trace_r0, selected rank, beta angle, mean squared alpha error) per
     replication of an (n, T, p) block, in one stacked pass
-    (johansen._stacked_rank_test, then vecm._stacked_fit on its R and B);
+    (johansen._stacked_rank_test, then vecm._stacked_fit on its R);
     raises the error of the block's first failing replication."""
-    R, B, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
+    R, _, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
         z, spec.k, case, vectors=True)
     beta = _stacked_phillips(candidates, spec.r, errors)
-    coef, *_ = _stacked_fit(R, B, beta, errors)
+    alpha_t, _ = _stacked_fit(R, beta, R.shape[1], errors)
     _raise_first(errors)
-    alpha = coef[:, : spec.r].swapaxes(1, 2)
+    alpha = alpha_t.swapaxes(1, 2)
     return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
             np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
 

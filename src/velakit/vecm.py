@@ -5,10 +5,16 @@ its leading r x r block is the identity. alpha, sigma and the short-run
 matrices conditional on beta come from the rank test's concentration
 (Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta, sigma that
 regression's residual covariance, and the short-run coefficients are the
-concentration's B0 - B1 beta alpha'. Standard errors for the
-free beta rows use the conditional (fixed-alpha) asymptotic covariance, and
-the headline chi-square is the joint Wald test that every non-normalized
-beta coefficient is zero.
+concentration's B0 - B1 beta alpha'. That regression runs on T - 1 rows
+at every lag (a lag's T - k residual rows, then zero rows, which add
+nothing), so the specification search fits all lags of a subset size in
+one stack, and a model's numbers do not depend on the lags beside it;
+estimate_vecm is the n=1 call. Standard errors for the free beta rows use
+the conditional (fixed-alpha) asymptotic covariance, and the headline
+chi-square is the joint Wald test that every non-normalized beta
+coefficient is zero. A rank-1 relation solved for its dependent variable
+(normalize_cointegrating_equation) is likewise the n=1 call of a stacked
+pass over a search's rank-1 models.
 """
 
 from __future__ import annotations
@@ -131,31 +137,21 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
 
 
 @np.errstate(all="ignore")
-def _stacked_fit(R: np.ndarray, B: np.ndarray, beta: np.ndarray, errors: dict):
-    """The regression of dz_t on (beta'z*_{t-1}, lagged dz, deterministics)
-    for a stack, from the concentrated residuals R and short-run
-    coefficients B of johansen._stacked_concentrate and a beta (n, p_aug, r).
+def _stacked_fit(R: np.ndarray, beta: np.ndarray, T_eff, errors: dict):
+    """alpha' and sigma of the error-correction model at a given beta (n,
+    p_aug, r), for a stack of johansen._stacked_concentrate residuals R.
 
     By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 (the first p
-    columns of R) on R1 beta, sigma comes from its residuals, and the
-    short-run rows are B0 - B1 beta alpha'. Returns (coefficients (n, r +
-    short-run columns, p), alpha' first, sigma (n, p, p), n_params,
-    criteria), criteria being lag_selection.gaussian_criteria's (loglik,
-    AIC, BIC, HQIC) of sigma.
-    Records the regression's SingularMatrixError and gaussian_criteria's
-    ValidationError where det sigma is not positive.
+    columns of R) on R1 beta, and sigma is its residuals' cross-product over
+    each member's own sample size ``T_eff`` (an int, or one per member). A
+    member's R may end in zero rows, which add nothing to either. Returns
+    (alpha' (n, r, p), sigma (n, p, p)); records the regression's
+    SingularMatrixError.
     """
-    T_eff = R.shape[1]
-    _, p_aug, r = beta.shape
-    p = R.shape[2] - p_aug
+    p = R.shape[2] - beta.shape[1]
     coef, resid, _, failures = _stacked_ols(R[:, :, p:] @ beta, R[:, :, :p])
     _record(errors, failures)
-    coef = np.concatenate([coef, B[:, :, :p] - B[:, :, p:] @ beta @ coef], axis=1)
-    sigma = resid.swapaxes(1, 2) @ resid / T_eff
-    n_params = p * coef.shape[1] + r * (p_aug - r)
-    *criteria, failures = gaussian_criteria(sigma, T_eff, n_params)
-    _record(errors, failures)
-    return coef, sigma, n_params, criteria
+    return coef, resid.swapaxes(1, 2) @ resid / np.reshape(T_eff, (-1, 1, 1))
 
 
 @np.errstate(all="ignore")
@@ -169,54 +165,49 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], lags: list, r: 
     johansen._stacked_rank_test for the same stack. ``lags`` holds one
     (k, R, B) per lag, R and B being that lag's johansen._stacked_concentrate
     output for its members, which sit consecutively in the stack in the
-    order of ``lags`` (R and B change shape with k). _stacked_fit runs per
-    lag and the beta inference once, with each member's own T_eff in the
-    Gram matrix T_eff * S11. Returns one VecmModel per member, None for a
-    member with an error in ``errors``.
+    order of ``lags``. Every lag's R is copied into one stack of T - 1 rows,
+    zero below its own T - k, so _stacked_fit and the beta inference (with
+    each member's own T_eff in the Gram matrix T_eff * S11) run once, and a
+    member's numbers do not depend on the lags beside it. The short-run rows
+    B0 - B1 beta alpha' and the criteria run per lag, since B changes shape
+    with k. Returns one VecmModel per member, None for a member with an
+    error in ``errors``.
     """
-    _, T, p = z.shape
+    n, T, p = z.shape
     _check_rank(r, p)
-    fits, parts, start = [], [], 0  # per lag: (k, first member, coefficients, n_params)
-    for k, R, B in lags:
-        m, failures = len(R), {}
-        coef, sigma, n_params, (loglik, aic, bic, _) = _stacked_fit(
-            R, B, beta[start : start + m], failures)
-        _record(errors, {start + i: e for i, e in failures.items()})
-        fits.append((k, start, coef, n_params))
-        parts.append((coef[:, :r].swapaxes(1, 2), sigma, loglik, aic, bic, np.full(m, T - k)))
-        start += m
-    alpha, sigma, loglik, aic, bic, T_eff = map(np.concatenate, zip(*parts))
     p_aug = beta.shape[1]
+    W, T_eff, start = np.zeros((n, T - 1, p + p_aug)), np.empty(n, dtype=int), 0
+    for k, R, _ in lags:
+        W[start : start + len(R), : T - k] = R
+        T_eff[start : start + len(R)] = T - k
+        start += len(R)
+    alpha_t, sigma = _stacked_fit(W, beta, T_eff, errors)
+    alpha = alpha_t.swapaxes(1, 2)
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(
         T_eff[:, None, None] * S11[:, r:, r:], beta, alpha, sigma)
-    return [
-        None if i in errors else VecmModel(
-            vars=names[i],
-            k=k,
-            r=r,
-            case=case,
-            alpha=alpha[i],
-            beta=beta[i],
-            gamma=tuple(coef[i - start, r + j : r + j + p].T for j in range(0, p * (k - 1), p)),
-            mu=coef[i - start, -1].copy() if case == UNRESTRICTED_CONSTANT else np.zeros(p),
-            sigma=sigma[i],
-            loglik=float(loglik[i]),
-            aic=float(aic[i]),
-            bic=float(bic[i]),
-            beta_se=beta_se[i],
-            beta_z=beta_z[i],
-            wald_chi2=float(wald[i]),
-            wald_dof=(p_aug - r) * r,
-            eigenvalues=lam[i, :p],
-            T_eff=T - k,
-            n_params=n_params,
-            beta_source=beta_source,
-            level_means=z[i].mean(axis=0),
-        )
-        for k, start, coef, n_params in fits
-        for i in range(start, start + len(coef))
-    ]
+    means, wald, models, start = z.mean(axis=1), wald.tolist(), [], 0
+    for k, R, B in lags:
+        m = len(R)
+        rows = slice(start, start + m)
+        short = B[:, :, :p] - B[:, :, p:] @ beta[rows] @ alpha_t[rows]
+        n_params = p * (r + B.shape[1]) + r * (p_aug - r)
+        loglik, aic, bic, _, failures = gaussian_criteria(sigma[rows], T - k, n_params)
+        _record(errors, {start + i: e for i, e in failures.items()})
+        gamma = short[:, : p * (k - 1)].reshape(m, k - 1, p, p).swapaxes(2, 3)
+        mu = short[:, -1] if case == UNRESTRICTED_CONSTANT else np.zeros((m, p))
+        models += [
+            None if j in errors else VecmModel(
+                vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=beta[j],
+                gamma=tuple(gamma[i]), mu=mu[i], sigma=sigma[j], loglik=ll, aic=a, bic=b,
+                beta_se=beta_se[j], beta_z=beta_z[j], wald_chi2=wald[j],
+                wald_dof=(p_aug - r) * r, eigenvalues=lam[j, :p], T_eff=T - k,
+                n_params=n_params, beta_source=beta_source, level_means=means[j])
+            for i, (j, ll, a, b) in enumerate(zip(range(start, start + m), loglik.tolist(),
+                                                  aic.tolist(), bic.tolist()))
+        ]
+        start += m
+    return models
 
 
 @np.errstate(all="ignore")
@@ -277,51 +268,82 @@ Z_CRIT_5PCT = 1.96
 
 
 def normalize_cointegrating_equation(model: VecmModel) -> CointegratingEquation:
-    """Rewrite beta'z* = 0 as dependent = sum(coef * var) + intercept (r=1)."""
-    if model.r != 1:
-        raise ValidationError(f"normalization needs rank 1, got r={model.r}")
-    beta = model.beta[:, 0]
-    b_dep = beta[0]
-    scale = np.abs(beta).max()
-    if abs(b_dep) < 1e-10 * max(scale, 1e-300) or b_dep == 0.0:
-        raise NonNormalizableError(
-            f"coefficient on {model.vars[0]} is numerically zero; cannot solve "
-            "the cointegrating relation for it"
-        )
-    present = model.vars[1:]
-    if set(model.vars) <= set(VARIABLES):
-        all_indep = tuple(v for v in VARIABLES if v != model.vars[0])
-    else:
-        all_indep = present
+    """Rewrite beta'z* = 0 as dependent = sum(coef * var) + intercept (r=1);
+    the n=1 call of _stacked_equations."""
+    errors = {}
+    (equation,) = _stacked_equations([model], errors)
+    _raise_first(errors)
+    return equation
 
-    coefficients = {v: 0.0 for v in all_indep}
-    z_scores: dict[str, float] = {}
-    significant: dict[str, bool] = {}
-    for idx, name in enumerate(present, start=1):
-        coefficients[name] = float(-beta[idx] / b_dep)
-        z = model.beta_z[idx, 0]
-        if np.isfinite(z):
-            z_scores[name] = float(-z) if b_dep > 0 else float(z)
-            significant[name] = bool(abs(z) >= Z_CRIT_5PCT)
-    if model.has_restricted_constant:
-        intercept = float(-beta[-1] / b_dep)
-        zc = model.beta_z[-1, 0]
-        intercept_z = (float(-zc) if b_dep > 0 else float(zc)) if np.isfinite(zc) else None
-    else:
-        means = model.level_means
-        fitted = sum(
-            coefficients[name] * means[model.vars.index(name)] for name in present
+
+@np.errstate(all="ignore")
+def _stacked_equations(models: list, errors: dict) -> list[CointegratingEquation | None]:
+    """normalize_cointegrating_equation for models of one dimension p, in one
+    pass; the deterministic case may differ between them.
+
+    Returns one CointegratingEquation per member, None for a member with an
+    error in ``errors`` (whose model may be None). Records ValidationError
+    for a model of rank other than 1, and NonNormalizableError for one whose
+    dependent coefficient is numerically zero: below 1e-10 times the largest
+    |beta|, or exactly 0.
+    """
+    for i, model in enumerate(models):
+        if i not in errors and model.r != 1:
+            errors[i] = ValidationError(f"normalization needs rank 1, got r={model.r}")
+    live = [i for i in range(len(models)) if i not in errors]
+    out = [None] * len(models)
+    if not live:
+        return out
+    stack = [models[i] for i in live]
+    p = stack[0].p
+    restricted = np.array([m.has_restricted_constant for m in stack])
+    # the members' beta and z columns end to end, from row ``first`` to ``end``
+    size = p + restricted
+    end = np.cumsum(size)
+    first = end - size
+    beta, z = (np.concatenate([getattr(m, f) for m in stack])[:, 0] for f in ("beta", "beta_z"))
+    b_dep = beta[first]
+    scale = np.maximum.reduceat(np.abs(beta), first)
+    zero = (np.abs(b_dep) < 1e-10 * np.maximum(scale, 1e-300)) | (b_dep == 0.0)
+    # every row solved for the dependent: the coefficients, and the intercept
+    # in a restricted constant's row; the z of a solved row is minus beta's
+    # when b_dep > 0 (NaN where beta's is not finite)
+    solved = -beta / np.repeat(b_dep, size)
+    z_eq = np.where(np.isfinite(z), z * np.repeat(np.where(b_dep > 0, -1.0, 1.0), size), np.nan)
+    intercept = solved[end - 1]
+    if not restricted.all():
+        # the dependent's mean less the fitted level at the means, summed in
+        # variable order
+        free = ~restricted
+        means = np.array([m.level_means for m, r in zip(stack, restricted.tolist()) if not r])
+        fitted = 0
+        for j in range(1, p):
+            fitted = fitted + solved[first[free] + j] * means[:, j]
+        intercept[free] = means[:, 0] - fitted
+    solved, z_eq = solved.tolist(), z_eq.tolist()
+    rows = zip(live, stack, first.tolist(), end.tolist(), zero.tolist(), intercept.tolist())
+    for i, model, row, stop, dep_zero, icpt in rows:
+        dep, present = model.vars[0], model.vars[1:]
+        if dep_zero:
+            errors[i] = NonNormalizableError(
+                f"coefficient on {dep} is numerically zero; cannot solve "
+                "the cointegrating relation for it")
+            continue
+        indep = tuple(v for v in VARIABLES if v != dep) if set(VARIABLES).issuperset(model.vars) \
+            else present
+        coefficients = dict.fromkeys(indep, 0.0)
+        coefficients.update(zip(present, solved[row + 1 : row + p]))
+        z_scores = {name: zj for name, zj in zip(present, z_eq[row + 1 : row + p]) if zj == zj}
+        icpt_z = z_eq[stop - 1]
+        out[i] = CointegratingEquation(
+            dependent=dep,
+            coefficients=coefficients,
+            intercept=icpt,
+            z_scores=z_scores,
+            significant_at_5pct={name: abs(zj) >= Z_CRIT_5PCT for name, zj in z_scores.items()},
+            intercept_z=icpt_z if model.has_restricted_constant and icpt_z == icpt_z else None,
         )
-        intercept = float(means[0] - fitted)
-        intercept_z = None
-    return CointegratingEquation(
-        dependent=model.vars[0],
-        coefficients=coefficients,
-        intercept=intercept,
-        z_scores=z_scores,
-        significant_at_5pct=significant,
-        intercept_z=intercept_z,
-    )
+    return out
 
 
 def companion_matrix(alpha: np.ndarray, beta_vars: np.ndarray,

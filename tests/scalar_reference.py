@@ -9,18 +9,22 @@ where the kernel takes alpha, sigma and Gamma from the concentration's
 residuals and coefficients), and the conditional covariance of the free
 beta rows by explicit inverses. Beside it sits the replication-major block
 simulator the Monte Carlo studies ran before the time-major one
-(simulate_reference).
+(simulate_reference), and the one-model-at-a-time normalization of a rank-1
+relation the specification search ran before its stacked one
+(normalize_equation).
 Numerics only: inputs are assumed valid, and degenerate ones raise
 whatever the linalg primitives raise.
 """
 
 import numpy as np
 
+from velakit.errors import NonNormalizableError, ValidationError
 from velakit.johansen import TRACE_CRITICAL, MomentMatrices
 from velakit.lag_selection import information_criteria
 from velakit.linalg import cholesky_factor, ols_fit, symmetric_eigendecomposition
+from velakit.panel import VARIABLES
 from velakit.synthetic import BURN_IN, rng_for
-from velakit.vecm import VecmModel
+from velakit.vecm import Z_CRIT_5PCT, CointegratingEquation, VecmModel
 
 
 def simulate_reference(spec, reps):
@@ -171,3 +175,44 @@ def conditional_fit(z, beta, k=1, case="rconst"):
     if case == "uconst":
         blocks.append(np.ones((T - k, 1)))
     return ols_fit(np.column_stack(blocks), dz[rows - 1])
+
+
+def normalize_equation(model):
+    """beta'z* = 0 solved for the dependent (first) variable of a rank-1
+    model, one coefficient at a time, as a velakit CointegratingEquation."""
+    if model.r != 1:
+        raise ValidationError(f"normalization needs rank 1, got r={model.r}")
+    beta = model.beta[:, 0]
+    b_dep = beta[0]
+    scale = np.abs(beta).max()
+    if abs(b_dep) < 1e-10 * max(scale, 1e-300) or b_dep == 0.0:
+        raise NonNormalizableError(
+            f"coefficient on {model.vars[0]} is numerically zero; cannot solve "
+            "the cointegrating relation for it"
+        )
+    present = model.vars[1:]
+    if set(model.vars) <= set(VARIABLES):
+        all_indep = tuple(v for v in VARIABLES if v != model.vars[0])
+    else:
+        all_indep = present
+    coefficients = {v: 0.0 for v in all_indep}
+    z_scores, significant = {}, {}
+    for idx, name in enumerate(present, start=1):
+        coefficients[name] = float(-beta[idx] / b_dep)
+        z = model.beta_z[idx, 0]
+        if np.isfinite(z):
+            z_scores[name] = float(-z) if b_dep > 0 else float(z)
+            significant[name] = bool(abs(z) >= Z_CRIT_5PCT)
+    if model.has_restricted_constant:
+        intercept = float(-beta[-1] / b_dep)
+        zc = model.beta_z[-1, 0]
+        intercept_z = (float(-zc) if b_dep > 0 else float(zc)) if np.isfinite(zc) else None
+    else:
+        means = model.level_means
+        fitted = sum(coefficients[name] * means[model.vars.index(name)] for name in present)
+        intercept = float(means[0] - fitted)
+        intercept_z = None
+    return CointegratingEquation(
+        dependent=model.vars[0], coefficients=coefficients, intercept=intercept,
+        z_scores=z_scores, significant_at_5pct=significant, intercept_z=intercept_z,
+    )

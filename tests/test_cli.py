@@ -118,6 +118,23 @@ class TestPipeline:
         assert doc["failed_stage"] == "log-transform"
         assert "sb" in doc["error"]
 
+    def test_missing_input_fails_at_ingest_stage(self, tmp_path, capsys):
+        # the input is digested inside the ingest stage, so an unreadable one
+        # gets the stage report and a failure artifact like a malformed one
+        missing = tmp_path / "nope.csv"
+        code, out, err = run(["pipeline", "--input", str(missing), "--agency", "X",
+                              "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"pipeline failed at stage ingest: cannot read {missing}" in err
+        assert "No such file or directory" in err
+        doc = json.loads((tmp_path / "o" / "pipeline_X.json").read_text())
+        assert doc["failed_stage"] == "ingest"
+        assert doc["stages"] == {}
+        assert doc["error"].startswith(f"ValidationError: cannot read {missing}")
+        assert doc["manifest"]["command"] == "pipeline"
+        assert doc["manifest"]["input_digests"] == {}
+
     def test_shipped_demo_panel(self, capsys):
         demo = Path(__file__).resolve().parents[1] / "sample_data" / "demo_panel.csv"
         code, out, _ = run(

@@ -299,6 +299,26 @@ class TestStackedSearch:
             assert all(type(spec.criteria[c]) is float for c in spec.criteria)
             assert equation == spec.equation
 
+    def test_one_fit_per_subset_size(self, monkeypatch):
+        # every lag of a size shares one T - 1 row stack: one _stacked_fit
+        # per size with a rank-1 member, and no per-spec normalization
+        from velakit import vecm
+
+        calls, fit = [], vecm._stacked_fit
+
+        def counted(R, *args):
+            calls.append(R.shape)
+            return fit(R, *args)
+
+        monkeypatch.setattr(vecm, "_stacked_fit", counted)
+        monkeypatch.setattr(vecm, "normalize_cointegrating_equation", None)
+        panel = synthetic_log_panel(T=60, seed=4)
+        report = fit_specifications(panel, enumerate_specifications(min_size=2), (1, 2, 3))
+        sizes = sorted({len(s.subset) for s in report.specs}, reverse=True)
+        assert {s.k for s in report.specs} == {1, 2, 3}
+        assert [shape[2] - 1 for shape in calls] == [2 * p for p in sizes]
+        assert all(shape[1] == 59 for shape in calls)
+
     def test_failing_groups_keep_the_scalar_records(self):
         # sd duplicates ed, so one member of the five-variable group is
         # degenerate; at k=8 the groups of size 4 and 5 are short of sample.

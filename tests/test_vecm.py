@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from velakit.errors import NonNormalizableError, ValidationError
+from velakit.errors import NonNormalizableError, ValidationError, VelakitError
 from velakit.johansen import CASES, _stacked_rank_test, concentrate, rank_test
 from velakit.lag_selection import information_criteria
 from velakit.synthetic import (
@@ -17,6 +19,8 @@ from velakit.synthetic import (
 )
 from velakit.vecm import (
     VecmModel,
+    _stacked_equations,
+    _stacked_fit,
     _stacked_models,
     _stacked_phillips,
     companion_matrix,
@@ -319,6 +323,74 @@ class TestNormalize:
         means = z.mean(axis=0)
         expected = means[0] - eq.coefficients["gpc"] * means[1] - eq.coefficients["md"] * means[2]
         assert eq.intercept == pytest.approx(expected)
+
+    def test_stacked_members_are_their_n1_calls(self):
+        # one stack mixing cases, a dependent coefficient of 0 and a rank-2
+        # model (all p=3): each member gets exactly its n=1 call's equation,
+        # or its error, and the one-model-at-a-time reference agrees
+        z = generate_vecm_data(study_spec(T=260, seed=3))
+        rconst = estimate_vecm(z, k=1, r=1, case="rconst", vars=("sb", "gpc", "md"))
+        zero = make_model(alpha=np.array([[-0.1], [0.05], [0.02]]),
+                          beta=np.array([0.0, 1.0, -1.0, 0.5]), vars=("sb", "gpc", "rd"))
+        uconst = estimate_vecm(z, k=2, r=1, case="uconst", vars=("sb", "gpc", "md"))
+        named = estimate_vecm(z, k=3, r=1, case="uconst")
+        rank2 = estimate_vecm(z, k=1, r=2, case="rconst", vars=("sb", "gpc", "md"))
+        # an rconst intercept does not need the level means a model may lack
+        no_means = dataclasses.replace(rconst, level_means=None)
+        models = [rconst, zero, uconst, named, rank2, no_means]
+        errors = {}
+        got = _stacked_equations(models, errors)
+        assert sorted(errors) == [1, 4]
+        for i, model in enumerate(models):
+            try:
+                want = normalize_cointegrating_equation(model)
+            except VelakitError as exc:
+                assert got[i] is None
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                with pytest.raises(type(exc), match="numerically zero|rank 1"):
+                    scalar_reference.normalize_equation(model)
+                continue
+            assert got[i] == want == scalar_reference.normalize_equation(model)
+            assert list(got[i].coefficients) == list(want.coefficients)
+        assert type(errors[1]) is NonNormalizableError
+        assert got[2].intercept_z is None and got[0].intercept_z is not None
+        assert list(got[3].coefficients) == ["y1", "y2"]
+        assert got[5] == got[0]
+
+    def test_stacked_members_skip_recorded_errors(self):
+        model = estimate_vecm(generate_vecm_data(study_spec(T=260, seed=3)), k=1, r=1)
+        failed = ValidationError("failed upstream")
+        errors = {1: failed}
+        got = _stacked_equations([model, None, model], errors)
+        assert got[1] is None and errors == {1: failed}
+        assert got[0] == got[2] == normalize_cointegrating_equation(model)
+        assert _stacked_equations([None], {0: failed}) == [None]
+
+
+class TestZeroRowPadding:
+    """_stacked_models fits every lag on T - 1 rows, a lag's residuals
+    followed by zero rows; the zero rows change the fit only by rounding."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(2, 6), k=st.integers(1, 4), case=st.sampled_from(CASES),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_padded_fit_matches_unpadded(self, p, k, case, seed, data):
+        r = data.draw(st.integers(1, p - 1), label="rank")
+        T = 50
+        z = np.stack([np.cumsum(rng_for(seed, j).standard_normal((T, p)), axis=0)
+                      for j in range(3)])
+        R, _, _, _, candidates, _, _, errors = _stacked_rank_test(z, k, case, vectors=True)
+        beta = _stacked_phillips(candidates, r, errors)
+        assert errors == {}
+        padded = np.concatenate([R, np.zeros((3, k - 1, R.shape[2]))], axis=1)
+        assert padded.shape[1] == T - 1
+        want = _stacked_fit(R, beta, T - k, errors)
+        got = _stacked_fit(padded, beta, np.full(3, T - k), errors)
+        assert errors == {}
+        for name, g, w in zip(("alpha'", "sigma"), got, want):
+            assert g.shape == w.shape, name
+            for i in range(3):
+                assert np.abs(g[i] - w[i]).max() <= 1e-12 * np.abs(w[i]).max(), name
 
 
 class TestStability:
