@@ -12,10 +12,17 @@ building a generator per replication: it computes every replication's
 PCG64 state at once (numpy's SeedSequence mixing in uint32 arrays, then
 PCG64's seeding step in Python ints) and points one shared generator at
 each in turn. The critical-value study draws blocks of CV_BLOCK = 64
-replications into a shared buffer and computes their trace statistics in
-one stacked pass (johansen._stacked_rank_test). The recovery study
-simulates up to SIM_BLOCK replications at once (_simulate, which
-generate_vecm_data runs for a single replication): the levels are
+replications into a shared buffer and concentrates each block in one
+stacked pass (johansen._stacked_concentrate); the blocks' moment matrices
+collect in a stack of MOMENT_BLOCK = 2048 replications, whose
+eigenproblem and trace statistics are one more stacked pass
+(johansen._stacked_eigenproblem and _stacked_trace_test), so a study of
+up to 2048 replications solves them once. The stack takes 0.3 MB at
+p - r = 2 and 2.1 MB at p - r = 6, whatever the number of replications.
+Its bootstrap sorts each block of resampled statistics before taking
+their percentiles. The recovery study simulates up to SIM_BLOCK
+replications at once (_simulate, which generate_vecm_data runs for a
+single replication): the levels are
 time-major, a (T + BURN_IN + k, p, n) array with replication i in column
 i, so the lag window of every replication is one contiguous slab and each
 time step is three numpy calls for the whole block. The buffer costs
@@ -24,9 +31,10 @@ simulation block is rank-tested and fitted in FIT_BLOCK = 32 slices,
 transposed (n, T, p) views (johansen._stacked_rank_test and
 vecm._stacked_fit, the kernels of the specification search and of the n=1
 public calls). A replication that fails raises its own typed error, the
-one its n=1 call raises; the first failing replication of a fit block
-wins. Reruns are byte-identical, and a replication's statistics and
-levels do not depend on the block it is drawn, simulated or fitted in.
+one its n=1 call raises; the first failing replication of a moment stack
+or fit block wins. Reruns are byte-identical, and a replication's
+statistics and levels do not depend on the block or stack it is drawn,
+simulated or fitted in.
 """
 
 from __future__ import annotations
@@ -43,7 +51,11 @@ from .johansen import (
     UNRESTRICTED_CONSTANT,
     _check_case,
     _raise_first,
+    _record,
+    _stacked_concentrate,
+    _stacked_eigenproblem,
     _stacked_rank_test,
+    _stacked_trace_test,
 )
 from .linalg import general_eigenvalues
 from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
@@ -51,14 +63,22 @@ from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per stacked block of the critical-value study, replications
-# per stacked fit slice of the recovery study and bootstrap resamples per
-# block: enough to amortize the per-call overhead, few enough to keep peak
-# memory flat. The recovery study fits in smaller slices because 64 there
-# was no faster and took 1.7 MB more peak memory
+# replications per draw block of the critical-value study (draws, cumsum
+# and concentration, whose buffers grow with T), replications per stacked
+# fit slice of the recovery study and bootstrap resamples per block: enough
+# to amortize the per-call overhead, few enough to keep peak memory flat.
+# The recovery study fits in slices of 32: at 64, a 200-replication study
+# at T=500 ran about 5% slower and took 1.7 MB more peak memory
 CV_BLOCK = 64
 FIT_BLOCK = 32
 BOOT_BLOCK = 20
+# replications per moment stack of the critical-value study: the draw
+# blocks' S00/S01/S11 collect here and go through the eigenproblem and the
+# trace test in one pass, once per study up to 2048 replications. The stack
+# takes MOMENT_BLOCK * (m**2 + m * m_aug + m_aug**2) * 8 bytes, m = p - r
+# and m_aug = m + 1 under rconst (m under uconst): 0.3 MB at p - r = 2 and
+# 2.1 MB at p - r = 6
+MOMENT_BLOCK = 2048
 # replications per simulation block of the recovery study, a multiple of
 # FIT_BLOCK; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes
 SIM_BLOCK = 256
@@ -168,6 +188,20 @@ def _replication_streams(base_seed: int, indices: Sequence[int]) -> Iterator[np.
         yield generator
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integers(**values) -> list[int]:
+    """The values as ints; raises ValidationError naming the first that is
+    not _is_integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in values.values()]
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a simulated error-correction system.
@@ -193,8 +227,10 @@ class SyntheticSpec:
     generator_id: str = field(default=GENERATOR_ID, init=False)
 
     def __post_init__(self):
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)) or self.T < 1:
+        if not _is_integer(self.T) or self.T < 1:
             raise ValidationError(f"T must be an integer >= 1, got {self.T!r}")
+        (seed,) = _integers(seed=self.seed)
+        object.__setattr__(self, "seed", seed)
         alpha = np.asarray(self.alpha_true, dtype=float).reshape(self.p, self.r)
         beta = np.asarray(self.beta_true, dtype=float).reshape(self.p, self.r)
         mu = (
@@ -289,7 +325,7 @@ def _simulate(spec: SyntheticSpec, reps: range, buffer: np.ndarray | None = None
 
 def generate_vecm_data(spec: SyntheticSpec, rep: int = 0) -> np.ndarray:
     """Simulate T observations of the level process (after 50 burn-in steps)."""
-    if isinstance(rep, bool) or not isinstance(rep, (int, np.integer)) or rep < 0:
+    if not _is_integer(rep) or rep < 0:
         raise ValidationError(f"rep must be an integer >= 0, got {rep!r}")
     return np.ascontiguousarray(_simulate(spec, range(rep, rep + 1))[:, :, 0])
 
@@ -343,8 +379,15 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     trend-generating constant, so its null walks carry a unit drift.
     Bootstrap standard errors come from resampling the replication
     statistics.
+
+    Replications are drawn and concentrated in blocks of CV_BLOCK and their
+    eigenproblems solved in moment stacks of MOMENT_BLOCK; the first
+    failing replication raises its own error. p_minus_r, reps, T, bootstrap
+    and seed must be ints or numpy integers.
     """
     _check_case(case)
+    p_minus_r, reps, T, bootstrap, seed = _integers(p_minus_r=p_minus_r, reps=reps, T=T,
+                                                    bootstrap=bootstrap, seed=seed)
     if reps < 1000:
         raise ValidationError(f"reps must be >= 1000, got {reps}")
     if T < 400:
@@ -354,20 +397,32 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     if bootstrap < 2:
         raise ValidationError(f"bootstrap must be >= 2, got {bootstrap}")
     drift = 1.0 if case == UNRESTRICTED_CONSTANT else 0.0
+    p_aug = p_minus_r + (case == RESTRICTED_CONSTANT)
     stats = np.empty(reps)
     buffer = np.empty((min(CV_BLOCK, reps), T, p_minus_r))
+    n_stack = min(MOMENT_BLOCK, reps)
+    S00 = np.empty((n_stack, p_minus_r, p_minus_r))
+    S01 = np.empty((n_stack, p_minus_r, p_aug))
+    S11 = np.empty((n_stack, p_aug, p_aug))
     streams = _replication_streams(seed, range(reps))
-    for start in range(0, reps, CV_BLOCK):
-        z = buffer[: min(CV_BLOCK, reps - start)]
-        # zip takes from z first, so the block's end consumes no stream
-        for member, rng in zip(z, streams):
-            rng.standard_normal(out=member)
-        if drift:
-            z += drift
-        np.cumsum(z, axis=1, out=z)
-        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+    for lo in range(0, reps, MOMENT_BLOCK):
+        n = min(MOMENT_BLOCK, reps - lo)
+        errors = {}
+        for start in range(0, n, CV_BLOCK):
+            z = buffer[: min(CV_BLOCK, n - start)]
+            # zip takes from z first, so the block's end consumes no stream
+            for member, rng in zip(z, streams):
+                rng.standard_normal(out=member)
+            if drift:
+                z += drift
+            np.cumsum(z, axis=1, out=z)
+            block = slice(start, start + len(z))
+            _, _, S00[block], S01[block], S11[block], failures = _stacked_concentrate(z, 1, case)
+            _record(errors, {start + i: error for i, error in failures.items()})
+        lam, _ = _stacked_eigenproblem(S00[:n], S01[:n], S11[:n], errors)
+        trace, _ = _stacked_trace_test(lam, T - 1, p_minus_r, case)
         _raise_first(errors)
-        stats[start : start + len(z)] = trace[:, 0]
+        stats[lo : lo + n] = trace[:, 0]
 
     qs = (90.0, 95.0, 99.0)
     percentiles = {f"{int(q)}%": float(np.percentile(stats, q)) for q in qs}
@@ -375,7 +430,12 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     boots = np.empty((len(qs), bootstrap))
     for start in range(0, bootstrap, BOOT_BLOCK):
         idx = boot_rng.integers(0, reps, size=(min(BOOT_BLOCK, bootstrap - start), reps))
-        boots[:, start : start + len(idx)] = np.percentile(stats[idx], qs, axis=1)
+        # sorted rows hold the same order statistics, and numpy selects
+        # them from sorted rows faster than from unsorted ones
+        resampled = stats[idx]
+        resampled.sort(axis=1)
+        boots[:, start : start + len(idx)] = np.percentile(resampled, qs, axis=1,
+                                                           overwrite_input=True)
     bootstrap_se = {f"{int(q)}%": float(np.std(row, ddof=1)) for q, row in zip(qs, boots)}
     return CriticalValueStudy(
         p_minus_r=p_minus_r,
@@ -443,6 +503,7 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     and fitted in stacked slices of FIT_BLOCK (see _recovery_block); a
     failing replication raises its own error.
     """
+    (reps,) = _integers(reps=reps)
     if reps < 100:
         raise ValidationError(f"reps must be >= 100, got {reps}")
     if spec.r < 1:

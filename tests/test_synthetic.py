@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ class TestSpecValidation:
     def test_sample_size_below_one_or_not_integer_rejected(self, T):
         with pytest.raises(ValidationError, match=f"T must be an integer >= 1, got {T!r}"):
             study_spec(T=T)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_seed_not_integer_rejected(self, seed):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValidationError, match=message):
+            study_spec(seed=seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        spec = study_spec(T=20, seed=np.int64(-3))
+        assert type(spec.seed) is int
+        assert np.array_equal(generate_vecm_data(spec, 2),
+                              generate_vecm_data(study_spec(T=20, seed=-3), 2))
 
     def test_generator_id_is_fixed(self):
         assert study_spec().generator_id == synthetic.GENERATOR_ID
@@ -251,6 +264,25 @@ class TestCriticalValueStudy:
         with pytest.raises(ValidationError, match="p_minus_r"):
             monte_carlo_critical_values(p_minus_r, "rconst", reps=1000, T=400)
 
+    @pytest.mark.parametrize("name, value", [
+        ("reps", 1500.0), ("T", 400.5), ("bootstrap", 2.5), ("seed", 1.5), ("seed", True),
+        ("reps", np.float64(2000)), ("p_minus_r", 2.0), ("T", "400"),
+    ])
+    def test_integer_arguments_not_integers_rejected(self, name, value):
+        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400, seed=0, bootstrap=2)
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            monte_carlo_critical_values(**{**args, name: value})
+
+    def test_numpy_integer_arguments_accepted(self):
+        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400, bootstrap=5)
+        want = monte_carlo_critical_values(**args, seed=-3, keep_statistics=True)
+        got = monte_carlo_critical_values(
+            **{name: np.int64(value) if isinstance(value, int) else value
+               for name, value in args.items()}, seed=np.int64(-3), keep_statistics=True)
+        assert np.array_equal(got.statistics, want.statistics)
+        assert got.bootstrap_se == want.bootstrap_se
+
 
 @pytest.fixture(scope="module")
 def ragged_study():
@@ -286,6 +318,38 @@ class TestBlockedCriticalValueStudy:
         want = {f"{q}%": float(np.std(vals, ddof=1)) for q, vals in boots.items()}
         assert ragged_study.bootstrap_se == want
 
+    @pytest.mark.parametrize("cv_block", [1, 7, 64])
+    @pytest.mark.parametrize("draw_blocks", [1, 3, None], ids=["stack1", "stack3", "stackall"])
+    def test_block_sizes_do_not_change_the_study(self, ragged_study, cv_block, draw_blocks,
+                                                 monkeypatch):
+        # a moment stack of one draw block, of three, and of every replication;
+        # the reference study is the one the tests above check exactly
+        monkeypatch.setattr(synthetic, "CV_BLOCK", cv_block)
+        monkeypatch.setattr(synthetic, "MOMENT_BLOCK", 2048 if draw_blocks is None
+                            else draw_blocks * cv_block)
+        study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
+                                            bootstrap=45, keep_statistics=True)
+        assert np.array_equal(study.statistics, ragged_study.statistics)
+        assert study.percentiles == ragged_study.percentiles
+        assert study.bootstrap_se == ragged_study.bootstrap_se
+
+    @pytest.mark.parametrize("reps", [2000, 5000])
+    def test_one_eigenproblem_per_moment_stack(self, reps, monkeypatch):
+        calls = {"_stacked_concentrate": [], "_stacked_eigenproblem": []}
+        for name, members in calls.items():
+            def counted(*args, real=getattr(synthetic, name), members=members, **kwargs):
+                members.append(len(args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(synthetic, name, counted)
+        monte_carlo_critical_values(1, "rconst", reps=reps, T=400, bootstrap=2)
+        assert calls["_stacked_concentrate"] == [
+            min(synthetic.CV_BLOCK, reps - start) for start in range(0, reps, synthetic.CV_BLOCK)]
+        # ceil(reps / MOMENT_BLOCK) passes, each of at most MOMENT_BLOCK
+        # members: 32 draw blocks and a single moment stack at 2000
+        assert calls["_stacked_eigenproblem"] == [
+            min(synthetic.MOMENT_BLOCK, reps - lo)
+            for lo in range(0, reps, synthetic.MOMENT_BLOCK)]
+
 
 class TestRecoveryStudy:
     def test_strong_alpha_recovers_rank(self):
@@ -312,6 +376,11 @@ class TestRecoveryStudy:
     def test_requires_minimum_reps(self):
         with pytest.raises(ValidationError):
             run_recovery_study(study_spec(), reps=10)
+
+    @pytest.mark.parametrize("reps", [150.0, True, "150"])
+    def test_reps_not_an_integer_rejected(self, reps):
+        with pytest.raises(ValidationError, match=f"^reps must be an integer, got {reps!r}$"):
+            run_recovery_study(study_spec(T=120), reps=reps)
 
     def test_angle_helper(self):
         a = np.array([[1.0], [0.0]])
@@ -401,7 +470,10 @@ class TestBlockedCriticalValues:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_failing_replication_raises_its_error(self, case, monkeypatch):
         # replication 101 (second block of 64) draws a second series that
-        # repeats the first, so its level moments are singular
+        # repeats the first, so its level moments are singular; replication
+        # 900 draws a non-finite value, which the concentration flags before
+        # the eigenproblem sees replication 101, in the same moment stack or,
+        # with stacks of 256, in a later one
         real = synthetic._replication_streams
 
         class Repeating:
@@ -413,9 +485,15 @@ class TestBlockedCriticalValues:
                 out[:, 1] = out[:, 0]
                 return out
 
+        class NonFinite(Repeating):
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                out[200, 0] = np.nan
+                return out
+
         def rigged(seed, indices):
             for index, rng in zip(indices, real(seed, indices)):
-                yield Repeating(rng) if index == 101 else rng
+                yield {101: Repeating, 900: NonFinite}.get(index, lambda rng: rng)(rng)
 
         monkeypatch.setattr(synthetic, "_replication_streams", rigged)
         z = np.empty((400, 2))
@@ -423,7 +501,9 @@ class TestBlockedCriticalValues:
         z = np.cumsum(z + (1.0 if case == "uconst" else 0.0), axis=0)
         with pytest.raises(VelakitError) as want:
             rank_test(concentrate(z, k=1, case=case))
-        with pytest.raises(VelakitError) as blocked:
-            monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
-        assert blocked.type is type(want.value)
-        assert str(blocked.value) == str(want.value)
+        for moment_block in (synthetic.MOMENT_BLOCK, 256):
+            monkeypatch.setattr(synthetic, "MOMENT_BLOCK", moment_block)
+            with pytest.raises(VelakitError) as blocked:
+                monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
+            assert blocked.type is type(want.value)
+            assert str(blocked.value) == str(want.value)

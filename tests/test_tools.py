@@ -1,0 +1,85 @@
+"""The repository's command-line tools under tools/, run through their main()."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+json_float_diff = load_tool("json_float_diff")
+
+DOC = {
+    "case": "rconst",
+    "rank": 1,
+    "ok": True,
+    "note": None,
+    "specs": [
+        {"alpha": [[-0.5, 0.25], [0.125, 2.0]], "loglik": 10.0},
+        {"alpha": [[1.0, -4.0], [0.0, 0.5]], "loglik": -3.0},
+    ],
+}
+
+
+def run(tmp_path, capsys, old, new):
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    code = json_float_diff.main([str(path) for path in paths])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+def rows(lines):
+    """{field: (relative change, differing/floats)} from the tool's table."""
+    assert lines[0] == "relative_change\tdiffering/floats\tfield"
+    return {field: (float(relative), counts)
+            for relative, counts, field in (line.split("\t") for line in lines[1:])}
+
+
+class TestJsonFloatDiff:
+    def test_identical_documents(self, tmp_path, capsys):
+        code, lines, err = run(tmp_path, capsys, DOC, DOC)
+        assert code == 0 and err == ""
+        assert rows(lines) == {"$.specs[].alpha[][]": (0.0, "0/8"),
+                               "$.specs[].loglik": (0.0, "0/2")}
+
+    def test_one_changed_float(self, tmp_path, capsys):
+        new = json.loads(json.dumps(DOC))
+        new["specs"][1]["alpha"][0][1] = -4.0 + 1e-12
+        code, lines, _ = run(tmp_path, capsys, DOC, new)
+        assert code == 0
+        table = rows(lines)
+        # the largest |old| entry of the field is 4.0
+        assert table["$.specs[].alpha[][]"] == (
+            float(f"{abs(new['specs'][1]['alpha'][0][1] + 4.0) / 4.0:.3g}"), "1/8")
+        assert table["$.specs[].loglik"] == (0.0, "0/2")
+        assert json_float_diff.compare(DOC, new)["$.specs[].alpha[][]"] == (
+            abs(new["specs"][1]["alpha"][0][1] + 4.0) / 4.0, 1, 8)
+        assert lines[1].endswith("\t$.specs[].alpha[][]")  # the field that moved comes first
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc["specs"][0].update(sigma=doc["specs"][0].pop("loglik")),
+         "$.specs[0]: keys"),
+        (lambda doc: doc["specs"][1]["alpha"].pop(), "$.specs[1].alpha: 2 entries against 1"),
+        (lambda doc: doc.update(rank=1.0), "$.rank: int against float"),
+        (lambda doc: doc.update(note=0.5), "$.note: NoneType against float"),
+        (lambda doc: doc.update(case="uconst"), "$.case: 'rconst' against 'uconst'"),
+    ], ids=["renamed-key", "list-length", "int-float", "null-float", "string"])
+    def test_shape_mismatch_names_the_first_differing_path(self, tmp_path, capsys, edit, path):
+        new = json.loads(json.dumps(DOC))
+        edit(new)
+        new["specs"][1]["loglik"] = "later"  # a second difference, after the first
+        code, lines, err = run(tmp_path, capsys, DOC, new)
+        assert code == 1 and lines == []
+        assert err.startswith(f"shapes differ at {path}")

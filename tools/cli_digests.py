@@ -2,7 +2,8 @@
 
 Every subcommand runs: the panel commands on the demo panel, mission on the
 bundled sample config (as is and with a one-year horizon), and both
-mc-validate studies at small sizes with their per-replication CSVs.
+mc-validate studies at small sizes with their per-replication CSVs (the cv
+study also at 2100 replications, past one moment stack).
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -43,6 +44,9 @@ COMMANDS = {
     "mission": ["mission"],
     "mission-horizon1": ["mission", "--horizon-years", "1"],
     "mc-validate-cv": ["mc-validate", "--study", "cv", "--reps", "1000", "--dump-reps"],
+    # two moment stacks and a ragged last draw block
+    "mc-validate-cv-2100": ["mc-validate", "--study", "cv", "--p-minus-r", "2", "--case", "uconst",
+                            "--reps", "2100", "--dump-reps"],
     "mc-validate-recovery": ["mc-validate", "--study", "recovery", "--reps", "100",
                              "--T", "120", "--dump-reps"],
 }
