@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "vecm": (
         "CointegratingEquation", "VecmModel", "estimate_vecm",
-        "normalize_cointegrating_equation", "predict_one_step", "stability_check",
+        "normalize_cointegrating_equation", "stability_check",
     ),
     "spec_search": (
         "SpecificationReport", "build_correlation_table", "enumerate_specifications",

@@ -73,11 +73,17 @@ def _write_file(path: Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_artifacts(args, stem: str, payload: dict, text: str,
-                     extra: tuple[str, str] | None = None) -> None:
-    """Write the ``extra`` (name, text) file, if any, and the JSON and text
-    artifacts to --out-dir, then the chosen format to stdout, so a failed
-    write leaves stdout empty (and a failed extra leaves no JSON behind)."""
+def _emit(args, stem: str, body: dict, text: str, manifest=None,
+          extra: tuple[str, str] | None = None) -> int:
+    """Write a command's artifacts and output. The JSON payload is the
+    manifest, by default the panel manifest of args.command and --input,
+    followed by ``body``. The ``extra`` (name, text) file, if any, and the
+    JSON and text artifacts go to --out-dir, then the chosen format to
+    stdout, so a failed write leaves stdout empty (and a failed extra
+    leaves no JSON behind)."""
+    if manifest is None:
+        manifest = make_manifest(args.command, input_paths={"panel": args.input})
+    payload = {"manifest": manifest, **body}
     out = _make_out_dir(args) if args.out_dir else None
     data = dump_json(payload) if args.format == "json" or out is not None else None
     if out is not None:
@@ -86,16 +92,6 @@ def _write_artifacts(args, stem: str, payload: dict, text: str,
         _write_file(out / f"{stem}.json", data)
         _write_file(out / f"{stem}.txt", text)
     sys.stdout.write(data if args.format == "json" else text)
-
-
-def _emit(args, stem: str, body: dict, text: str, manifest=None,
-          extra: tuple[str, str] | None = None) -> int:
-    """Write a command's artifacts and output (_write_artifacts): the payload
-    is the manifest, by default the panel manifest of args.command and
-    --input, followed by ``body``."""
-    if manifest is None:
-        manifest = make_manifest(args.command, input_paths={"panel": args.input})
-    _write_artifacts(args, stem, {"manifest": manifest, **body}, text, extra)
     return EXIT_OK
 
 

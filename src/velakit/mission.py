@@ -145,13 +145,11 @@ def load_config(path: str | Path) -> MissionConfig:
     return config_from_dict(doc)
 
 
-def largest_remainder(weights: list[float], total: int,
-                      tie_order: list[int] | None = None) -> list[int]:
+def largest_remainder(weights: list[float], total: int) -> list[int]:
     """Integer apportionment of `total` items proportional to weights.
 
     Each party receives the floor of its exact quota; the leftovers go to
-    the largest fractional remainders. tie_order breaks remainder ties
-    deterministically (lower value wins first).
+    the largest fractional remainders, a remainder tie to the lower index.
     """
     if total < 0:
         raise ValidationError("cannot apportion a negative total")
@@ -166,10 +164,8 @@ def largest_remainder(weights: list[float], total: int,
     quotas = [total * w / s for w in exact]
     alloc = [floor(q) for q in quotas]
     leftovers = total - sum(alloc)
-    order = tie_order or list(range(len(weights)))
-    by_remainder = sorted(
-        range(len(weights)), key=lambda i: (-(quotas[i] - alloc[i]), order[i])
-    )
+    # largest remainder first; sorted is stable, so a tie keeps index order
+    by_remainder = sorted(range(len(weights)), key=lambda i: alloc[i] - quotas[i])
     for i in by_remainder[:leftovers]:
         alloc[i] += 1
     return alloc
@@ -227,19 +223,14 @@ def allocate(config: MissionConfig) -> MissionPlan:
         raise ValidationError("no launch provider: every agency has provides_super_heavy=false")
 
     n_launches = config.n_payload_launches + config.n_crew_launches
-    launch_alloc = largest_remainder(
-        [a.annual_budget_busd for a in providers],
-        n_launches,
-        tie_order=list(range(len(providers))),
-    )
+    launch_alloc = largest_remainder([a.annual_budget_busd for a in providers], n_launches)
     launches = {a.agency_id: n for a, n in zip(providers, launch_alloc)}
 
     module_weights = [
         a.annual_budget_busd * (config.esa_module_bias if a.agency_id == "ESA" else 1.0)
         for a in agencies
     ]
-    module_alloc = largest_remainder(module_weights, config.n_modules,
-                                     tie_order=list(range(len(agencies))))
+    module_alloc = largest_remainder(module_weights, config.n_modules)
     modules = {a.agency_id: n for a, n in zip(agencies, module_alloc)}
 
     budget_sum = sum(a.annual_budget_busd for a in agencies)

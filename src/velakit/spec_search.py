@@ -13,7 +13,7 @@ conflicts are adjudicated by the coefficient with the larger |z|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -152,8 +152,7 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
 
 
 def fit_specifications(panel, subsets, k_candidates=(1, 2),
-                       case: str = RESTRICTED_CONSTANT,
-                       agency_id: str | None = None) -> SpecificationReport:
+                       case: str = RESTRICTED_CONSTANT) -> SpecificationReport:
     """Fit every subset x lag candidate, keeping rank-1 fits.
 
     The case, the subsets (at least one) and the lag candidates (at least
@@ -176,7 +175,7 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
         if k in ks[:i]:
             raise ValidationError(f"lag candidate k={k!r} is repeated")
     ks.sort()
-    agency = agency_id or getattr(panel, "agency_id", "?")
+    agency = getattr(panel, "agency_id", "?")
     by_size: dict[int, list[int]] = {}
     for pos, subset in enumerate(subsets):
         by_size.setdefault(len(subset), []).append(pos)
@@ -257,11 +256,4 @@ def run_specification_search(panel, min_size: int = DEFAULT_MIN_SIZE,
     """enumerate -> fit -> aggregate, returning a complete report."""
     subsets = enumerate_specifications(min_size)
     report = fit_specifications(panel, subsets, k_candidates=k_candidates, case=case)
-    row = build_correlation_table(report)
-    return SpecificationReport(
-        agency_id=report.agency_id,
-        case=report.case,
-        specs=report.specs,
-        rejected=report.rejected,
-        correlation_row=row,
-    )
+    return replace(report, correlation_row=build_correlation_table(report))

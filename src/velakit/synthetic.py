@@ -39,6 +39,7 @@ simulated or fitted in.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -72,6 +73,8 @@ _UNIT_TOL = 1e-8
 CV_BLOCK = 64
 FIT_BLOCK = 32
 BOOT_BLOCK = 20
+# bootstrap resamples of the critical-value study's percentiles
+BOOTSTRAP = 200
 # replications per moment stack of the critical-value study: the draw
 # blocks' S00/S01/S11 collect here and go through the eigenproblem and the
 # trace test in one pass, once per study up to 2048 replications. The stack
@@ -94,8 +97,11 @@ def _splitmix64(x: int) -> int:
 
 def replication_seed(base_seed: int, index: int) -> int:
     """The seed of replication ``index``; also takes a uint64 array of
-    indices, whose wrapping arithmetic gives the same seeds."""
-    return _splitmix64((base_seed & 0xFFFFFFFFFFFFFFFF) + index)
+    indices, whose wrapping arithmetic gives the same seeds. A numpy integer
+    seed or index gives the seed of the equal int."""
+    if not isinstance(index, np.ndarray):
+        index = operator.index(index) & 0xFFFFFFFFFFFFFFFF
+    return _splitmix64((operator.index(base_seed) & 0xFFFFFFFFFFFFFFFF) + index)
 
 
 def rng_for(base_seed: int, index: int = 0) -> np.random.Generator:
@@ -368,8 +374,8 @@ class CriticalValueStudy:
 
 
 def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
-                                seed: int = 0, bootstrap: int = 200,
-                                keep_statistics: bool = False) -> CriticalValueStudy:
+                                seed: int = 0, keep_statistics: bool = False
+                                ) -> CriticalValueStudy:
     """Empirical trace-statistic percentiles under the no-cointegration null.
 
     The null is p_minus_r independent random walks; the statistic is the
@@ -377,25 +383,22 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     The restricted-constant table assumes no deterministic trend (driftless
     null); the unrestricted-constant table is derived under a
     trend-generating constant, so its null walks carry a unit drift.
-    Bootstrap standard errors come from resampling the replication
-    statistics.
+    Bootstrap standard errors come from BOOTSTRAP = 200 resamples of the
+    replication statistics.
 
     Replications are drawn and concentrated in blocks of CV_BLOCK and their
     eigenproblems solved in moment stacks of MOMENT_BLOCK; the first
-    failing replication raises its own error. p_minus_r, reps, T, bootstrap
-    and seed must be ints or numpy integers.
+    failing replication raises its own error. p_minus_r, reps, T and seed
+    must be ints or numpy integers.
     """
     _check_case(case)
-    p_minus_r, reps, T, bootstrap, seed = _integers(p_minus_r=p_minus_r, reps=reps, T=T,
-                                                    bootstrap=bootstrap, seed=seed)
+    p_minus_r, reps, T, seed = _integers(p_minus_r=p_minus_r, reps=reps, T=T, seed=seed)
     if reps < 1000:
         raise ValidationError(f"reps must be >= 1000, got {reps}")
     if T < 400:
         raise ValidationError(f"T must be >= 400, got {T}")
     if not 1 <= p_minus_r <= MAX_TABLE_DIM:
         raise ValidationError(f"p_minus_r must be in 1..{MAX_TABLE_DIM}, got {p_minus_r}")
-    if bootstrap < 2:
-        raise ValidationError(f"bootstrap must be >= 2, got {bootstrap}")
     drift = 1.0 if case == UNRESTRICTED_CONSTANT else 0.0
     p_aug = p_minus_r + (case == RESTRICTED_CONSTANT)
     stats = np.empty(reps)
@@ -427,9 +430,9 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     qs = (90.0, 95.0, 99.0)
     percentiles = {f"{int(q)}%": float(np.percentile(stats, q)) for q in qs}
     boot_rng = rng_for(seed, reps + 1)
-    boots = np.empty((len(qs), bootstrap))
-    for start in range(0, bootstrap, BOOT_BLOCK):
-        idx = boot_rng.integers(0, reps, size=(min(BOOT_BLOCK, bootstrap - start), reps))
+    boots = np.empty((len(qs), BOOTSTRAP))
+    for start in range(0, BOOTSTRAP, BOOT_BLOCK):
+        idx = boot_rng.integers(0, reps, size=(min(BOOT_BLOCK, BOOTSTRAP - start), reps))
         # sorted rows hold the same order statistics, and numpy selects
         # them from sorted rows faster than from unsorted ones
         resampled = stats[idx]
@@ -501,8 +504,10 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
 
     Replications are simulated in blocks of up to SIM_BLOCK (see _simulate)
     and fitted in stacked slices of FIT_BLOCK (see _recovery_block); a
-    failing replication raises its own error.
+    failing replication raises its own error. The case is checked before
+    anything is simulated.
     """
+    _check_case(case)
     (reps,) = _integers(reps=reps)
     if reps < 100:
         raise ValidationError(f"reps must be >= 100, got {reps}")

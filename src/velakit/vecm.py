@@ -14,7 +14,8 @@ the conditional (fixed-alpha) asymptotic covariance, and the headline
 chi-square is the joint Wald test that every non-normalized beta
 coefficient is zero. A rank-1 relation solved for its dependent variable
 (normalize_cointegrating_equation) is likewise the n=1 call of a stacked
-pass over a search's rank-1 models.
+pass over a search's rank-1 models of one subset size, which share their
+dimension and deterministic case.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ def normalize_cointegrating_equation(model: VecmModel) -> CointegratingEquation:
 
 @np.errstate(all="ignore")
 def _stacked_equations(models: list, errors: dict) -> list[CointegratingEquation | None]:
-    """normalize_cointegrating_equation for models of one dimension p, in one
-    pass; the deterministic case may differ between them.
+    """normalize_cointegrating_equation for models of one dimension p and one
+    deterministic case, in one pass; the specification search's rank-1
+    members of one subset size, or a single model.
 
     Returns one CointegratingEquation per member, None for a member with an
     error in ``errors`` (whose model may be None). Records ValidationError
@@ -295,34 +297,28 @@ def _stacked_equations(models: list, errors: dict) -> list[CointegratingEquation
     if not live:
         return out
     stack = [models[i] for i in live]
-    p = stack[0].p
-    restricted = np.array([m.has_restricted_constant for m in stack])
-    # the members' beta and z columns end to end, from row ``first`` to ``end``
-    size = p + restricted
-    end = np.cumsum(size)
-    first = end - size
-    beta, z = (np.concatenate([getattr(m, f) for m in stack])[:, 0] for f in ("beta", "beta_z"))
-    b_dep = beta[first]
-    scale = np.maximum.reduceat(np.abs(beta), first)
+    p, restricted = stack[0].p, stack[0].has_restricted_constant
+    beta, z = (np.array([getattr(m, f)[:, 0] for m in stack]) for f in ("beta", "beta_z"))
+    b_dep = beta[:, 0]
+    scale = np.abs(beta).max(axis=1)
     zero = (np.abs(b_dep) < 1e-10 * np.maximum(scale, 1e-300)) | (b_dep == 0.0)
-    # every row solved for the dependent: the coefficients, and the intercept
-    # in a restricted constant's row; the z of a solved row is minus beta's
-    # when b_dep > 0 (NaN where beta's is not finite)
-    solved = -beta / np.repeat(b_dep, size)
-    z_eq = np.where(np.isfinite(z), z * np.repeat(np.where(b_dep > 0, -1.0, 1.0), size), np.nan)
-    intercept = solved[end - 1]
-    if not restricted.all():
+    # every coefficient solved for the dependent, with the intercept in a
+    # restricted constant's column; the z of a solved coefficient is minus
+    # beta's when b_dep > 0 (NaN where beta's is not finite)
+    solved = -beta / b_dep[:, None]
+    z_eq = np.where(np.isfinite(z), z * np.where(b_dep > 0, -1.0, 1.0)[:, None], np.nan)
+    if restricted:
+        intercept = solved[:, -1]
+    else:
         # the dependent's mean less the fitted level at the means, summed in
         # variable order
-        free = ~restricted
-        means = np.array([m.level_means for m, r in zip(stack, restricted.tolist()) if not r])
+        means = np.array([m.level_means for m in stack])
         fitted = 0
         for j in range(1, p):
-            fitted = fitted + solved[first[free] + j] * means[:, j]
-        intercept[free] = means[:, 0] - fitted
-    solved, z_eq = solved.tolist(), z_eq.tolist()
-    rows = zip(live, stack, first.tolist(), end.tolist(), zero.tolist(), intercept.tolist())
-    for i, model, row, stop, dep_zero, icpt in rows:
+            fitted = fitted + solved[:, j] * means[:, j]
+        intercept = means[:, 0] - fitted
+    rows = zip(live, stack, solved.tolist(), z_eq.tolist(), zero.tolist(), intercept.tolist())
+    for i, model, coefs, zs, dep_zero, icpt in rows:
         dep, present = model.vars[0], model.vars[1:]
         if dep_zero:
             errors[i] = NonNormalizableError(
@@ -332,16 +328,15 @@ def _stacked_equations(models: list, errors: dict) -> list[CointegratingEquation
         indep = tuple(v for v in VARIABLES if v != dep) if set(VARIABLES).issuperset(model.vars) \
             else present
         coefficients = dict.fromkeys(indep, 0.0)
-        coefficients.update(zip(present, solved[row + 1 : row + p]))
-        z_scores = {name: zj for name, zj in zip(present, z_eq[row + 1 : row + p]) if zj == zj}
-        icpt_z = z_eq[stop - 1]
+        coefficients.update(zip(present, coefs[1:p]))
+        z_scores = {name: zj for name, zj in zip(present, zs[1:p]) if zj == zj}
         out[i] = CointegratingEquation(
             dependent=dep,
             coefficients=coefficients,
             intercept=icpt,
             z_scores=z_scores,
             significant_at_5pct={name: abs(zj) >= Z_CRIT_5PCT for name, zj in z_scores.items()},
-            intercept_z=icpt_z if model.has_restricted_constant and icpt_z == icpt_z else None,
+            intercept_z=zs[-1] if restricted and zs[-1] == zs[-1] else None,
         )
     return out
 
@@ -382,25 +377,6 @@ def stability_check(model: VecmModel) -> tuple[np.ndarray, int, bool]:
     rest = moduli[expected:]
     stable = bool(unit_count == expected and np.all(rest < 1.0 - STABLE_MARGIN))
     return moduli, unit_count, stable
-
-
-def predict_one_step(model: VecmModel, history) -> np.ndarray:
-    """One-step-ahead level forecast from the most recent k observations."""
-    h = np.asarray(history, dtype=float)
-    if h.ndim == 1:
-        h = h[None, :]
-    if h.shape[0] < model.k or h.shape[1] != model.p:
-        raise ValidationError(
-            f"history must supply at least k={model.k} rows of {model.p} levels, "
-            f"got shape {h.shape}"
-        )
-    h = h[-model.k :]
-    z_t = h[-1]
-    lvl = np.append(z_t, 1.0) if model.has_restricted_constant else z_t
-    dz_next = model.alpha @ (model.beta.T @ lvl) + model.mu
-    for i, g in enumerate(model.gamma, start=1):
-        dz_next = dz_next + g @ (h[-i] - h[-i - 1])
-    return z_t + dz_next
 
 
 def concentrated_loglik_from_eigenvalues(m, r: int) -> float:

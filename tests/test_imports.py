@@ -26,7 +26,7 @@ EXPORTED = (
     "generate_vecm_data", "information_criteria", "interpolate_missing", "johansen",
     "lag_selection", "largest_remainder", "linalg", "load_config", "load_panel",
     "load_reference_tables", "mission", "monte_carlo_critical_values",
-    "normalize_cointegrating_equation", "ols_fit", "panel", "predict_one_step",
+    "normalize_cointegrating_equation", "ols_fit", "panel",
     "query_super_heavy", "random_walk_spec", "rank_test", "reference_data",
     "run_recovery_study", "run_specification_search", "select_lag",
     "solve_cointegration_eigenproblem", "spec_search", "stability_check", "study_spec",

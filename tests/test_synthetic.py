@@ -138,6 +138,22 @@ class TestGenerate:
         assert replication_seed(0, 0) != replication_seed(0, 1)
         assert replication_seed(5, 0) == replication_seed(5, 0)
 
+    @pytest.mark.parametrize("seed", [0, 3, -3, 2**31, -(2**63), 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 5, -1, 2**63 - 1, 2**63 + 7])
+    def test_numpy_integers_draw_as_their_ints(self, seed, index):
+        # every numpy integer type that holds the value, int64 and uint64
+        # past 2**63 included, seeds the stream of the equal int
+        def kinds(value):
+            return [int, *(t for t, lo, hi in ((np.int64, -(2**63), 2**63),
+                                               (np.uint64, 0, 2**64)) if lo <= value < hi)]
+        want = rng_for(seed, index).standard_normal(8)
+        for seed_type in kinds(seed):
+            for index_type in kinds(index):
+                got = rng_for(seed_type(seed), index_type(index)).standard_normal(8)
+                assert np.array_equal(got, want), (seed_type, index_type)
+        # seeds and indices are taken mod 2**64
+        assert replication_seed(seed % 2**64, index % 2**64) == replication_seed(seed, index)
+
 
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
@@ -254,28 +270,24 @@ class TestCriticalValueStudy:
         b = monte_carlo_critical_values(1, "uconst", reps=1000, T=400, seed=9)
         assert a.percentiles == b.percentiles
 
-    @pytest.mark.filterwarnings("error")
-    def test_single_bootstrap_resample_rejected(self):
-        with pytest.raises(ValidationError, match="bootstrap must be >= 2"):
-            monte_carlo_critical_values(1, "rconst", reps=1000, T=400, bootstrap=1)
-
     @pytest.mark.parametrize("p_minus_r", [0, 7])
     def test_dimension_outside_table_rejected(self, p_minus_r):
         with pytest.raises(ValidationError, match="p_minus_r"):
             monte_carlo_critical_values(p_minus_r, "rconst", reps=1000, T=400)
 
     @pytest.mark.parametrize("name, value", [
-        ("reps", 1500.0), ("T", 400.5), ("bootstrap", 2.5), ("seed", 1.5), ("seed", True),
+        ("reps", 1500.0), ("T", 400.5), ("seed", 1.5), ("seed", True),
         ("reps", np.float64(2000)), ("p_minus_r", 2.0), ("T", "400"),
     ])
     def test_integer_arguments_not_integers_rejected(self, name, value):
-        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400, seed=0, bootstrap=2)
+        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400, seed=0)
         message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValidationError, match=message):
             monte_carlo_critical_values(**{**args, name: value})
 
-    def test_numpy_integer_arguments_accepted(self):
-        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400, bootstrap=5)
+    def test_numpy_integer_arguments_accepted(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "BOOTSTRAP", 5)
+        args = dict(p_minus_r=1, case="rconst", reps=1000, T=400)
         want = monte_carlo_critical_values(**args, seed=-3, keep_statistics=True)
         got = monte_carlo_critical_values(
             **{name: np.int64(value) if isinstance(value, int) else value
@@ -287,8 +299,10 @@ class TestCriticalValueStudy:
 @pytest.fixture(scope="module")
 def ragged_study():
     # 1001 replications and 45 resamples leave a partial last block in both loops
-    return monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
-                                       bootstrap=45, keep_statistics=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthetic, "BOOTSTRAP", 45)
+        return monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
+                                           keep_statistics=True)
 
 
 class TestBlockedCriticalValueStudy:
@@ -327,8 +341,9 @@ class TestBlockedCriticalValueStudy:
         monkeypatch.setattr(synthetic, "CV_BLOCK", cv_block)
         monkeypatch.setattr(synthetic, "MOMENT_BLOCK", 2048 if draw_blocks is None
                             else draw_blocks * cv_block)
+        monkeypatch.setattr(synthetic, "BOOTSTRAP", 45)
         study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
-                                            bootstrap=45, keep_statistics=True)
+                                            keep_statistics=True)
         assert np.array_equal(study.statistics, ragged_study.statistics)
         assert study.percentiles == ragged_study.percentiles
         assert study.bootstrap_se == ragged_study.bootstrap_se
@@ -341,7 +356,8 @@ class TestBlockedCriticalValueStudy:
                 members.append(len(args[0]))
                 return real(*args, **kwargs)
             monkeypatch.setattr(synthetic, name, counted)
-        monte_carlo_critical_values(1, "rconst", reps=reps, T=400, bootstrap=2)
+        monkeypatch.setattr(synthetic, "BOOTSTRAP", 2)
+        monte_carlo_critical_values(1, "rconst", reps=reps, T=400)
         assert calls["_stacked_concentrate"] == [
             min(synthetic.CV_BLOCK, reps - start) for start in range(0, reps, synthetic.CV_BLOCK)]
         # ceil(reps / MOMENT_BLOCK) passes, each of at most MOMENT_BLOCK
@@ -376,6 +392,13 @@ class TestRecoveryStudy:
     def test_requires_minimum_reps(self):
         with pytest.raises(ValidationError):
             run_recovery_study(study_spec(), reps=10)
+
+    def test_case_checked_before_simulating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before the case was checked")
+        monkeypatch.setattr(synthetic, "_simulate", unreachable)
+        with pytest.raises(ValidationError, match="case"):
+            run_recovery_study(study_spec(T=120), reps=100, case="trend")
 
     @pytest.mark.parametrize("reps", [150.0, True, "150"])
     def test_reps_not_an_integer_rejected(self, reps):

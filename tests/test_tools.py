@@ -1,5 +1,6 @@
 """The repository's command-line tools under tools/, run through their main()."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -17,6 +18,7 @@ def load_tool(name):
 
 
 json_float_diff = load_tool("json_float_diff")
+cli_digests = load_tool("cli_digests")
 
 DOC = {
     "case": "rconst",
@@ -83,3 +85,13 @@ class TestJsonFloatDiff:
         code, lines, err = run(tmp_path, capsys, DOC, new)
         assert code == 1 and lines == []
         assert err.startswith(f"shapes differ at {path}")
+
+
+class TestCliDigests:
+    def test_every_subcommand_has_a_digest(self):
+        # the byte-identity evidence covers the whole command line
+        from velakit.cli import build_parser
+
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert {argv[0] for argv in cli_digests.COMMANDS.values()} == set(subparsers.choices)

@@ -27,7 +27,6 @@ from velakit.vecm import (
     concentrated_loglik_from_eigenvalues,
     estimate_vecm,
     normalize_cointegrating_equation,
-    predict_one_step,
     stability_check,
 )
 
@@ -324,20 +323,24 @@ class TestNormalize:
         expected = means[0] - eq.coefficients["gpc"] * means[1] - eq.coefficients["md"] * means[2]
         assert eq.intercept == pytest.approx(expected)
 
-    def test_stacked_members_are_their_n1_calls(self):
-        # one stack mixing cases, a dependent coefficient of 0 and a rank-2
-        # model (all p=3): each member gets exactly its n=1 call's equation,
-        # or its error, and the one-model-at-a-time reference agrees
+    @pytest.mark.parametrize("case", CASES)
+    def test_stacked_members_are_their_n1_calls(self, case):
+        # one stack of one case mixing lags, named and y* variables, a
+        # dependent coefficient of 0 and a rank-2 model (all p=3): each
+        # member gets exactly its n=1 call's equation, or its error, and the
+        # one-model-at-a-time reference agrees
         z = generate_vecm_data(study_spec(T=260, seed=3))
-        rconst = estimate_vecm(z, k=1, r=1, case="rconst", vars=("sb", "gpc", "md"))
+        named = estimate_vecm(z, k=1, r=1, case=case, vars=("sb", "gpc", "md"))
         zero = make_model(alpha=np.array([[-0.1], [0.05], [0.02]]),
-                          beta=np.array([0.0, 1.0, -1.0, 0.5]), vars=("sb", "gpc", "rd"))
-        uconst = estimate_vecm(z, k=2, r=1, case="uconst", vars=("sb", "gpc", "md"))
-        named = estimate_vecm(z, k=3, r=1, case="uconst")
-        rank2 = estimate_vecm(z, k=1, r=2, case="rconst", vars=("sb", "gpc", "md"))
-        # an rconst intercept does not need the level means a model may lack
-        no_means = dataclasses.replace(rconst, level_means=None)
-        models = [rconst, zero, uconst, named, rank2, no_means]
+                          beta=np.array([0.0, 1.0, -1.0, 0.5][: 3 + (case == "rconst")]),
+                          vars=("sb", "gpc", "rd"), case=case)
+        lag2 = estimate_vecm(z, k=2, r=1, case=case, vars=("sb", "gpc", "md"))
+        unnamed = estimate_vecm(z, k=3, r=1, case=case)
+        rank2 = estimate_vecm(z, k=1, r=2, case=case, vars=("sb", "gpc", "md"))
+        models = [named, zero, lag2, unnamed, rank2]
+        if case == "rconst":
+            # an rconst intercept does not need the level means a model may lack
+            models.append(dataclasses.replace(named, level_means=None))
         errors = {}
         got = _stacked_equations(models, errors)
         assert sorted(errors) == [1, 4]
@@ -353,9 +356,13 @@ class TestNormalize:
             assert got[i] == want == scalar_reference.normalize_equation(model)
             assert list(got[i].coefficients) == list(want.coefficients)
         assert type(errors[1]) is NonNormalizableError
-        assert got[2].intercept_z is None and got[0].intercept_z is not None
+        assert list(got[0].coefficients) == ["gpc", "rd", "md", "ed", "sd"]
         assert list(got[3].coefficients) == ["y1", "y2"]
-        assert got[5] == got[0]
+        if case == "rconst":
+            assert got[0].intercept_z is not None and got[2].intercept_z is not None
+            assert got[5] == got[0]
+        else:
+            assert got[0].intercept_z is None and got[2].intercept_z is None
 
     def test_stacked_members_skip_recorded_errors(self):
         model = estimate_vecm(generate_vecm_data(study_spec(T=260, seed=3)), k=1, r=1)
@@ -427,46 +434,6 @@ class TestStability:
         z_next = z[-1] + dz_next
         stacked = np.concatenate([z[-1], z[-2]])
         assert comp @ stacked == pytest.approx(np.concatenate([z_next, z[-1]]))
-
-
-class TestPredict:
-    def test_no_dynamics_returns_last_level(self):
-        model = make_model(
-            alpha=np.zeros((2, 1)), beta=np.array([0.0, 0.0, 0.0]), case="rconst"
-        )
-        z = predict_one_step(model, np.array([[1.0, 2.0]]))
-        assert z == pytest.approx([1.0, 2.0])
-
-    def test_pure_drift(self):
-        model = make_model(
-            alpha=np.zeros((2, 1)),
-            beta=np.array([0.0, 0.0]),
-            mu=np.array([0.5, -0.25]),
-            case="uconst",
-        )
-        z = predict_one_step(model, np.array([[1.0, 2.0]]))
-        assert z == pytest.approx([1.5, 1.75])
-
-    def test_noiseless_self_consistency(self):
-        spec = study_spec(T=40, seed=2)
-        z = generate_vecm_data(spec)
-        model = estimate_vecm(z, k=2, r=1, case="uconst")
-        # independent oracle: run the error-correction recursion by hand from
-        # the fitted parameters and check predict_one_step tracks it exactly
-        pi = model.alpha @ model.beta.T
-        path = [z[0].copy(), z[1].copy()]
-        for _ in range(20):
-            dz = pi @ path[-1] + model.gamma[0] @ (path[-1] - path[-2]) + model.mu
-            path.append(path[-1] + dz)
-        for i in range(20):
-            pred = predict_one_step(model, np.vstack(path[i : i + 2]))
-            assert pred == pytest.approx(path[i + 2], abs=1e-10)
-
-    def test_insufficient_history(self):
-        z = generate_vecm_data(study_spec(T=60, seed=2))
-        model = estimate_vecm(z, k=2, r=1)
-        with pytest.raises(ValidationError, match="history"):
-            predict_one_step(model, z[-1])
 
 
 class TestBlockPosition:

@@ -1,9 +1,10 @@
 """Digests of the velakit CLI's outputs, one line per command.
 
-Every subcommand runs: the panel commands on the demo panel, mission on the
-bundled sample config (as is and with a one-year horizon), and both
-mc-validate studies at small sizes with their per-replication CSVs (the cv
-study also at 2100 replications, past one moment stack).
+Every subcommand runs: the panel commands on the demo panel (adf also with
+a trend, vecm also at rank 2 under uconst), mission on the bundled sample
+config (as is and with a one-year horizon), and both mc-validate studies at
+small sizes with their per-replication CSVs (the cv study also at 2100
+replications, past one moment stack).
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -32,6 +33,7 @@ PANEL = ["--input", "sample_data/demo_panel.csv", "--agency", "DEMO"]
 COMMANDS = {
     "ingest": ["ingest", *PANEL],
     "adf": ["adf", *PANEL],
+    "adf-trend": ["adf", *PANEL, "--trend"],
     "lagselect": ["lagselect", *PANEL],
     "specsearch": ["specsearch", *PANEL],
     "specsearch-k123": ["specsearch", *PANEL, "--min-size", "2", "--k-candidates", "1", "2", "3"],
@@ -41,6 +43,8 @@ COMMANDS = {
     "pipeline-json": ["pipeline", *PANEL, "--format", "json"],
     "vecrank": ["vecrank", *PANEL],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
+    # a rank-2 model has no single cointegrating equation
+    "vecm-rank2-uconst": ["vecm", *PANEL, "--rank", "2", "--case", "uconst"],
     "mission": ["mission"],
     "mission-horizon1": ["mission", "--horizon-years", "1"],
     "mc-validate-cv": ["mc-validate", "--study", "cv", "--reps", "1000", "--dump-reps"],
