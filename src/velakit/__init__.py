@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "unit_root": ("AdfResult", "adf_test", "default_adf_lags"),
     "lag_selection": (
-        "LagSelectionTable", "VarFit", "fit_var", "information_criteria", "select_lag",
+        "LagSelectionTable", "VarFit", "fit_var", "select_lag",
     ),
     "johansen": (
         "MomentMatrices", "RankTestResult", "RESTRICTED_CONSTANT", "UNRESTRICTED_CONSTANT",

@@ -283,12 +283,13 @@ def cmd_mc_validate(args) -> int:
         raise ValidationError("--dump-reps writes its CSV to --out-dir; give --out-dir")
     seeds = (args.seed,)
     if args.study == "cv":
+        p_minus_r = 1 if args.p_minus_r is None else args.p_minus_r
         result = monte_carlo_critical_values(
-            p_minus_r=args.p_minus_r, case=args.case, reps=args.reps, T=args.T,
+            p_minus_r=p_minus_r, case=args.case, reps=args.reps, T=args.T,
             seed=args.seed, keep_statistics=bool(args.dump_reps),
         )
         text = (
-            f"trace critical values (p-r={args.p_minus_r}, case {args.case}, "
+            f"trace critical values (p-r={p_minus_r}, case {args.case}, "
             f"reps={args.reps}, T={args.T}):\n"
             + "".join(
                 f"  {k}: {v:.3f} (bootstrap se {result.bootstrap_se[k]:.3f})\n"
@@ -299,6 +300,9 @@ def cmd_mc_validate(args) -> int:
         result = dataclasses.replace(result, statistics=None)
         body = {"critical_value_study": result}
     else:
+        if args.p_minus_r is not None:
+            raise ValidationError("--p-minus-r applies to the cv study only; the recovery "
+                                  "study simulates a fixed p=3, r=1 system")
         spec = study_spec(T=args.T, seed=args.seed)
         study = run_recovery_study(spec, reps=args.reps, case=args.case)
         keep = study if args.dump_reps else dataclasses.replace(study, per_rep=())
@@ -399,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-validate", help="Monte Carlo validation studies")
     add_common(p, needs_panel=False)
     p.add_argument("--study", choices=("cv", "recovery"), default="cv")
-    p.add_argument("--p-minus-r", type=int, default=1)
+    p.add_argument("--p-minus-r", type=int, default=None,
+                   help="cv study only: the dimension p - r (default 1)")
     p.add_argument("--case", choices=CASES, default=RESTRICTED_CONSTANT)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--T", type=int, dest="T", default=400)

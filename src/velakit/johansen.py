@@ -60,9 +60,6 @@ MAXEIG_CRITICAL = {
     },
 }
 
-_LEVEL_KEY = {0.10: "90%", 0.05: "95%", 0.01: "99%"}
-
-
 def _check_case(case: str) -> None:
     if case not in CASES:
         raise ValidationError(f"case must be one of {CASES}, got {case!r}")
@@ -136,7 +133,7 @@ class RankTestResult:
     maxeig_critical_values_5pct: np.ndarray
     selected_rank: int
     deterministic_case: str
-    level: float
+    level: float  # always 0.05, the level of selected_rank
     T_eff: int
     p: int
 
@@ -148,24 +145,22 @@ def _check_dimension(p: int) -> None:
         )
 
 
-def rank_test(m: MomentMatrices, level: float = 0.05) -> RankTestResult:
+def rank_test(m: MomentMatrices) -> RankTestResult:
     """Trace/max-eigenvalue statistics over r = 0..p-1 and the selected rank,
-    against the critical values of the moments' deterministic case.
+    against the 5% critical values of the moments' deterministic case.
 
     Selection uses the trace statistic: the smallest r that fails to reject
-    at the requested level. If every null rejects the system looks
-    stationary in levels and the selected rank is p.
+    at 5%. If every null rejects the system looks stationary in levels and
+    the selected rank is p.
     """
     case, p = m.case, m.p
     _check_case(case)
-    if level not in _LEVEL_KEY:
-        raise ValidationError(f"level must be one of {sorted(_LEVEL_KEY)}, got {level}")
     _check_dimension(p)
     errors = {}
     lam, _ = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors)
     _raise_first(errors)
     lam = lam[0, :p]
-    trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case, _LEVEL_KEY[level])
+    trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case)
     cv5 = np.array(TRACE_CRITICAL[case]["95%"][p - 1 :: -1])
     cv5_max = np.array(MAXEIG_CRITICAL[case]["95%"][p - 1 :: -1])
     return RankTestResult(
@@ -176,7 +171,7 @@ def rank_test(m: MomentMatrices, level: float = 0.05) -> RankTestResult:
         maxeig_critical_values_5pct=cv5_max,
         selected_rank=int(selected[0]),
         deterministic_case=case,
-        level=level,
+        level=0.05,
         T_eff=m.T_eff,
         p=p,
     )
@@ -278,8 +273,7 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
 
 
 @np.errstate(all="ignore")
-def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str,
-                        key: str = "95%"):
+def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str):
     """Trace statistics (n, p) for r = 0..p-1 and selected ranks (n,) from
     stacked descending eigenvalues (n, >= p).
 
@@ -287,12 +281,12 @@ def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str,
     each (an (n, 1) array, for a stack whose members differ in lag). The
     statistic for r sums log(1 - lambda) over the p - r smallest
     eigenvalues, smallest first; the selected rank is the smallest r whose
-    statistic falls below the ``key`` critical value for p - r, or p when
-    every null rejects.
+    statistic falls below the 5% critical value for p - r, or p when every
+    null rejects.
     """
     log1m = np.log1p(-lam[:, :p])
     trace = -T_eff * np.cumsum(log1m[:, ::-1], axis=1)[:, ::-1]
-    below = trace < np.array(TRACE_CRITICAL[case][key][p - 1 :: -1])
+    below = trace < np.array(TRACE_CRITICAL[case]["95%"][p - 1 :: -1])
     return trace, np.where(below.any(axis=1), below.argmax(axis=1), p)
 
 

@@ -59,7 +59,8 @@ def level_matrix(data, vars=None) -> tuple[np.ndarray, tuple[str, ...]]:
 class VarFit:
     """Per-equation OLS of z_t on (1, z_{t-1}, ..., z_{t-k}), stacked.
 
-    coefficients: ((1 + p*k) x p); sigma_ml uses the T^-1 normalization so
+    coefficients: ((1 + p*k) x p), the intercept row and then the p rows of
+    each lag, z_{t-1} first; sigma_ml uses the T^-1 normalization so
     criteria are comparable across lags.
     """
 
@@ -70,16 +71,6 @@ class VarFit:
     sigma_ml: np.ndarray
     T_eff: int
     n_params: int
-
-    @property
-    def intercept(self) -> np.ndarray:
-        return self.coefficients[0]
-
-    def lag_matrix(self, i: int) -> np.ndarray:
-        """Coefficient matrix A_i mapping z_{t-i} into z_t (p x p)."""
-        p = len(self.vars)
-        block = self.coefficients[1 + (i - 1) * p : 1 + i * p]
-        return block.T
 
 
 def fit_var(data, vars=None, k: int = 1) -> VarFit:
@@ -111,16 +102,6 @@ def fit_var(data, vars=None, k: int = 1) -> VarFit:
         T_eff=T_eff,
         n_params=p * n_regressors,
     )
-
-
-def information_criteria(fit, T: int, n_params: int) -> tuple[float, float, float, float]:
-    """(loglik, AIC, BIC, HQIC) of gaussian_criteria for Sigma_ml = eps'eps / T
-    from a fit's residuals; a singular Sigma_ml raises its ValidationError."""
-    resid = np.asarray(fit.residuals, dtype=float).reshape(len(fit.residuals), -1)
-    *criteria, errors = gaussian_criteria(((resid.T @ resid) / T)[None], T, n_params)
-    if errors:
-        raise errors[0]
-    return tuple(c[0] for c in criteria)
 
 
 def gaussian_loglik(T: int, p: int, logdet):
@@ -175,7 +156,10 @@ def select_lag(data, vars=None, k_max: int = 4) -> LagSelectionTable:
     prev_ll = -math.inf
     for k in range(1, k_max + 1):
         fit = fit_var(z[k_max - k :], names, k=k)
-        ll, aic, bic, hqic = information_criteria(fit, fit.T_eff, fit.n_params)
+        *criteria, errors = gaussian_criteria(fit.sigma_ml[None], fit.T_eff, fit.n_params)
+        if errors:
+            raise errors[0]
+        ll, aic, bic, hqic = (c[0] for c in criteria)
         if ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ValidationError(
                 f"log-likelihood decreased from lag {k - 1} to {k}; "

@@ -50,16 +50,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit of Y on X.
-
-    coefficients has shape (regressors, responses); residual_covariance is
-    the dof-normalized cross-product eps'eps / dof with dof = rows - cols(X).
-    """
+    """Least-squares fit of Y on X; coefficients has shape (regressors,
+    responses)."""
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    residual_covariance: np.ndarray
-    dof: int
 
 
 def ols_fit(X, Y) -> OlsFit:
@@ -70,15 +65,12 @@ def ols_fit(X, Y) -> OlsFit:
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
-    n, k = X.shape
-    if Y.shape[0] != n:
-        raise ValidationError(f"X has {n} rows but Y has {Y.shape[0]}")
+    if Y.shape[0] != X.shape[0]:
+        raise ValidationError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     coef, resid, _, errors = _stacked_ols(X[None], Y[None])
     if errors:
         raise errors[0]
-    resid = resid[0]
-    return OlsFit(coefficients=coef[0], residuals=resid,
-                  residual_covariance=(resid.T @ resid) / (n - k), dof=n - k)
+    return OlsFit(coefficients=coef[0], residuals=resid[0])
 
 
 def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:

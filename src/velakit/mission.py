@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, isfinite
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ValidationError, read_input
@@ -90,7 +91,7 @@ class MissionConfig:
 def _field(doc: dict, name: str, kind: str, where: str = ""):
     """doc[name] if it has JSON type ``kind``; a bool is not a number here."""
     value = doc[name]
-    types = {"boolean": bool, "integer": int, "number": (int, float)}[kind]
+    types = {"boolean": bool, "integer": int, "number": (int, float), "string": str}[kind]
     if not isinstance(value, types) or (kind != "boolean" and isinstance(value, bool)):
         raise ValidationError(f"{where}{name} must be a JSON {kind}, got {value!r}")
     return float(value) if kind == "number" else value
@@ -99,16 +100,18 @@ def _field(doc: dict, name: str, kind: str, where: str = ""):
 def config_from_dict(doc: dict) -> MissionConfig:
     """Parse a mission config document; each field must have its JSON type.
 
-    Counts are integers, money and bias are numbers (the dataclasses then
-    require them finite) and the launch flag is a boolean; nothing is
-    coerced (``2.9`` is not a horizon and ``"false"`` is not false).
+    Agency ids are strings, counts are integers, money and bias are numbers
+    (the dataclasses then require them finite) and the launch flag is a
+    boolean; nothing is coerced (``2.9`` is not a horizon and ``"false"`` is
+    not false).
     """
     try:
         agencies = []
         for a in doc["agencies"]:
-            where = f"agency {a.get('agency_id')!r}: "
+            agency_id = _field(a, "agency_id", "string")
+            where = f"agency {agency_id!r}: "
             agencies.append(AgencyBudget(
-                agency_id=a["agency_id"],
+                agency_id=agency_id,
                 annual_budget_busd=_field(a, "annual_budget_busd", "number", where),
                 contribution_fraction=_field(a, "contribution_fraction", "number", where),
                 provides_super_heavy=(_field(a, "provides_super_heavy", "boolean", where)
@@ -151,6 +154,9 @@ def largest_remainder(weights: list[float], total: int) -> list[int]:
     Each party receives the floor of its exact quota; the leftovers go to
     the largest fractional remainders, a remainder tie to the lower index.
     """
+    if isinstance(total, bool) or not isinstance(total, Integral):
+        raise ValidationError(f"total must be an integer, got {total!r}")
+    total = int(total)
     if total < 0:
         raise ValidationError("cannot apportion a negative total")
     if not all(isfinite(w) and w >= 0 for w in weights):

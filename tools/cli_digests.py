@@ -1,7 +1,8 @@
 """Digests of the velakit CLI's outputs, one line per command.
 
 Every subcommand runs: the panel commands on the demo panel (adf also with
-a trend, vecm also at rank 2 under uconst), mission on the bundled sample
+a trend, vecrank also at lag 1 under uconst, vecm also at rank 2 under
+uconst), mission on the bundled sample
 config (as is and with a one-year horizon), and both mc-validate studies at
 small sizes with their per-replication CSVs (the cv study also at 2100
 replications, past one moment stack).
@@ -42,6 +43,7 @@ COMMANDS = {
     "pipeline-table": ["pipeline", *PANEL, "--format", "table"],
     "pipeline-json": ["pipeline", *PANEL, "--format", "json"],
     "vecrank": ["vecrank", *PANEL],
+    "vecrank-uconst-k1": ["vecrank", *PANEL, "--lags", "1", "--case", "uconst"],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
     # a rank-2 model has no single cointegrating equation
     "vecm-rank2-uconst": ["vecm", *PANEL, "--rank", "2", "--case", "uconst"],
