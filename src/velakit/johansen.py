@@ -277,15 +277,14 @@ def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str):
     """Trace statistics (n, p) for r = 0..p-1 and selected ranks (n,) from
     stacked descending eigenvalues (n, >= p).
 
-    ``T_eff`` is the effective sample size of every member (an int) or of
-    each (an (n, 1) array, for a stack whose members differ in lag). The
-    statistic for r sums log(1 - lambda) over the p - r smallest
-    eigenvalues, smallest first; the selected rank is the smallest r whose
-    statistic falls below the 5% critical value for p - r, or p when every
-    null rejects.
+    ``T_eff`` is the effective sample size, an int or one per member, shaped
+    (n,), for a stack whose members differ in lag. The statistic for r sums
+    log(1 - lambda) over the p - r smallest eigenvalues, smallest first; the
+    selected rank is the smallest r whose statistic falls below the 5%
+    critical value for p - r, or p when every null rejects.
     """
     log1m = np.log1p(-lam[:, :p])
-    trace = -T_eff * np.cumsum(log1m[:, ::-1], axis=1)[:, ::-1]
+    trace = -np.reshape(T_eff, (-1, 1)) * np.cumsum(log1m[:, ::-1], axis=1)[:, ::-1]
     below = trace < np.array(TRACE_CRITICAL[case]["95%"][p - 1 :: -1])
     return trace, np.where(below.any(axis=1), below.argmax(axis=1), p)
 

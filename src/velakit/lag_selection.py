@@ -104,15 +104,16 @@ def fit_var(data, vars=None, k: int = 1) -> VarFit:
     )
 
 
-def gaussian_loglik(T: int, p: int, logdet):
+def gaussian_loglik(T, p: int, logdet):
     """Gaussian log-likelihood of T observations of p series at the ML
     covariance Sigma_ml: -(T/2) * (p ln 2pi + ln det Sigma_ml + p)."""
     return -(T / 2.0) * (p * math.log(2.0 * math.pi) + logdet + p)
 
 
-def gaussian_criteria(sigma: np.ndarray, T: int, n_params: int):
+def gaussian_criteria(sigma: np.ndarray, T, n_params):
     """Log-likelihood and information criteria for a stack of ML residual
-    covariances sigma (n, p, p) from T observations.
+    covariances sigma (n, p, p) from T observations, T and n_params each an
+    int or one per member, shaped (n,), and math.log taken of each distinct T.
 
     Returns (loglik, AIC, BIC, HQIC, errors), each value an (n,) array; the
     criteria are per observation, (-2 loglik + penalty) / T. errors maps
@@ -120,11 +121,14 @@ def gaussian_criteria(sigma: np.ndarray, T: int, n_params: int):
     values are placeholders.
     """
     sign, logdet = np.linalg.slogdet(sigma)
+    sizes, at = np.unique(T, return_inverse=True)
+    log_T = np.array([math.log(t) for t in sizes.tolist()])[at]
+    loglog_T = np.array([math.log(math.log(t)) for t in sizes.tolist()])[at]
     loglik = gaussian_loglik(T, sigma.shape[-1], logdet)
     deviance = -2.0 * loglik
     aic = (deviance + 2.0 * n_params) / T
-    bic = (deviance + n_params * math.log(T)) / T
-    hqic = (deviance + 2.0 * n_params * math.log(math.log(T))) / T
+    bic = (deviance + n_params * log_T) / T
+    hqic = (deviance + 2.0 * n_params * loglog_T) / T
     singular = sign <= 0
     errors = {i: ValidationError("residual covariance is singular")
               for i in np.flatnonzero(singular)} if singular.any() else {}

@@ -28,6 +28,8 @@ class AgencyBudget:
     provides_super_heavy: bool = False
 
     def __post_init__(self):
+        if not str(self.agency_id).strip():
+            raise ValidationError(f"agency_id must be a non-empty name, got {self.agency_id!r}")
         if not (isfinite(self.annual_budget_busd) and self.annual_budget_busd > 0):
             raise ValidationError(
                 f"{self.agency_id}: annual_budget_busd must be positive and finite"
@@ -88,6 +90,16 @@ class MissionConfig:
                 raise ValidationError(f"{name} must be non-negative")
 
 
+# JSON kinds of an agency object's keys (only the last is optional) and of
+# the optional top-level keys besides agencies
+AGENCY_FIELDS = {"agency_id": "string", "annual_budget_busd": "number",
+                 "contribution_fraction": "number", "provides_super_heavy": "boolean"}
+CONFIG_FIELDS = {"horizon_years": "integer", "n_modules": "integer",
+                 "n_payload_launches": "integer", "n_crew_launches": "integer",
+                 "module_unit_cost_busd": "number", "launch_unit_cost_busd": "number",
+                 "crew_systems_cost_busd": "number", "esa_module_bias": "number"}
+
+
 def _field(doc: dict, name: str, kind: str, where: str = ""):
     """doc[name] if it has JSON type ``kind``; a bool is not a number here."""
     value = doc[name]
@@ -100,33 +112,26 @@ def _field(doc: dict, name: str, kind: str, where: str = ""):
 def config_from_dict(doc: dict) -> MissionConfig:
     """Parse a mission config document; each field must have its JSON type.
 
-    Agency ids are strings, counts are integers, money and bias are numbers
-    (the dataclasses then require them finite) and the launch flag is a
-    boolean; nothing is coerced (``2.9`` is not a horizon and ``"false"`` is
-    not false).
+    ``agencies`` holds objects with exactly the AGENCY_FIELDS keys. Ids are
+    strings, counts are integers, money and bias are numbers (the
+    dataclasses then require them finite) and the launch flag is a boolean;
+    nothing is coerced (``2.9`` is not a horizon, ``"false"`` not false).
     """
-    try:
-        agencies = []
-        for a in doc["agencies"]:
-            agency_id = _field(a, "agency_id", "string")
-            where = f"agency {agency_id!r}: "
-            agencies.append(AgencyBudget(
-                agency_id=agency_id,
-                annual_budget_busd=_field(a, "annual_budget_busd", "number", where),
-                contribution_fraction=_field(a, "contribution_fraction", "number", where),
-                provides_super_heavy=(_field(a, "provides_super_heavy", "boolean", where)
-                                      if "provides_super_heavy" in a else False),
-            ))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"bad mission config: {exc}") from exc
-    kwargs = {}
-    for name in ("horizon_years", "n_modules", "n_payload_launches", "n_crew_launches"):
-        if name in doc:
-            kwargs[name] = _field(doc, name, "integer")
-    for name in ("module_unit_cost_busd", "launch_unit_cost_busd",
-                 "crew_systems_cost_busd", "esa_module_bias"):
-        if name in doc:
-            kwargs[name] = _field(doc, name, "number")
+    objects = doc.get("agencies") if isinstance(doc, dict) else None
+    if not isinstance(objects, list) or not all(isinstance(a, dict) for a in objects):
+        raise ValidationError("agencies must be a JSON array of objects")
+    agencies = []
+    for index, a in enumerate(objects):
+        extra = set(a) - set(AGENCY_FIELDS)
+        missing = [name for name in list(AGENCY_FIELDS)[:-1] if name not in a]
+        if extra or missing:
+            raise ValidationError(f"agencies[{index}]: unknown key(s) {sorted(extra)}" if extra
+                                  else f"agencies[{index}]: missing field {missing[0]}")
+        where = f"agency {_field(a, 'agency_id', 'string')!r}: "
+        agencies.append(AgencyBudget(**{name: _field(a, name, kind, where)
+                                        for name, kind in AGENCY_FIELDS.items() if name in a}))
+    kwargs = {name: _field(doc, name, kind) for name, kind in CONFIG_FIELDS.items()
+              if name in doc}
     extra = set(doc) - {"agencies"} - set(kwargs)
     if extra:
         raise ValidationError(f"unknown mission config key(s): {sorted(extra)}")

@@ -2,11 +2,12 @@
 
 Every subset containing the dependent budget variable is crossed with the
 candidate lag lengths; a fit is admissible when the trace test selects
-exactly one cointegrating relation. Same-size subsets run as one stack
-over all lag candidates, each member recording its own failure: each lag
-is concentrated on its own, and the stages after it run once per size,
-the fit on every lag's residuals padded to T - 1 rows and the solved
-equations of all the size's rank-1 members in one pass.
+exactly one cointegrating relation. Same-size subsets run as one flat
+stack with a member per (subset, lag), each member carrying its own lag
+and recording its own failure: each lag is concentrated on its own, and
+the stages after it run once per size, the fit on every member's
+residuals padded to T - 1 rows and the solved equations of all the
+size's rank-1 members in one pass.
 Admissible fits aggregate into a per-variable correlation row where sign
 conflicts are adjudicated by the coefficient with the larger |z|.
 """
@@ -89,40 +90,40 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     """Rank-test same-size subsets at every lag in ``ks`` and fit those of
     rank 1; returns one record per (subset index, lag).
 
-    ``z`` holds the subsets' levels as an (n, T, p) array. Each lag is
-    concentrated on its own, since R and B change shape with k; the lags'
-    moments all have one shape, so they stack lag-major along the member
-    axis and the eigenproblem, the trace test, the normalization, the
-    rank-1 estimates (vecm._stacked_models, on residuals of T - 1 rows) and
-    the solved equations (vecm._stacked_equations) run once for the whole
-    size. A member that fails records its own typed error; a failure of a
-    whole lag (too short a sample for it) is that lag's records', and one
-    of the whole size (more variables than the critical-value table
-    covers) every record's.
+    ``z`` holds the subsets' levels as an (n, T, p) array. The stack has one
+    member per (subset, lag), carrying its subset index, its lag, and its R
+    and B from the concentration at that lag, which runs once per lag since
+    R and B change shape with k. The moments all have one shape, so the
+    eigenproblem, the trace test, the normalization, the rank-1 estimates
+    (vecm._stacked_models) and the solved equations (vecm._stacked_equations)
+    run once for the whole size. A member that fails records its own typed
+    error; a failure of a whole lag (too short a sample for it) is that
+    lag's records', and one of the whole size (more variables than the
+    critical-value table covers) every record's.
     """
     n, T, p = z.shape
     try:
         _check_dimension(p)
     except VelakitError as exc:
         return {(i, k): _rejected(subsets[i], k, exc) for i in range(n) for k in ks}
-    out, lags, errors = {}, [], {}
+    out, errors = {}, {}
+    members, moments = [], []  # members: (subset index, lag, R, B) per stack position
     for k in ks:
         try:
-            R, B, *moments, failures = _stacked_concentrate(z, k, case)
+            R, B, *S, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
             out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
             continue
-        _record(errors, {len(lags) * n + i: e for i, e in failures.items()})
-        lags.append((k, R, B, moments))
-    if not lags:
+        _record(errors, {len(members) + i: e for i, e in failures.items()})
+        members += zip(range(n), [k] * n, R, B)
+        moments.append(S)
+    if not members:
         return out
-    S00, S01, S11 = map(np.concatenate, zip(*(moments for *_, moments in lags)))
+    S00, S01, S11 = map(np.concatenate, zip(*moments))
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
-    _, ranks = _stacked_trace_test(lam, np.repeat([T - k for k, *_ in lags], n)[:, None], p,
-                                   case)
-    keep = []  # stack positions j, lag j // n and subset j % n, of the rank-1 members
-    for j, rank in enumerate(ranks.tolist()):
-        i, k = j % n, lags[j // n][0]
+    _, ranks = _stacked_trace_test(lam, np.array([T - k for _, k, *_ in members]), p, case)
+    keep = []  # stack positions of the rank-1 members
+    for j, ((i, k, *_), rank) in enumerate(zip(members, ranks.tolist())):
         if j in errors:
             out[i, k] = _rejected(subsets[i], k, errors[j])
         elif rank != 1:
@@ -131,20 +132,16 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
             keep.append(j)
     if not keep:
         return out
-    keep = np.array(keep)
-    lag_of, member = np.divmod(keep, n)
-    fit_lags = [(k, R[rows], B[rows])
-                for b, (k, R, B, _) in enumerate(lags) if (rows := member[lag_of == b]).size]
+    index, lags, R, B = zip(*(members[j] for j in keep))
     kept = {}
     try:
         beta = _stacked_phillips(candidates[keep], 1, kept)
-        models = _stacked_models(z[member], [names[i] for i in member], fit_lags, 1, case,
+        models = _stacked_models(z[list(index)], [names[i] for i in index], lags, R, B, 1, case,
                                  S11[keep], lam[keep], beta, kept)
     except VelakitError as exc:
         kept, models = dict.fromkeys(range(len(keep)), exc), [None] * len(keep)
     equations = _stacked_equations(models, kept)
-    for pos, (b, i) in enumerate(zip(lag_of.tolist(), member.tolist())):
-        k, model = lags[b][0], models[pos]
+    for pos, (i, k, model) in enumerate(zip(index, lags, models)):
         out[i, k] = _rejected(subsets[i], k, kept[pos]) if pos in kept else FittedSpec(
             subsets[i], k, model, equations[pos], {"chi2": model.wald_chi2, "aic": model.aic,
                                                    "bic": model.bic, "loglik": model.loglik})

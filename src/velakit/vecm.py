@@ -7,8 +7,9 @@ conditional on beta come from the rank test's concentration
 regression's residual covariance, and the short-run coefficients are the
 concentration's B0 - B1 beta alpha'. That regression runs on T - 1 rows
 at every lag (a lag's T - k residual rows, then zero rows, which add
-nothing), so the specification search fits all lags of a subset size in
-one stack, and a model's numbers do not depend on the lags beside it;
+nothing), so a stack's members may each carry their own lag: the
+specification search fits a subset size's members of every lag in one
+stack, a model's numbers do not depend on the members beside it, and
 estimate_vecm is the n=1 call. Standard errors for the free beta rows use
 the conditional (fixed-alpha) asymptotic covariance, and the headline
 chi-square is the joint Wald test that every non-normalized beta
@@ -95,7 +96,7 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     R, B, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
     beta = _stacked_phillips(candidates, r, errors)
-    models = _stacked_models(z[None], [names], [(k, R, B)], r, case, S11, lam, beta, errors)
+    models = _stacked_models(z[None], [names], [k], R, B, r, case, S11, lam, beta, errors)
     _raise_first(errors)
     return models[0]
 
@@ -142,58 +143,50 @@ def _stacked_fit(R: np.ndarray, beta: np.ndarray, T_eff, errors: dict):
 
 
 @np.errstate(all="ignore")
-def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], lags: list, r: int,
-                    case: str, S11: np.ndarray, lam: np.ndarray, beta: np.ndarray,
-                    errors: dict) -> list[VecmModel | None]:
+def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], R: list,
+                    B: list, r: int, case: str, S11: np.ndarray, lam: np.ndarray,
+                    beta: np.ndarray, errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), from the concentration its rank test already ran.
 
-    ``names`` holds each series' variable names; S11 and lam come from
-    johansen._stacked_rank_test for the same stack. ``lags`` holds one
-    (k, R, B) per lag, R and B being that lag's johansen._stacked_concentrate
-    output for its members, which sit consecutively in the stack in the
-    order of ``lags``. Every lag's R is copied into one stack of T - 1 rows,
-    zero below its own T - k, so _stacked_fit and the beta inference (with
-    each member's own T_eff in the Gram matrix T_eff * S11) run once, and a
-    member's numbers do not depend on the lags beside it. The short-run rows
-    B0 - B1 beta alpha' and the criteria run per lag, since B changes shape
-    with k. Returns one VecmModel per member, None for a member with an
-    error in ``errors``.
+    Member j has variable names ``names[j]``, lag ``ks[j]``, and residuals
+    ``R[j]`` and coefficients ``B[j]`` from johansen._stacked_concentrate at
+    that lag; S11 and lam come from the same concentration. The members'
+    lags may be any mix: every R is copied into one stack of T - 1 rows,
+    zero below its own T - k, so _stacked_fit, the beta inference (with each
+    member's own T_eff in the Gram matrix T_eff * S11) and gaussian_criteria
+    run once, and a member's numbers do not depend on the members beside it.
+    Only the short-run rows B0 - B1 beta alpha' are taken per member, since
+    B changes shape with k. Returns one VecmModel per member, None for a
+    member with an error in ``errors``.
     """
     n, T, p = z.shape
     _check_rank(r, p)
     p_aug = beta.shape[1]
-    W, T_eff, start = np.zeros((n, T - 1, p + p_aug)), np.empty(n, dtype=int), 0
-    for k, R, _ in lags:
-        W[start : start + len(R), : T - k] = R
-        T_eff[start : start + len(R)] = T - k
-        start += len(R)
+    W = np.zeros((n, T - 1, p + p_aug))
+    for j, Rj in enumerate(R):
+        W[j, : len(Rj)] = Rj
+    T_eff = T - np.array(ks)
+    n_params = p * (r + np.array([len(Bj) for Bj in B])) + r * (p_aug - r)
     alpha_t, sigma = _stacked_fit(W, beta, T_eff, errors)
     alpha = alpha_t.swapaxes(1, 2)
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(
         T_eff[:, None, None] * S11[:, r:, r:], beta, alpha, sigma)
-    means, wald, models, start = z.mean(axis=1), wald.tolist(), [], 0
-    for k, R, B in lags:
-        m = len(R)
-        rows = slice(start, start + m)
-        short = B[:, :, :p] - B[:, :, p:] @ beta[rows] @ alpha_t[rows]
-        n_params = p * (r + B.shape[1]) + r * (p_aug - r)
-        loglik, aic, bic, _, failures = gaussian_criteria(sigma[rows], T - k, n_params)
-        _record(errors, {start + i: e for i, e in failures.items()})
-        gamma = short[:, : p * (k - 1)].reshape(m, k - 1, p, p).swapaxes(2, 3)
-        mu = short[:, -1] if case == UNRESTRICTED_CONSTANT else np.zeros((m, p))
-        models += [
-            None if j in errors else VecmModel(
-                vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=beta[j],
-                gamma=tuple(gamma[i]), mu=mu[i], sigma=sigma[j], loglik=ll, aic=a, bic=b,
-                beta_se=beta_se[j], beta_z=beta_z[j], wald_chi2=wald[j],
-                wald_dof=(p_aug - r) * r, eigenvalues=lam[j, :p], T_eff=T - k,
-                n_params=n_params, level_means=means[j])
-            for i, (j, ll, a, b) in enumerate(zip(range(start, start + m), loglik.tolist(),
-                                                  aic.tolist(), bic.tolist()))
-        ]
-        start += m
+    loglik, aic, bic, _, failures = gaussian_criteria(sigma, T_eff, n_params)
+    _record(errors, failures)
+    means, models = z.mean(axis=1), []
+    rows = zip(ks, B, T_eff.tolist(), n_params.tolist(), wald.tolist(), loglik.tolist(),
+               aic.tolist(), bic.tolist())
+    for j, (k, Bj, t, m, w, ll, a, b) in enumerate(rows):
+        short = Bj[:, :p] - Bj[:, p:] @ beta[j] @ alpha_t[j]
+        models.append(None if j in errors else VecmModel(
+            vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=beta[j],
+            gamma=tuple(short[: p * (k - 1)].reshape(k - 1, p, p).swapaxes(1, 2)),
+            mu=short[-1] if case == UNRESTRICTED_CONSTANT else np.zeros(p), sigma=sigma[j],
+            loglik=ll, aic=a, bic=b, beta_se=beta_se[j], beta_z=beta_z[j], wald_chi2=w,
+            wald_dof=(p_aug - r) * r, eigenvalues=lam[j, :p], T_eff=t, n_params=m,
+            level_means=means[j]))
     return models
 
 

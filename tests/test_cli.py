@@ -301,6 +301,30 @@ class TestMission:
         assert err == f"error: agency_id must be a JSON string, got {agency_id!r}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("agencies", ["[5]", '{"a": 1}', '"x"', "null", None],
+                             ids=["array-of-int", "object", "string", "null", "missing"])
+    def test_agencies_not_an_array_of_objects_exit_2(self, tmp_path, capsys, agencies):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}" if agencies is None else f'{{"agencies": {agencies}}}')
+        code, out, err = run(["mission", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: agencies must be a JSON array of objects\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"budget_typo": 9}, "agencies[0]: unknown key(s) ['budget_typo']"),
+        ({"annual_budget_busd": None}, "agencies[0]: missing field annual_budget_busd"),
+        ({"agency_id": ""}, "agency_id must be a non-empty name, got ''"),
+    ], ids=["unknown-key", "missing-field", "empty-id"])
+    def test_agency_object_parsed_exactly_exit_2(self, tmp_path, capsys, edit, message):
+        doc = json.loads(cli.SAMPLE_CONFIG.read_text())
+        doc["agencies"][0].update(edit)
+        doc["agencies"][0] = {key: v for key, v in doc["agencies"][0].items() if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["mission", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_overflowing_budgets_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"agencies": [

@@ -314,7 +314,7 @@ class TestPerMemberSampleSize:
         T_eff = np.array(data.draw(st.lists(st.integers(10, 500), min_size=n, max_size=n)))
         # descending eigenvalues spread over [0, 1), so every rank occurs
         lam = -np.sort(-rng_for(seed, 0).uniform(0.0, 0.6, (n, p + 1)) ** 3, axis=1)
-        trace, ranks = _stacked_trace_test(lam, T_eff[:, None], p, case)
+        trace, ranks = _stacked_trace_test(lam, T_eff, p, case)
         for i in range(n):
             want_trace, want_rank = _stacked_trace_test(lam[i : i + 1], int(T_eff[i]), p, case)
             assert np.array_equal(trace[i], want_trace[0])

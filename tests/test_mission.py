@@ -267,6 +267,53 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="agency_id must be a JSON string"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("agencies", [[5], {"a": 1}, "x", None, [[]], "missing"],
+                             ids=["array-of-int", "object", "string", "null", "array-of-array",
+                                  "missing"])
+    def test_agencies_must_be_array_of_objects(self, agencies):
+        doc = json.loads(SAMPLE.read_text())
+        if agencies == "missing":
+            del doc["agencies"]
+        else:
+            doc["agencies"] = agencies
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == "agencies must be a JSON array of objects"
+
+    def test_document_not_an_object_rejected(self):
+        with pytest.raises(ValidationError, match="agencies must be a JSON array of objects"):
+            config_from_dict([{"agencies": []}])
+
+    def test_unknown_agency_key_rejected(self):
+        doc = json.loads(SAMPLE.read_text())
+        doc["agencies"][2]["budget_typo"] = 9
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == "agencies[2]: unknown key(s) ['budget_typo']"
+
+    @pytest.mark.parametrize("name", ["agency_id", "annual_budget_busd",
+                                      "contribution_fraction"])
+    def test_missing_agency_field_named(self, name):
+        doc = json.loads(SAMPLE.read_text())
+        del doc["agencies"][1][name]
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == f"agencies[1]: missing field {name}"
+
+    def test_provider_flag_is_optional(self):
+        doc = json.loads(SAMPLE.read_text())
+        del doc["agencies"][1]["provides_super_heavy"]
+        assert config_from_dict(doc).agencies[1].provides_super_heavy is False
+
+    @pytest.mark.parametrize("agency_id", ["", "  "])
+    def test_blank_agency_id_rejected(self, agency_id):
+        doc = json.loads(SAMPLE.read_text())
+        doc["agencies"][0]["agency_id"] = agency_id
+        with pytest.raises(ValidationError, match="agency_id must be a non-empty name"):
+            config_from_dict(doc)
+        with pytest.raises(ValidationError, match="agency_id must be a non-empty name"):
+            agency(agency_id, 5.0)
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_provider_flag_must_be_json_boolean(self, value):
         doc = json.loads(SAMPLE.read_text())

@@ -301,23 +301,35 @@ class TestStackedSearch:
 
     def test_one_fit_per_subset_size(self, monkeypatch):
         # every lag of a size shares one T - 1 row stack: one _stacked_fit
-        # per size with a rank-1 member, and no per-spec normalization
+        # and one gaussian_criteria per size with a rank-1 member, each over
+        # that size's rank-1 members of every lag, and no per-spec
+        # normalization
         from velakit import vecm
 
-        calls, fit = [], vecm._stacked_fit
+        fits, criteria = [], []
+        fit, gaussian_criteria = vecm._stacked_fit, vecm.gaussian_criteria
 
-        def counted(R, *args):
-            calls.append(R.shape)
-            return fit(R, *args)
+        def counted_fit(R, beta, T_eff, errors):
+            fits.append((R.shape, np.array(T_eff)))
+            return fit(R, beta, T_eff, errors)
 
-        monkeypatch.setattr(vecm, "_stacked_fit", counted)
+        def counted_criteria(sigma, T, n_params):
+            criteria.append(np.array(T))
+            return gaussian_criteria(sigma, T, n_params)
+
+        monkeypatch.setattr(vecm, "_stacked_fit", counted_fit)
+        monkeypatch.setattr(vecm, "gaussian_criteria", counted_criteria)
         monkeypatch.setattr(vecm, "normalize_cointegrating_equation", None)
         panel = synthetic_log_panel(T=60, seed=4)
         report = fit_specifications(panel, enumerate_specifications(min_size=2), (1, 2, 3))
         sizes = sorted({len(s.subset) for s in report.specs}, reverse=True)
         assert {s.k for s in report.specs} == {1, 2, 3}
-        assert [shape[2] - 1 for shape in calls] == [2 * p for p in sizes]
-        assert all(shape[1] == 59 for shape in calls)
+        assert [shape[2] - 1 for shape, _ in fits] == [2 * p for p in sizes]
+        assert all(shape[1] == 59 for shape, _ in fits)
+        want = [sorted(60 - s.k for s in report.specs if len(s.subset) == p) for p in sizes]
+        assert [sorted(T_eff.tolist()) for _, T_eff in fits] == want
+        assert [sorted(T.tolist()) for T in criteria] == want
+        assert any(len(set(T)) > 1 for T in want)
 
     def test_failing_groups_keep_the_scalar_records(self):
         # sd duplicates ed, so one member of the five-variable group is
@@ -359,7 +371,7 @@ class TestStackedSearch:
                 z, k, "rconst", vectors=True)
             assert list(errors) == [0]
             beta = _stacked_phillips(candidates, 1, errors)
-            models = _stacked_models(z, [subsets[0], subsets[1]], [(k, R, B)], 1, "rconst",
+            models = _stacked_models(z, [subsets[0], subsets[1]], [k, k], R, B, 1, "rconst",
                                      S11, lam, beta, errors)
             assert models[0] is None
             assert_same_model(models[1], estimate_vecm(panel, subsets[1], k=k, r=1),
@@ -505,16 +517,17 @@ class TestMergedLags:
         R, B, S11, lam, candidates, _, _, errors = _stacked_rank_test(
             z, 33, "rconst", vectors=True)
         beta = _stacked_phillips(candidates, 1, errors)
-        single = _stacked_models(z, names[:3], [(33, R, B)], 1, "rconst", S11, lam, beta, errors)
+        single = _stacked_models(z, names[:3], [33] * 3, R, B, 1, "rconst", S11, lam, beta,
+                                 errors)
         assert errors == {}
 
         lags = [(k, *_stacked_concentrate(z, k, "rconst")) for k in (1, 33)]
         S00, S01, S11 = (np.concatenate([lag[j] for lag in lags]) for j in (3, 4, 5))
         lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
         beta = _stacked_phillips(candidates, 1, errors)
-        merged = _stacked_models(np.concatenate([z, z]), names,
-                                 [(k, R, B) for k, R, B, *_ in lags], 1, "rconst",
-                                 S11, lam, beta, errors)
+        merged = _stacked_models(np.concatenate([z, z]), names, [1] * 3 + [33] * 3,
+                                 [*lags[0][1], *lags[1][1]], [*lags[0][2], *lags[1][2]], 1,
+                                 "rconst", S11, lam, beta, errors)
         assert errors == {}
         for i in range(3):
             assert_same_model(merged[i], estimate_vecm(z[i], k=1, r=1), f"k=1 member {i}")

@@ -463,8 +463,37 @@ class TestBlockPosition:
         assert np.array_equal(trace[i], one[5][0]) and ranks[i] == one[6][0]
         beta = _stacked_phillips(candidates, 1, errors)
         names = [tuple(f"y{j}" for j in range(p))] * n
-        got = _stacked_models(z, names, [(k, R, B)], 1, case, S11, lam, beta, errors)[i]
+        got = _stacked_models(z, names, [k] * n, R, B, 1, case, S11, lam, beta, errors)[i]
         model = estimate_vecm(z[i], k=k, r=1, case=case)
         for name in ("eigenvalues", "beta", "alpha", "sigma", "beta_se", "beta_z",
                      "wald_chi2", "loglik"):
             assert np.array_equal(getattr(got, name), getattr(model, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("ks", [(2, 1, 3, 1), (1,), (3, 3, 1, 2, 1)])
+    def test_members_of_mixed_lags_equal_their_n1_calls(self, ks, r, case):
+        # one call whose members differ in lag, in no lag order: each member
+        # is its estimate_vecm, bit for bit, whatever lags sit beside it
+        z = np.stack([np.cumsum(rng_for(77, j).standard_normal((50, 3)), axis=0)
+                      for j in range(len(ks))])
+        # each member's concentration and eigenproblem is its own n=1 call's
+        parts = [_stacked_rank_test(z[j : j + 1], k, case, vectors=True)
+                 for j, k in enumerate(ks)]
+        R, B, S11, lam, candidates = ([m for part in parts for m in part[i]] for i in range(5))
+        errors = {}
+        beta = _stacked_phillips(np.stack(candidates), r, errors)
+        names = [("a", "b", "c")] * len(ks)
+        models = _stacked_models(z, names, list(ks), R, B, r, case, np.stack(S11),
+                                 np.stack(lam), beta, errors)
+        assert errors == {}
+        for j, (k, got) in enumerate(zip(ks, models)):
+            want = estimate_vecm(z[j], ("a", "b", "c"), k=k, r=r, case=case)
+            for name in ("eigenvalues", "alpha", "beta", "mu", "sigma", "beta_se", "beta_z",
+                         "level_means", "wald_chi2", "loglik", "aic", "bic"):
+                assert np.array_equal(getattr(got, name), getattr(want, name),
+                                      equal_nan=True), f"{name} of member {j}"
+            assert len(got.gamma) == k - 1
+            assert all(np.array_equal(g, w) for g, w in zip(got.gamma, want.gamma))
+            assert (got.k, got.T_eff, got.n_params, got.wald_dof) == (
+                want.k, want.T_eff, want.n_params, want.wald_dof)

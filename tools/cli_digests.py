@@ -1,11 +1,12 @@
 """Digests of the velakit CLI's outputs, one line per command.
 
 Every subcommand runs: the panel commands on the demo panel (adf also with
-a trend, vecrank also at lag 1 under uconst, vecm also at rank 2 under
-uconst), mission on the bundled sample
-config (as is and with a one-year horizon), and both mc-validate studies at
-small sizes with their per-replication CSVs (the cv study also at 2100
-replications, past one moment stack).
+a trend, specsearch also at lags {1, 8}, where some sizes are short of
+sample at k=8, pipeline also with no admissible spec, vecrank also at lag
+1 under uconst, vecm also at rank 2 under uconst), mission on the bundled
+sample config (as is and with a one-year horizon), and both mc-validate
+studies at small sizes with their per-replication CSVs (the cv study also
+at 2100 replications, past one moment stack).
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -40,8 +41,12 @@ COMMANDS = {
     "specsearch-k123": ["specsearch", *PANEL, "--min-size", "2", "--k-candidates", "1", "2", "3"],
     "specsearch-k123-uconst": ["specsearch", *PANEL, "--min-size", "2",
                                "--k-candidates", "1", "2", "3", "--case", "uconst"],
+    # at k=8 sizes 5 and 6 are short of sample; size 3 fits at both lags
+    "specsearch-k18": ["specsearch", *PANEL, "--min-size", "2", "--k-candidates", "1", "8"],
     "pipeline-table": ["pipeline", *PANEL, "--format", "table"],
     "pipeline-json": ["pipeline", *PANEL, "--format", "json"],
+    # no admissible spec: exit 4, with the failure artifact
+    "pipeline-no-spec": ["pipeline", *PANEL, "--k-candidates", "30"],
     "vecrank": ["vecrank", *PANEL],
     "vecrank-uconst-k1": ["vecrank", *PANEL, "--lags", "1", "--case", "uconst"],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
