@@ -6,6 +6,15 @@ are supported: a constant restricted to the cointegrating relation
 (``rconst``, the default: the reported long-run equations carry an explicit
 intercept) and an unrestricted constant (``uconst``).
 
+Under rconst the level rows are centred before they are concentrated: the
+level term is [z_{t-1} - shift, 1], shift being the mean of the level rows.
+It spans what [z_{t-1}, 1] spans, since the ones column absorbs the shift,
+but cond(S11) no longer grows with the levels' distance from zero (log
+levels near 10 beside a ones column put it near 1e7). The moments keep the
+centred coordinates (MomentMatrices.shift), and every beta leaves the
+eigenproblem mapped back exactly to those of [z_{t-1}, 1]: its constant row
+becomes c - b'shift.
+
 Every estimate comes from one set of stacked kernels (``_stacked_*`` here
 and in vecm) that run each stage for n same-shape systems, an (n, T, p)
 array of levels, in one pass. A problem of the whole stack (an unknown
@@ -84,7 +93,15 @@ def _raise_first(errors: dict) -> None:
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """T-normalized residual cross-products from the concentration step."""
+    """T-normalized residual cross-products from the concentration step.
+
+    Under rconst the level rows are centred before they are concentrated:
+    S01 and S11 are the moments of [z_{t-1} - shift, 1], shift being the
+    mean of the T_eff level rows z_{k-1}..z_{T-2}, and
+    solve_cointegration_eigenproblem maps its beta candidates back to the
+    coordinates of [z_{t-1}, 1]. shift is None for uncentred moments (uconst,
+    whose constant is projected out, or moments built by hand).
+    """
 
     S00: np.ndarray
     S01: np.ndarray
@@ -93,6 +110,7 @@ class MomentMatrices:
     p: int
     case: str
     vars: tuple[str, ...]
+    shift: np.ndarray | None = None
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -100,26 +118,29 @@ def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) ->
 
     R0: residuals of dz_t on the k-1 lagged differences (plus an
     unrestricted constant under ``uconst``); R1: residuals of the lagged
-    level term (augmented with a ones column under ``rconst``) on the same
-    regressors. With no short-run regressors the projection is the identity.
+    level term (centred, and augmented with a ones column, under ``rconst``)
+    on the same regressors. With no short-run regressors the projection is
+    the identity.
     """
     z, names = level_matrix(data, vars)
-    _, _, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
+    _, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
     _raise_first(errors)
     return MomentMatrices(S00=S00[0], S01=S01[0], S11=S11[0], T_eff=z.shape[0] - k,
-                          p=z.shape[1], case=case, vars=names)
+                          p=z.shape[1], case=case, vars=names,
+                          shift=shift[0] if case == RESTRICTED_CONSTANT else None)
 
 
 def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Solve |lambda*S11 - S10 S00^-1 S01| = 0 by whitening with Cholesky factors.
 
     Returns eigenvalues (descending, clipped to [0, 1)) and the
-    back-transformed beta candidates, each column scaled so its first
+    back-transformed beta candidates, in the coordinates of the uncentred
+    level term whatever the moments' shift, each column scaled so its first
     nonzero coordinate is +1.
     """
     errors = {}
-    lam, beta = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors,
-                                      vectors=True)
+    shift = np.zeros((1, m.p)) if m.shift is None else np.asarray(m.shift)[None]
+    lam, beta = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors, shift)
     _raise_first(errors)
     return lam[0], beta[0]
 
@@ -181,15 +202,18 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
 def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     """concentrate for each series of an (n, T, p) stack of levels, in one pass.
 
-    One regression of [dz_t, z*_{t-1}] (z*_{t-1} being z_{t-1}, and a ones
-    column under rconst) on the short-run regressors (the lagged
-    differences, and a ones column under uconst). Returns (R, B, S00, S01,
-    S11, errors): R (n, T_eff, p + p_aug) holds its residuals, R0 in the
-    first p columns and R1 in the rest; B (n, short-run columns, p + p_aug)
-    its coefficients (no rows when there are no short-run regressors, R
-    then being [dz_t, z*_{t-1}] itself); and the S are the T-normalized
-    concentrated moments, blocks of R'R / T_eff. errors starts with
-    non-finite levels and the short-run regression's SingularMatrixError.
+    One regression of [dz_t, z*_{t-1}] (z*_{t-1} being z_{t-1} less its mean
+    over the sample, and a ones column, under rconst) on the short-run
+    regressors (the lagged differences, and a ones column under uconst).
+    Centring leaves the span of the level term alone, since the ones column
+    absorbs the shift, but keeps cond(S11) from growing with the levels'
+    distance from zero. Returns (B, S00, S01, S11, shift, errors): B (n,
+    short-run columns, p + p_aug) holds the regression's coefficients (no
+    rows when there are no short-run regressors); the S are the
+    T-normalized concentrated moments, blocks of R'R / T_eff for its
+    residuals R = [R0, R1]; and shift (n, p) the level means subtracted
+    (zeros under uconst). errors starts with non-finite levels and the
+    short-run regression's SingularMatrixError.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -206,13 +230,20 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     errors = {}
     _flag(errors, ~np.isfinite(z).all(axis=(1, 2)), ValidationError,
           "level data contains non-finite values")
-    # built time-last, so elementwise work runs along the long axis; W and
-    # X are the time-first views of these buffers
+    # built time-last, so elementwise work and the level means run along the
+    # long, contiguous axis; W and X are the time-first views of these buffers
     zt = z.swapaxes(1, 2)
     Wt = np.empty((n, p + p_aug, T_eff))
     np.subtract(zt[:, :, k:], zt[:, :, k - 1 : -1], out=Wt[:, :p])
-    Wt[:, p : 2 * p] = zt[:, :, k - 1 : -1]
-    Wt[:, 2 * p :] = 1.0
+    levels = Wt[:, p : 2 * p]
+    levels[...] = zt[:, :, k - 1 : -1]
+    if p_aug > p:
+        shift = np.add.reduce(levels, axis=2)
+        shift /= T_eff
+        levels -= shift[:, :, None]
+        Wt[:, 2 * p :] = 1.0
+    else:
+        shift = np.zeros((n, p))
     W = R = Wt.swapaxes(1, 2)
     B = np.zeros((n, 0, p + p_aug))
     if n_short:
@@ -226,17 +257,19 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         _record(errors, failures)
     S = R.swapaxes(1, 2) @ R
     S /= T_eff
-    return R, B, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], errors
+    return B, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], shift, errors
 
 
 @np.errstate(all="ignore")
 def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
-                          errors: dict, vectors: bool = False):
+                          errors: dict, shift: np.ndarray | None = None):
     """solve_cointegration_eigenproblem for stacked moment matrices, in one pass.
 
-    Returns the eigenvalues (n, p_aug), descending and clipped at 0, and
-    with ``vectors`` the beta candidates (n, p_aug, p_aug), each column
-    scaled so its first nonzero coordinate is +1 (None without). Records
+    Returns the eigenvalues (n, p_aug), descending and clipped at 0, and,
+    given the concentration's ``shift`` (n, p), the beta candidates (n,
+    p_aug, p_aug) (None without). Under rconst they are mapped back to the
+    uncentred level term, the constant row becoming c - b'shift, and then
+    each column is scaled so its first nonzero coordinate is +1. Records
     in ``errors`` a member whose S11 or S00 cholesky_factor rejects
     (NotPositiveDefiniteError, "degenerate moment matrix: ..."), whose
     whitened matrix is not symmetric within SYMMETRY_RTOL, or whose
@@ -254,7 +287,7 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
     G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
     M = G.swapaxes(1, 2) @ G
     _flag(errors, ~_symmetric(M), ValidationError, "S is not symmetric within tolerance")
-    if vectors:
+    if shift is not None:
         (lam, W), failed = _each(np.linalg.eigh, M)  # ascending
     else:
         (lam, failed), W = _each(np.linalg.eigvalsh, M), None
@@ -266,6 +299,8 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
     if W is None:
         return lam, None
     beta = np.linalg.solve(L1.swapaxes(1, 2), W[:, :, ::-1])
+    if beta.shape[1] > shift.shape[1]:
+        beta[:, -1] -= (shift[:, None] @ beta[:, :-1])[:, 0]
     size = np.abs(beta)
     nonzero = size > 1e-10 * np.maximum(size.max(axis=1, keepdims=True), 1e-300)
     first = np.take_along_axis(beta, nonzero.argmax(axis=1)[:, None, :], axis=1)
@@ -288,19 +323,3 @@ def _stacked_trace_test(lam: np.ndarray, T_eff, p: int, case: str):
     below = trace < np.array(TRACE_CRITICAL[case]["95%"][p - 1 :: -1])
     return trace, np.where(below.any(axis=1), below.argmax(axis=1), p)
 
-
-def _stacked_rank_test(z: np.ndarray, k: int, case: str, vectors: bool = False):
-    """concentrate and rank_test for each series of an (n, T, p) stack of
-    levels, in one pass.
-
-    Returns (R, B, S11, eigenvalues, candidates, trace, ranks, errors) of
-    _stacked_concentrate, _stacked_eigenproblem (candidates only with
-    ``vectors``) and _stacked_trace_test at 5%; the estimators take alpha,
-    sigma and the short-run coefficients from R and B (vecm._stacked_fit).
-    """
-    n, T, p = z.shape
-    _check_dimension(p)
-    R, B, S00, S01, S11, errors = _stacked_concentrate(z, k, case)
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=vectors)
-    trace, ranks = _stacked_trace_test(lam, T - k, p, case)
-    return R, B, S11, lam, candidates, trace, ranks, errors

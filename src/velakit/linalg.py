@@ -113,23 +113,11 @@ def _each(fn, A: np.ndarray, *rest):
     return fn(A, *rest), failed
 
 
-def _stacked_ols(X: np.ndarray, Y: np.ndarray):
-    """OLS of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass
-    through a QR factorization of each X[i].
-
-    Returns (coefficients, residuals, pivots, errors): pivots (n, cols)
-    holds |diag R|, and errors maps each member with a pivot below
-    PIVOT_RTOL relative to its largest (or no nonzero pivot) to a
-    SingularMatrixError naming the first such column; that member's
-    coefficients and residuals are placeholders. Too few rows, or too many
-    columns, raises ValidationError for the whole stack.
-    """
-    rows, cols = X.shape[-2:]
-    _check_size("X", rows, cols)
-    if rows <= cols:
-        raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+def _pivot_errors(diag: np.ndarray) -> dict:
+    """The pivot rule of a stack of triangular factors of regressor
+    matrices, from their |diagonals| (n, cols): a member with a pivot below
+    PIVOT_RTOL relative to its largest, or with no nonzero pivot, maps to a
+    SingularMatrixError naming the first such column."""
     scale = diag.max(axis=-1, keepdims=True, initial=0.0)
     clear = (scale[..., 0] > 0) & (diag >= PIVOT_RTOL * scale).all(axis=-1)
     errors = {}
@@ -141,6 +129,26 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
         errors[i] = SingularMatrixError(
             f"regressor matrix is rank deficient at column {j} "
             f"(pivot {diag[i, j]:.3e} vs scale {scale[i, 0]:.3e})", column=j)
+    return errors
+
+
+def _stacked_ols(X: np.ndarray, Y: np.ndarray):
+    """OLS of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass
+    through a QR factorization of each X[i].
+
+    Returns (coefficients, residuals, pivots, errors): pivots (n, cols)
+    holds |diag R|, and errors maps each member that fails _pivot_errors's
+    rule to its SingularMatrixError; that member's coefficients and
+    residuals are placeholders. Too few rows, or too many
+    columns, raises ValidationError for the whole stack.
+    """
+    rows, cols = X.shape[-2:]
+    _check_size("X", rows, cols)
+    if rows <= cols:
+        raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    errors = _pivot_errors(diag)
     coef, _ = _each(np.linalg.solve, R, Q.swapaxes(-1, -2) @ Y)
     if cols == 1:
         # numpy's stacked matmul is slow over a single inner column; the

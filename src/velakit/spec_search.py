@@ -4,10 +4,11 @@ Every subset containing the dependent budget variable is crossed with the
 candidate lag lengths; a fit is admissible when the trace test selects
 exactly one cointegrating relation. Same-size subsets run as one flat
 stack with a member per (subset, lag), each member carrying its own lag
-and recording its own failure: each lag is concentrated on its own, and
-the stages after it run once per size, the fit on every member's
-residuals padded to T - 1 rows and the solved equations of all the
-size's rank-1 members in one pass.
+and short-run coefficients and recording its own failure: each lag is
+concentrated on its own, and the stages after it run once per size on
+the members' concentrated moments, which have one shape at every lag:
+the eigenproblem, the fit (no residuals are kept) and the solved
+equations of all the size's rank-1 members, each in one pass.
 Admissible fits aggregate into a per-variable correlation row where sign
 conflicts are adjudicated by the coefficient with the larger |z|.
 """
@@ -91,9 +92,10 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     rank 1; returns one record per (subset index, lag).
 
     ``z`` holds the subsets' levels as an (n, T, p) array. The stack has one
-    member per (subset, lag), carrying its subset index, its lag, and its R
-    and B from the concentration at that lag, which runs once per lag since
-    R and B change shape with k. The moments all have one shape, so the
+    member per (subset, lag), carrying its subset index, its lag, and its
+    short-run coefficients B from the concentration at that lag, which runs
+    once per lag since B changes shape with k. The moments all have one
+    shape, so the
     eigenproblem, the trace test, the normalization, the rank-1 estimates
     (vecm._stacked_models) and the solved equations (vecm._stacked_equations)
     run once for the whole size. A member that fails records its own typed
@@ -107,20 +109,20 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     except VelakitError as exc:
         return {(i, k): _rejected(subsets[i], k, exc) for i in range(n) for k in ks}
     out, errors = {}, {}
-    members, moments = [], []  # members: (subset index, lag, R, B) per stack position
+    members, moments = [], []  # members: (subset index, lag, B) per stack position
     for k in ks:
         try:
-            R, B, *S, failures = _stacked_concentrate(z, k, case)
+            B, *S, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
             out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
             continue
         _record(errors, {len(members) + i: e for i, e in failures.items()})
-        members += zip(range(n), [k] * n, R, B)
+        members += zip(range(n), [k] * n, B)
         moments.append(S)
     if not members:
         return out
-    S00, S01, S11 = map(np.concatenate, zip(*moments))
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    S00, S01, S11, shift = map(np.concatenate, zip(*moments))
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
     _, ranks = _stacked_trace_test(lam, np.array([T - k for _, k, *_ in members]), p, case)
     keep = []  # stack positions of the rank-1 members
     for j, ((i, k, *_), rank) in enumerate(zip(members, ranks.tolist())):
@@ -132,12 +134,13 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
             keep.append(j)
     if not keep:
         return out
-    index, lags, R, B = zip(*(members[j] for j in keep))
+    index, lags, B = zip(*(members[j] for j in keep))
     kept = {}
     try:
         beta = _stacked_phillips(candidates[keep], 1, kept)
-        models = _stacked_models(z[list(index)], [names[i] for i in index], lags, R, B, 1, case,
-                                 S11[keep], lam[keep], beta, kept)
+        models = _stacked_models(z[list(index)], [names[i] for i in index], lags, B, 1, case,
+                                 S00[keep], S01[keep], S11[keep], shift[keep], lam[keep], beta,
+                                 kept)
     except VelakitError as exc:
         kept, models = dict.fromkeys(range(len(keep)), exc), [None] * len(keep)
     equations = _stacked_equations(models, kept)

@@ -27,14 +27,15 @@ time-major, a (T + BURN_IN + k, p, n) array with replication i in column
 i, so the lag window of every replication is one contiguous slab and each
 time step is three numpy calls for the whole block. The buffer costs
 SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes, 3.4 MB at T=500 and p=3. Each
-simulation block is rank-tested and fitted in FIT_BLOCK = 32 slices,
-transposed (n, T, p) views (johansen._stacked_rank_test and
-vecm._stacked_fit, the kernels of the specification search and of the n=1
-public calls). A replication that fails raises its own typed error, the
-one its n=1 call raises; the first failing replication of a moment stack
-or fit block wins. Reruns are byte-identical, and a replication's
-statistics and levels do not depend on the block or stack it is drawn,
-simulated or fitted in.
+simulation block is concentrated in FIT_BLOCK = 32 slices, transposed
+(n, T, p) views, into one moment stack for the block, whose eigenproblem,
+trace test, Phillips normalization, fit (vecm._stacked_fit, from the
+moments alone) and angles are then one stacked pass each: the kernels of
+the specification search and of the n=1 public calls. A replication that
+fails raises its own typed error, the one its n=1 call raises; the first
+failing replication of a moment stack or simulation block wins. Reruns
+are byte-identical, and a replication's statistics and levels do not
+depend on the block or stack it is drawn, simulated or fitted in.
 """
 
 from __future__ import annotations
@@ -51,25 +52,26 @@ from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
     _check_case,
+    _check_dimension,
     _raise_first,
     _record,
     _stacked_concentrate,
     _stacked_eigenproblem,
-    _stacked_rank_test,
     _stacked_trace_test,
 )
 from .linalg import general_eigenvalues
-from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
+from .vecm import _centred, _stacked_fit, _stacked_phillips, companion_matrix
 
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
 # replications per draw block of the critical-value study (draws, cumsum
-# and concentration, whose buffers grow with T), replications per stacked
-# fit slice of the recovery study and bootstrap resamples per block: enough
-# to amortize the per-call overhead, few enough to keep peak memory flat.
-# The recovery study fits in slices of 32: at 64, a 200-replication study
-# at T=500 ran about 5% slower and took 1.7 MB more peak memory
+# and concentration, whose buffers grow with T), replications per
+# concentration slice of the recovery study and bootstrap resamples per
+# block: enough to amortize the per-call overhead, few enough to keep peak
+# memory flat. A recovery slice of 32 replications at T=500 and p=3
+# concentrates in about 0.9 MB of buffers, where the whole simulation
+# block of 256 at once would take 7 MB
 CV_BLOCK = 64
 FIT_BLOCK = 32
 BOOT_BLOCK = 20
@@ -82,8 +84,9 @@ BOOTSTRAP = 200
 # and m_aug = m + 1 under rconst (m under uconst): 0.3 MB at p - r = 2 and
 # 2.1 MB at p - r = 6
 MOMENT_BLOCK = 2048
-# replications per simulation block of the recovery study, a multiple of
-# FIT_BLOCK; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes
+# replications per simulation block of the recovery study, and so per
+# moment stack; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8
+# bytes
 SIM_BLOCK = 256
 
 
@@ -208,13 +211,23 @@ def _integers(**values) -> list[int]:
     return [int(value) for value in values.values()]
 
 
+def _check_scale(name: str, value) -> None:
+    """ValidationError naming ``name`` unless value is a finite real number
+    >= 0 (an int, float or numpy number, never a bool)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and np.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a simulated error-correction system.
 
-    Construction validates that the implied companion matrix carries
-    exactly p - r unit-modulus roots with everything else strictly inside
-    the unit circle.
+    Construction validates each field, raising ValidationError that names
+    it: p, r, T and seed are integers (numpy integers too, never bools), the
+    noise scales finite numbers >= 0, and mu_true finite. It also checks
+    that the implied companion matrix carries exactly p - r unit-modulus
+    roots with everything else strictly inside the unit circle.
     """
 
     p: int
@@ -235,8 +248,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if not _is_integer(self.T) or self.T < 1:
             raise ValidationError(f"T must be an integer >= 1, got {self.T!r}")
-        (seed,) = _integers(seed=self.seed)
-        object.__setattr__(self, "seed", seed)
+        p, r, seed = _integers(p=self.p, r=self.r, seed=self.seed)
+        for name, value in (("p", p), ("r", r), ("seed", seed)):
+            object.__setattr__(self, name, value)
+        _check_scale("noise_scale", self.noise_scale)
+        if self.ec_noise_scale is not None:
+            _check_scale("ec_noise_scale", self.ec_noise_scale)
         alpha = np.asarray(self.alpha_true, dtype=float).reshape(self.p, self.r)
         beta = np.asarray(self.beta_true, dtype=float).reshape(self.p, self.r)
         mu = (
@@ -248,8 +265,8 @@ class SyntheticSpec:
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "mu_true", mu)
         object.__setattr__(self, "gamma_true", tuple(np.asarray(g, dtype=float) for g in self.gamma_true))
-        if self.noise_scale < 0:
-            raise ValidationError("noise_scale must be non-negative")
+        if not np.isfinite(mu).all():
+            raise ValidationError(f"mu_true must be finite, got {mu}")
         if self.ec_noise_scale is not None and self.r < 1:
             raise ValidationError("ec_noise_scale needs a cointegrated system (r >= 1)")
         if not 0 <= self.r <= self.p - 1:
@@ -420,7 +437,7 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
                 z += drift
             np.cumsum(z, axis=1, out=z)
             block = slice(start, start + len(z))
-            _, _, S00[block], S01[block], S11[block], failures = _stacked_concentrate(z, 1, case)
+            _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(z, 1, case)
             _record(errors, {start + i: error for i, error in failures.items()})
         lam, _ = _stacked_eigenproblem(S00[:n], S01[:n], S11[:n], errors)
         trace, _ = _stacked_trace_test(lam, T - 1, p_minus_r, case)
@@ -485,16 +502,30 @@ class RecoveryStudy:
 
 def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     """(trace_r0, selected rank, beta angle, mean squared alpha error) per
-    replication of an (n, T, p) block, in one stacked pass
-    (johansen._stacked_rank_test, then vecm._stacked_fit on its R);
-    raises the error of the block's first failing replication."""
-    R, _, _, _, candidates, trace, ranks, errors = _stacked_rank_test(
-        z, spec.k, case, vectors=True)
+    replication of a time-major (T, p, n) simulation block.
+
+    Each FIT_BLOCK slice is concentrated into the block's moment stack
+    (johansen._stacked_concentrate); the eigenproblem, the trace test, the
+    Phillips normalization, the moment fit (vecm._stacked_fit) and the
+    angles then run once for the block. Raises the error of the block's
+    first failing replication.
+    """
+    T, p, n = z.shape
+    p_aug = p + (case == RESTRICTED_CONSTANT)
+    S00, S01, S11 = np.empty((n, p, p)), np.empty((n, p, p_aug)), np.empty((n, p_aug, p_aug))
+    shift, errors = np.empty((n, p)), {}
+    for lo in range(0, n, FIT_BLOCK):
+        block = slice(lo, min(lo + FIT_BLOCK, n))
+        _, S00[block], S01[block], S11[block], shift[block], failures = _stacked_concentrate(
+            z[:, :, block].transpose(2, 0, 1), spec.k, case)
+        _record(errors, {lo + i: error for i, error in failures.items()})
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
+    trace, ranks = _stacked_trace_test(lam, T - spec.k, p, case)
     beta = _stacked_phillips(candidates, spec.r, errors)
-    alpha_t, _ = _stacked_fit(R, beta, R.shape[1], errors)
+    alpha_t, _ = _stacked_fit(S00, S01, S11, _centred(beta, shift), errors)
     _raise_first(errors)
     alpha = alpha_t.swapaxes(1, 2)
-    return (trace[:, 0], ranks, _angles_deg(beta[:, : spec.p], spec.beta_true),
+    return (trace[:, 0], ranks, _angles_deg(beta[:, :p], spec.beta_true),
             np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
 
 
@@ -502,10 +533,11 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
                        case: str = RESTRICTED_CONSTANT) -> RecoveryStudy:
     """generate -> rank test -> estimate, compared against the true system.
 
-    Replications are simulated in blocks of up to SIM_BLOCK (see _simulate)
-    and fitted in stacked slices of FIT_BLOCK (see _recovery_block); a
-    failing replication raises its own error. The case is checked before
-    anything is simulated.
+    Replications are simulated in blocks of up to SIM_BLOCK (see _simulate),
+    each concentrated in slices of FIT_BLOCK and then tested and fitted in
+    one stacked pass (see _recovery_block); a failing replication raises
+    its own error. The case and the dimension are checked before anything
+    is simulated.
     """
     _check_case(case)
     (reps,) = _integers(reps=reps)
@@ -513,15 +545,14 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
         raise ValidationError(f"reps must be >= 100, got {reps}")
     if spec.r < 1:
         raise ValidationError("recovery study needs a cointegrated truth (r >= 1)")
+    _check_dimension(spec.p)
     trace_r0, angles, alpha_sq = np.empty(reps), np.empty(reps), np.empty(reps)
     ranks = np.empty(reps, dtype=int)
     buffer = np.empty(min(SIM_BLOCK, reps) * (spec.T + BURN_IN + spec.k) * spec.p)
     for start in range(0, reps, SIM_BLOCK):
         z = _simulate(spec, range(start, min(start + SIM_BLOCK, reps)), buffer)
-        for lo in range(0, z.shape[2], FIT_BLOCK):
-            fit = z[:, :, lo : lo + FIT_BLOCK].transpose(2, 0, 1)
-            i = slice(start + lo, start + lo + len(fit))
-            trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(fit, spec, case)
+        i = slice(start, start + z.shape[2])
+        trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(z, spec, case)
     per_rep = tuple(
         {
             "rep": rep,

@@ -3,11 +3,14 @@
 beta comes from the Johansen eigenproblem, normalized so its leading
 r x r block is the identity. alpha, sigma and the short-run matrices
 conditional on beta come from the rank test's concentration
-(Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta, sigma that
-regression's residual covariance, and the short-run coefficients are the
-concentration's B0 - B1 beta alpha'. That regression runs on T - 1 rows
-at every lag (a lag's T - k residual rows, then zero rows, which add
-nothing), so a stack's members may each carry their own lag: the
+(Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta and sigma that
+regression's residual covariance, both read off the concentrated moments
+without the residuals (_stacked_fit), and the short-run coefficients are
+the concentration's B0 - B1 beta alpha'. Under rconst the moments are
+those of the centred level term, so beta enters the fit in centred
+coordinates, and the standard error and Wald statistic of the constant row
+map back through the shift's Jacobian. The moments have one shape at
+every lag, so a stack's members may each carry their own lag: the
 specification search fits a subset size's members of every lag in one
 stack, a model's numbers do not depend on the members beside it, and
 estimate_vecm is the n=1 call. Standard errors for the free beta rows use
@@ -37,7 +40,7 @@ from .johansen import (
     _stacked_eigenproblem,
 )
 from .lag_selection import gaussian_criteria, level_matrix
-from .linalg import _each, _stacked_cholesky, _stacked_ols, general_eigenvalues
+from .linalg import _each, _pivot_errors, _stacked_cholesky, general_eigenvalues
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -93,10 +96,11 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
             "VAR instead (rank tests remain available via rank_test)"
         )
     _check_rank(r, p)
-    R, B, S00, S01, S11, errors = _stacked_concentrate(z[None], k, case)
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    B, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
     beta = _stacked_phillips(candidates, r, errors)
-    models = _stacked_models(z[None], [names], [k], R, B, r, case, S11, lam, beta, errors)
+    models = _stacked_models(z[None], [names], [k], B, r, case, S00, S01, S11, shift, lam,
+                             beta, errors)
     _raise_first(errors)
     return models[0]
 
@@ -124,62 +128,85 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
     return beta @ inverse
 
 
+def _centred(beta: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """beta (n, p_aug, r) in the coordinates of the concentration's centred
+    level term: the constant row c becomes c + b'shift (no change under
+    uconst, which has no constant row)."""
+    p = shift.shape[1]
+    if beta.shape[1] == p:
+        return beta
+    out = beta.copy()
+    out[:, p] += (shift[:, None] @ beta[:, :p])[:, 0]
+    return out
+
+
 @np.errstate(all="ignore")
-def _stacked_fit(R: np.ndarray, beta: np.ndarray, T_eff, errors: dict):
+def _stacked_fit(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, beta: np.ndarray,
+                 errors: dict):
     """alpha' and sigma of the error-correction model at a given beta (n,
-    p_aug, r), for a stack of johansen._stacked_concentrate residuals R.
+    p_aug, r), from a stack of johansen._stacked_concentrate moments, beta
+    in their (centred) coordinates.
 
-    By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 (the first p
-    columns of R) on R1 beta, and sigma is its residuals' cross-product over
-    each member's own sample size ``T_eff`` (an int, or one per member). A
-    member's R may end in zero rows, which add nothing to either. Returns
-    (alpha' (n, r, p), sigma (n, p, p)); records the regression's
-    SingularMatrixError.
+    By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 on R1 beta and
+    sigma its residuals' covariance, and both need only the moments: with
+    M = beta'S11 beta, alpha' = M^-1 beta'S10 and sigma = S00 - alpha M
+    alpha'. With L1 the Cholesky factor of S11, R1 beta is sqrt(T_eff) times
+    orthonormal columns times V = L1'beta, so the QR factor R of the small V
+    is the r x r Cholesky factor of M (up to signs) without forming M, and
+    its |diag R| are those of the QR of R1 beta over sqrt(T_eff):
+    _stacked_ols's pivot rule (linalg._pivot_errors) reads the same ratios
+    and records the same SingularMatrixError and column. Then alpha' =
+    R^-1 H and sigma = S00 - H'H, H = Q'L1^-1 S10. Returns (alpha' (n, r,
+    p), sigma (n, p, p)).
     """
-    p = R.shape[2] - beta.shape[1]
-    coef, resid, _, failures = _stacked_ols(R[:, :, p:] @ beta, R[:, :, :p])
+    # the eigenproblem has judged S11 already
+    L1, _ = _each(np.linalg.cholesky, S11)
+    Q, R = np.linalg.qr(L1.swapaxes(1, 2) @ beta)
+    failures = _pivot_errors(np.abs(np.diagonal(R, axis1=1, axis2=2)))
     _record(errors, failures)
-    return coef, resid.swapaxes(1, 2) @ resid / np.reshape(T_eff, (-1, 1, 1))
+    if failures:
+        R[list(failures)] = np.eye(R.shape[1])
+    H = Q.swapaxes(1, 2) @ np.linalg.solve(L1, S01.swapaxes(1, 2))
+    return np.linalg.solve(R, H), S00 - H.swapaxes(1, 2) @ H
 
 
 @np.errstate(all="ignore")
-def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], R: list,
-                    B: list, r: int, case: str, S11: np.ndarray, lam: np.ndarray,
-                    beta: np.ndarray, errors: dict) -> list[VecmModel | None]:
+def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], B: list,
+                    r: int, case: str, S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
+                    shift: np.ndarray, lam: np.ndarray, beta: np.ndarray,
+                    errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), from the concentration its rank test already ran.
 
-    Member j has variable names ``names[j]``, lag ``ks[j]``, and residuals
-    ``R[j]`` and coefficients ``B[j]`` from johansen._stacked_concentrate at
-    that lag; S11 and lam come from the same concentration. The members'
-    lags may be any mix: every R is copied into one stack of T - 1 rows,
-    zero below its own T - k, so _stacked_fit, the beta inference (with each
+    Member j has variable names ``names[j]``, lag ``ks[j]`` and coefficients
+    ``B[j]`` from johansen._stacked_concentrate at that lag; S00, S01, S11,
+    shift and lam come from the same concentration and eigenproblem. The
+    members' lags may be any mix: the fit reads only the moments, which have
+    one shape at every lag, so _stacked_fit, the beta inference (with each
     member's own T_eff in the Gram matrix T_eff * S11) and gaussian_criteria
-    run once, and a member's numbers do not depend on the members beside it.
-    Only the short-run rows B0 - B1 beta alpha' are taken per member, since
-    B changes shape with k. Returns one VecmModel per member, None for a
-    member with an error in ``errors``.
+    run once, and a member's numbers do not depend on the members beside
+    it. Only the short-run rows B0 - B1 beta alpha' are taken per member,
+    since B changes shape with k. Returns one VecmModel per member, None for
+    a member with an error in ``errors``.
     """
     n, T, p = z.shape
     _check_rank(r, p)
     p_aug = beta.shape[1]
-    W = np.zeros((n, T - 1, p + p_aug))
-    for j, Rj in enumerate(R):
-        W[j, : len(Rj)] = Rj
     T_eff = T - np.array(ks)
     n_params = p * (r + np.array([len(Bj) for Bj in B])) + r * (p_aug - r)
-    alpha_t, sigma = _stacked_fit(W, beta, T_eff, errors)
+    beta_c = _centred(beta, shift)
+    alpha_t, sigma = _stacked_fit(S00, S01, S11, beta_c, errors)
     alpha = alpha_t.swapaxes(1, 2)
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(
-        T_eff[:, None, None] * S11[:, r:, r:], beta, alpha, sigma)
+        T_eff[:, None, None] * S11[:, r:, r:], beta, shift, alpha, sigma)
     loglik, aic, bic, _, failures = gaussian_criteria(sigma, T_eff, n_params)
     _record(errors, failures)
     means, models = z.mean(axis=1), []
     rows = zip(ks, B, T_eff.tolist(), n_params.tolist(), wald.tolist(), loglik.tolist(),
                aic.tolist(), bic.tolist())
     for j, (k, Bj, t, m, w, ll, a, b) in enumerate(rows):
-        short = Bj[:, :p] - Bj[:, p:] @ beta[j] @ alpha_t[j]
+        short = Bj[:, :p] - Bj[:, p:] @ beta_c[j] @ alpha_t[j]
         models.append(None if j in errors else VecmModel(
             vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=beta[j],
             gamma=tuple(short[: p * (k - 1)].reshape(k - 1, p, p).swapaxes(1, 2)),
@@ -191,20 +218,25 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], 
 
 
 @np.errstate(all="ignore")
-def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, alpha: np.ndarray,
-                            sigma: np.ndarray):
+def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, shift: np.ndarray,
+                            alpha: np.ndarray, sigma: np.ndarray):
     """Conditional standard errors and joint Wald test for the free beta rows
     of each member of a stack.
 
     With beta normalized to (I_r, b')' the free block b has asymptotic
     covariance kron((R12'R12)^-1, (alpha' sigma^-1 alpha)^-1), R12 being the
-    concentrated level residuals of the non-normalized coordinates (``gram``
-    holds R12'R12). The standard errors take the diagonals of the inverses
-    from inverse Cholesky factors; the Wald statistic is the quadratic form
-    tr(b' R12'R12 b alpha' sigma^-1 alpha). Returns (beta_se, beta_z, wald):
-    a member whose Gram matrix, sigma or alpha' sigma^-1 alpha
-    cholesky_factor rejects gets se 0, z NaN and Wald NaN; one whose leading
-    block is not the identity (np.allclose, atol 1e-8) gets z NaN.
+    concentrated level residuals of the non-normalized coordinates. ``gram``
+    holds R12'R12 in the concentration's centred coordinates, where the
+    free rows are u = K^-1 b: K is the identity but for the constant row,
+    (-shift_free', 1), so u's constant row is c + shift_free'b_free. The
+    covariance of b is then K (R12'R12)^-1 K' (the shift's Jacobian; no
+    change under uconst). The standard errors take the diagonals from
+    inverse Cholesky factors, as the squared column norms of L^-1 K' and of
+    the inverse factor of alpha' sigma^-1 alpha; the Wald statistic is the
+    quadratic form tr(u' R12'R12 u alpha' sigma^-1 alpha). Returns (beta_se,
+    beta_z, wald): a member whose Gram matrix, sigma or alpha' sigma^-1
+    alpha cholesky_factor rejects gets se 0, z NaN and Wald NaN; one whose
+    leading block is not the identity (np.allclose, atol 1e-8) gets z NaN.
     """
     n, p_aug, r = beta.shape
     L_gram, failures_gram = _stacked_cholesky(gram)
@@ -212,12 +244,19 @@ def _stacked_beta_inference(gram: np.ndarray, beta: np.ndarray, alpha: np.ndarra
     whitened = np.linalg.solve(L_sigma, alpha)
     info = whitened.swapaxes(1, 2) @ whitened  # alpha' sigma^-1 alpha
     L_info, failures_info = _stacked_cholesky(info)
-    # diag(S^-1) holds the squared column norms of L^-1
-    outer = np.linalg.solve(L_gram, np.broadcast_to(np.eye(p_aug - r), gram.shape))
+    b = beta[:, r:]
+    jacobian, u = np.broadcast_to(np.eye(p_aug - r), gram.shape), b
+    if p_aug > shift.shape[1]:
+        free = shift[:, r:]
+        jacobian = jacobian.copy()
+        jacobian[:, :-1, -1] = -free
+        u = b.copy()
+        u[:, -1] += (free[:, None] @ b[:, :-1])[:, 0]
+    # diag(K S^-1 K') holds the squared column norms of L^-1 K'
+    outer = np.linalg.solve(L_gram, jacobian)
     inner = np.linalg.solve(L_info, np.broadcast_to(np.eye(r), info.shape))
     diag = np.sqrt((outer**2).sum(axis=1)[:, :, None] * (inner**2).sum(axis=1)[:, None, :])
-    b = beta[:, r:]
-    wald = ((gram @ b @ info) * b).sum(axis=(1, 2))
+    wald = ((gram @ u @ info) * u).sum(axis=(1, 2))
     beta_se = np.zeros_like(beta)
     beta_se[:, r:] = diag
     beta_z = np.full_like(beta, np.nan)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from velakit.johansen import _stacked_concentrate, _stacked_eigenproblem, _stacked_trace_test
 from velakit.panel import CSV_COLUMNS, MacroPanel, VARIABLES
 from velakit.synthetic import generate_vecm_data, rng_for, study_spec
 
@@ -59,6 +60,18 @@ def synthetic_log_panel(T=60, seed=4, start=1961, noise_scale=0.05):
     }
     years = np.arange(start, start + T)
     return LogLevelPanel(agency_id="SYN", years=years, series=series)
+
+
+def stacked_rank_test(z, k, case, vectors=True):
+    """concentrate and rank_test for each series of an (n, T, p) stack of
+    levels, through the stacked kernels in one pass as the search and the
+    studies compose them. Returns (B, (S00, S01, S11, shift), eigenvalues,
+    beta candidates (None without ``vectors``), trace statistics, ranks,
+    errors)."""
+    B, S00, S01, S11, shift, errors = _stacked_concentrate(z, k, case)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift if vectors else None)
+    trace, ranks = _stacked_trace_test(lam, z.shape[1] - k, z.shape[2], case)
+    return B, (S00, S01, S11, shift), lam, candidates, trace, ranks, errors
 
 
 def write_levels_csv(path, T=48, seed=2027, agency="DEMO", missing=(), corrupt=None):

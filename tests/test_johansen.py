@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 import scalar_reference
 from velakit.errors import NotPositiveDefiniteError, ValidationError, VelakitError
 from velakit.johansen import (
@@ -10,13 +11,20 @@ from velakit.johansen import (
     MAXEIG_CRITICAL,
     TRACE_CRITICAL,
     MomentMatrices,
-    _stacked_rank_test,
     _stacked_trace_test,
     concentrate,
     rank_test,
     solve_cointegration_eigenproblem,
 )
-from velakit.synthetic import generate_vecm_data, random_walk_spec, rng_for, study_spec
+from velakit.synthetic import (
+    SyntheticSpec,
+    generate_vecm_data,
+    random_walk_spec,
+    rng_for,
+    study_spec,
+)
+
+from conftest import stacked_rank_test
 
 
 def make_moments(S00, S01, S11, T=100):
@@ -33,14 +41,25 @@ def make_moments(S00, S01, S11, T=100):
 
 class TestConcentrate:
     def test_k1_rconst_is_unprojected(self):
+        # with no short-run regressors the moments are the plain products of
+        # dz_t and the centred level term [z_{t-1} - shift, 1], shift being
+        # the mean of the level rows; levels far from zero, so centring matters
         rng = rng_for(1, 0)
-        z = np.cumsum(rng.standard_normal((80, 2)), axis=0)
+        z = np.cumsum(rng.standard_normal((80, 2)), axis=0) + [10.0, -40.0]
         m = concentrate(z, k=1, case="rconst")
+        assert np.abs(m.shift - z[:-1].mean(axis=0)).max() <= 1e-15 * 40.0
         dz = np.diff(z, axis=0)
-        lvl = np.column_stack([z[:-1], np.ones(79)])
-        assert m.S00 == pytest.approx(dz.T @ dz / 79)
-        assert m.S01 == pytest.approx(dz.T @ lvl / 79)
-        assert m.S11 == pytest.approx(lvl.T @ lvl / 79)
+        lvl = np.column_stack([z[:-1] - m.shift, np.ones(79)])
+        for got, want in ((m.S00, dz.T @ dz / 79), (m.S01, dz.T @ lvl / 79),
+                          (m.S11, lvl.T @ lvl / 79)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # [z, 1] = [z - shift, 1] A maps the moments back to the uncentred ones
+        A = np.eye(3)
+        A[2, :2] = m.shift
+        raw = np.column_stack([z[:-1], np.ones(79)])
+        assert np.abs(A.T @ m.S11 @ A - raw.T @ raw / 79).max() <= 1e-14 * (raw.T @ raw / 79).max()
+        assert np.abs(m.S01 @ A - dz.T @ raw / 79).max() <= 1e-14 * np.abs(dz.T @ raw / 79).max()
+        assert concentrate(z, k=1, case="uconst").shift is None
 
     def test_equal_residuals_collapse_moments(self):
         # z_t = 2 z_{t-1} makes dz_t equal z_{t-1} exactly, so under uconst
@@ -111,6 +130,9 @@ class TestEigenproblem:
         z = np.cumsum(rng.standard_normal((150, 3)), axis=0)
         m = concentrate(z, k=2, case="rconst")
         lam, beta = solve_cointegration_eigenproblem(m)
+        # beta is in the coordinates of [z, 1]; the moments in those of the
+        # centred [z - shift, 1], where the constant row is c + b'shift
+        beta[-1] += m.shift @ beta[:-1]
         M = m.S01.T @ np.linalg.inv(m.S00) @ m.S01
         for j in range(len(lam)):
             lhs = M @ beta[:, j]
@@ -238,6 +260,23 @@ class TestRankTest:
         assert gap <= 1e-12 + 10 * np.finfo(float).eps * cond
 
 
+class TestTraceAgainstHighPrecision:
+    def test_near_unit_canonical_correlation(self):
+        # innovations of 1e-4 inside the cointegration space put lambda_1
+        # within about 1e-8 of 1, so log(1 - lambda_1) amplifies the
+        # eigenvalue's rounding. Against 50-digit values the traces from
+        # centred moments measured at most 1.7e-7 off over these 20
+        # replications, those from the uncentred [z, 1] up to 3.3e-6
+        pytest.importorskip("mpmath")
+        spec = SyntheticSpec(p=3, r=1, alpha_true=[[-0.4], [0.2], [0.1]],
+                             beta_true=[[1.0], [-2.0], [0.5]], ec_noise_scale=1e-4, T=60, seed=5)
+        for rep in range(20):
+            z = generate_vecm_data(spec, rep)
+            want = np.array([float(v) for v in mp_reference.johansen(z, 1, "rconst", 50)[3]])
+            got = rank_test(concentrate(z, k=1, case="rconst")).trace_stats
+            assert np.abs(got / want - 1.0).max() <= 4e-7, rep
+
+
 class TestCriticalTables:
     def test_tables_monotone_in_dimension(self):
         for case, table in TRACE_CRITICAL.items():
@@ -274,7 +313,7 @@ class TestStackedRank0Kernel:
     def test_agrees_with_scalar_path(self, case, p):
         z = random_walk_stack(40, 400, p, case)
         want = np.array([scalar_reference.rank_test(zi, 1, case)[0][0] for zi in z])
-        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+        *_, trace, _, errors = stacked_rank_test(z, 1, case, vectors=False)
         assert errors == {}
         np.testing.assert_allclose(trace[:, 0], want, rtol=1e-10, atol=0.0)
         assert np.array_equal(trace[:, 0], [n1_trace_r0(zi, case) for zi in z])
@@ -296,7 +335,7 @@ class TestStackedRank0Kernel:
             z[3, :, 0] = 1.01 ** np.arange(400)
         with pytest.raises(VelakitError) as n1:
             n1_trace_r0(z[3], case)
-        *_, trace, _, errors = _stacked_rank_test(z, 1, case)
+        *_, trace, _, errors = stacked_rank_test(z, 1, case, vectors=False)
         assert type(errors[3]) is type(n1.value)
         assert str(errors[3]) == str(n1.value)
         healthy = [0, 1, 2, 4, 5]

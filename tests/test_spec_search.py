@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 import scalar_reference
 from velakit.errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from velakit.johansen import (
-    _stacked_concentrate,
-    _stacked_eigenproblem,
-    _stacked_rank_test,
-    concentrate,
-    rank_test,
-)
+from velakit.johansen import _stacked_concentrate, _stacked_eigenproblem, concentrate, rank_test
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
@@ -34,7 +28,7 @@ from velakit.vecm import (
     normalize_cointegrating_equation,
 )
 
-from conftest import synthetic_log_panel
+from conftest import stacked_rank_test, synthetic_log_panel
 
 
 class TestEnumerate:
@@ -300,7 +294,7 @@ class TestStackedSearch:
             assert equation == spec.equation
 
     def test_one_fit_per_subset_size(self, monkeypatch):
-        # every lag of a size shares one T - 1 row stack: one _stacked_fit
+        # every lag of a size shares one stack of moments: one _stacked_fit
         # and one gaussian_criteria per size with a rank-1 member, each over
         # that size's rank-1 members of every lag, and no per-spec
         # normalization
@@ -309,9 +303,9 @@ class TestStackedSearch:
         fits, criteria = [], []
         fit, gaussian_criteria = vecm._stacked_fit, vecm.gaussian_criteria
 
-        def counted_fit(R, beta, T_eff, errors):
-            fits.append((R.shape, np.array(T_eff)))
-            return fit(R, beta, T_eff, errors)
+        def counted_fit(S00, S01, S11, beta, errors):
+            fits.append((S00.shape, S11.shape, beta.shape))
+            return fit(S00, S01, S11, beta, errors)
 
         def counted_criteria(sigma, T, n_params):
             criteria.append(np.array(T))
@@ -324,10 +318,9 @@ class TestStackedSearch:
         report = fit_specifications(panel, enumerate_specifications(min_size=2), (1, 2, 3))
         sizes = sorted({len(s.subset) for s in report.specs}, reverse=True)
         assert {s.k for s in report.specs} == {1, 2, 3}
-        assert [shape[2] - 1 for shape, _ in fits] == [2 * p for p in sizes]
-        assert all(shape[1] == 59 for shape, _ in fits)
         want = [sorted(60 - s.k for s in report.specs if len(s.subset) == p) for p in sizes]
-        assert [sorted(T_eff.tolist()) for _, T_eff in fits] == want
+        assert fits == [((len(T), p, p), (len(T), p + 1, p + 1), (len(T), p + 1, 1))
+                        for p, T in zip(sizes, want)]
         assert [sorted(T.tolist()) for T in criteria] == want
         assert any(len(set(T)) > 1 for T in want)
 
@@ -367,12 +360,11 @@ class TestStackedSearch:
         # stack, is its n=1 fit
         z = np.stack([panel.matrix(s) for s in subsets[:2]])
         for k in (1, 2):
-            R, B, S11, lam, candidates, _, _, errors = _stacked_rank_test(
-                z, k, "rconst", vectors=True)
+            B, moments, lam, candidates, _, _, errors = stacked_rank_test(z, k, "rconst")
             assert list(errors) == [0]
             beta = _stacked_phillips(candidates, 1, errors)
-            models = _stacked_models(z, [subsets[0], subsets[1]], [k, k], R, B, 1, "rconst",
-                                     S11, lam, beta, errors)
+            models = _stacked_models(z, [subsets[0], subsets[1]], [k, k], B, 1, "rconst",
+                                     *moments, lam, beta, errors)
             assert models[0] is None
             assert_same_model(models[1], estimate_vecm(panel, subsets[1], k=k, r=1),
                               f"{subsets[1]} k={k}")
@@ -514,20 +506,19 @@ class TestMergedLags:
         z = np.stack([generate_vecm_data(random_walk_spec(2, 110, seed=9), rep)
                       for rep in range(3)])
         names = [("y0", "y1")] * 6
-        R, B, S11, lam, candidates, _, _, errors = _stacked_rank_test(
-            z, 33, "rconst", vectors=True)
+        B, moments, lam, candidates, _, _, errors = stacked_rank_test(z, 33, "rconst")
         beta = _stacked_phillips(candidates, 1, errors)
-        single = _stacked_models(z, names[:3], [33] * 3, R, B, 1, "rconst", S11, lam, beta,
+        single = _stacked_models(z, names[:3], [33] * 3, B, 1, "rconst", *moments, lam, beta,
                                  errors)
         assert errors == {}
 
-        lags = [(k, *_stacked_concentrate(z, k, "rconst")) for k in (1, 33)]
-        S00, S01, S11 = (np.concatenate([lag[j] for lag in lags]) for j in (3, 4, 5))
-        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+        lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
+        moments = [np.concatenate(m) for m in zip(lags[0][1:5], lags[1][1:5])]
+        lam, candidates = _stacked_eigenproblem(*moments[:3], errors, moments[3])
         beta = _stacked_phillips(candidates, 1, errors)
         merged = _stacked_models(np.concatenate([z, z]), names, [1] * 3 + [33] * 3,
-                                 [*lags[0][1], *lags[1][1]], [*lags[0][2], *lags[1][2]], 1,
-                                 "rconst", S11, lam, beta, errors)
+                                 [*lags[0][0], *lags[1][0]], 1, "rconst", *moments, lam, beta,
+                                 errors)
         assert errors == {}
         for i in range(3):
             assert_same_model(merged[i], estimate_vecm(z[i], k=1, r=1), f"k=1 member {i}")

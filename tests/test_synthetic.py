@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 import scalar_reference
 from velakit import synthetic
 from velakit.errors import ValidationError, VelakitError
@@ -62,6 +63,38 @@ class TestSpecValidation:
         assert type(spec.seed) is int
         assert np.array_equal(generate_vecm_data(spec, 2),
                               generate_vecm_data(study_spec(T=20, seed=-3), 2))
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_scale", np.nan), ("noise_scale", np.inf), ("noise_scale", -1.0),
+        ("noise_scale", "1"), ("noise_scale", True),
+        ("ec_noise_scale", -1e-4), ("ec_noise_scale", np.nan), ("ec_noise_scale", np.inf),
+    ])
+    def test_noise_scale_not_a_finite_nonnegative_number_rejected(self, field, value):
+        # a NaN noise_scale used to simulate all-zero levels, since
+        # noise_scale > 0 is False for NaN
+        message = f"^{field} must be a finite number >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            SyntheticSpec(p=3, r=1, **RANK_ONE, T=60, **{field: value})
+
+    @pytest.mark.parametrize("mu", [[0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+    def test_mu_not_finite_rejected(self, mu):
+        with pytest.raises(ValidationError, match="^mu_true must be finite"):
+            SyntheticSpec(p=3, r=1, **RANK_ONE, mu_true=mu, T=60)
+
+    @pytest.mark.parametrize("field, value", [("p", 3.0), ("p", True), ("p", "3"),
+                                              ("r", True), ("r", 1.0), ("r", None)])
+    def test_dimension_or_rank_not_integer_rejected(self, field, value):
+        # p=3.0 and r=True raised a bare TypeError from the reshape
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            SyntheticSpec(**{"p": 3, "r": 1, **RANK_ONE, "T": 60, field: value})
+
+    def test_numpy_scales_and_dimensions_accepted(self):
+        spec = SyntheticSpec(p=np.int64(3), r=np.int32(1), **RANK_ONE, T=60, seed=2,
+                             noise_scale=np.float64(1.0), ec_noise_scale=np.float32(0.5))
+        assert (type(spec.p), type(spec.r)) == (int, int)
+        want = SyntheticSpec(p=3, r=1, **RANK_ONE, T=60, seed=2, ec_noise_scale=0.5)
+        assert np.array_equal(generate_vecm_data(spec), generate_vecm_data(want))
 
     def test_generator_id_is_fixed(self):
         assert study_spec().generator_id == synthetic.GENERATOR_ID
@@ -242,7 +275,7 @@ class TestTimeMajorSimulator:
         block = synthetic.FIT_BLOCK
         for start in range(0, 301, block):
             z = scalar_reference.simulate_reference(spec, range(start, min(start + block, 301)))
-            want += zip(*synthetic._recovery_block(z, spec, "rconst"))
+            want += zip(*synthetic._recovery_block(z.transpose(1, 2, 0), spec, "rconst"))
         assert [(row["trace_r0"], row["selected_rank"], row["beta_angle_deg"])
                 for row in study.per_rep] == [(t, r, a) for t, r, a, _ in want]
         assert study.alpha_rmse == float(np.sqrt(np.mean([sq for *_, sq in want])))
@@ -433,6 +466,15 @@ def scalar_replication(spec, rep, case):
             np.mean((model.alpha - spec.alpha_true) ** 2))
 
 
+def mp_replication(z, spec, case):
+    """One replication of a rank-1 study from the 50-digit eigenproblem
+    (mp_reference): rank-0 trace, angle and mean squared alpha error."""
+    _, beta, alpha, trace = mp_reference.johansen(z, spec.k, case, 50)
+    b = np.array([[float(v)] for v in beta[0][: spec.p]])
+    angle = subspace_angle_deg(b, spec.beta_true)
+    return float(trace[0]), angle, np.mean((np.array(alpha, dtype=float) - spec.alpha_true[:, 0]) ** 2)
+
+
 def n1_replication(z, spec, case):
     """One replication through the public n=1 calls (raises its error)."""
     rank_test(concentrate(z, k=spec.k, case=case))
@@ -457,21 +499,33 @@ class TestBlockedRecoveryStudy:
     def test_matches_scalar_path_per_replication(self, spec, case):
         trace, ranks, angles, alpha_sq = (
             np.array(col) for col in zip(*(scalar_replication(spec, rep, case) for rep in range(101))))
+        rtol, alpha_rtol = 1e-10, 1e-9
+        if spec.ec_noise_scale is not None:
+            # lambda_1 is within about 1e-8 of 1, so the traces, angles and
+            # alpha errors are checked against 50-digit values: the study's
+            # centred moments measured up to 1.2e-6 (traces), 3.2e-10 degrees
+            # (angles) and 8.2e-9 (alpha RMSE, whose b'S11 b is about 1e-8)
+            # off them; the scalar path's uncentred ones 1.1e-5, 1.8e-9 and 9.7e-9
+            pytest.importorskip("mpmath")
+            trace, angles, alpha_sq = (np.array(col) for col in zip(*(
+                mp_replication(generate_vecm_data(spec, rep), spec, case) for rep in range(101))))
+            rtol, alpha_rtol = 3e-6, 2e-8
         study = run_recovery_study(spec, reps=101, case=case)
         rows = study.per_rep
         assert [row["rep"] for row in rows] == list(range(101))
-        np.testing.assert_allclose([row["trace_r0"] for row in rows], trace, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose([row["trace_r0"] for row in rows], trace, rtol=rtol, atol=0.0)
         np.testing.assert_allclose([row["beta_angle_deg"] for row in rows], angles,
                                    rtol=0.0, atol=1e-9)
         assert [row["selected_rank"] for row in rows] == ranks.tolist()
         assert study.rank_accuracy == np.mean(ranks == spec.r)
-        assert study.alpha_rmse == pytest.approx(np.sqrt(np.mean(alpha_sq)), rel=1e-9)
+        assert study.alpha_rmse == pytest.approx(np.sqrt(np.mean(alpha_sq)), rel=alpha_rtol)
         assert study.beta_angle_median_deg == pytest.approx(np.median(angles), abs=1e-9)
 
     @pytest.mark.parametrize("spec", [
         dataclasses.replace(study_spec(T=100, seed=36), noise_scale=0.0),
-        # S11 is nearly singular in one replication (82, in the third block)
-        SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=5.5e-5, T=100, seed=20),
+        # no innovation inside the cointegration space: beta_true'z_t = 0 in
+        # exact arithmetic, so S11 is singular
+        SyntheticSpec(p=3, r=1, **RANK_ONE, ec_noise_scale=0.0, T=100, seed=20),
     ], ids=["noiseless", "ec-noise"])
     def test_failure_raises_the_scalar_error(self, spec):
         for failing in range(100):
@@ -487,6 +541,76 @@ class TestBlockedRecoveryStudy:
             run_recovery_study(spec, reps=100)
         assert blocked.type is type(want)
         assert str(blocked.value) == str(want)
+
+
+class TestRecoveryBlocks:
+    """A replication's row does not depend on its simulation block, its
+    concentration slice or its moment stack."""
+
+    @pytest.fixture(scope="class")
+    def study300(self):
+        # a full simulation block of 256 and a ragged one of 44
+        return run_recovery_study(study_spec(T=120, seed=42), reps=300)
+
+    def test_rows_do_not_depend_on_the_number_of_replications(self, study300):
+        study = run_recovery_study(study_spec(T=120, seed=42), reps=100)
+        assert study.per_rep == study300.per_rep[:100]
+
+    @pytest.mark.parametrize("sim_block, fit_block", [(64, 7), (300, 300), (1, 1)])
+    def test_block_sizes_do_not_change_the_study(self, study300, sim_block, fit_block,
+                                                 monkeypatch):
+        monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
+        monkeypatch.setattr(synthetic, "FIT_BLOCK", fit_block)
+        study = run_recovery_study(study_spec(T=120, seed=42), reps=300)
+        assert study.per_rep == study300.per_rep
+        assert (study.rank_accuracy, study.beta_angle_median_deg, study.alpha_rmse) == (
+            study300.rank_accuracy, study300.beta_angle_median_deg, study300.alpha_rmse)
+
+    def test_one_pass_per_simulation_block(self, monkeypatch):
+        calls = {name: [] for name in ("_stacked_concentrate", "_stacked_eigenproblem",
+                                       "_stacked_fit", "_angles_deg")}
+        for name, members in calls.items():
+            def counted(*args, real=getattr(synthetic, name), members=members, **kwargs):
+                members.append(len(args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(synthetic, name, counted)
+        run_recovery_study(study_spec(T=120, seed=42), reps=300)
+        slices = [min(synthetic.FIT_BLOCK, n - lo) for n in (256, 44)
+                  for lo in range(0, n, synthetic.FIT_BLOCK)]
+        assert calls.pop("_stacked_concentrate") == slices
+        assert calls == {name: [256, 44] for name in calls}
+
+    def test_lowest_failing_replication_raises_its_error(self, monkeypatch):
+        # replication 150 (fifth slice of the first simulation block) draws
+        # zeros, so its levels are constant and S11 singular, which the
+        # eigenproblem finds; replication 200 draws a NaN, which its slice's
+        # concentration flags earlier in the pass. The lower one's error wins
+        real = synthetic._replication_streams
+        spec = study_spec(T=120, seed=42)
+
+        class Rigged:
+            def __init__(self, rng, fill):
+                self.rng, self.fill = rng, fill
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                out[...] = self.fill
+                return out
+
+        def rigged(seed, indices):
+            for index, rng in zip(indices, real(seed, indices)):
+                yield Rigged(rng, {150: 0.0, 200: np.nan}[index]) \
+                    if index in (150, 200) else rng
+
+        monkeypatch.setattr(synthetic, "_replication_streams", rigged)
+        z = synthetic._simulate(spec, range(150, 151))[:, :, 0]
+        assert not z.any()
+        with pytest.raises(VelakitError) as want:
+            n1_replication(z, spec, "rconst")
+        with pytest.raises(VelakitError) as blocked:
+            run_recovery_study(spec, reps=300)
+        assert blocked.type is type(want.value) and str(blocked.value) == str(want.value)
+        assert "degenerate moment matrix" in str(want.value)
 
 
 class TestBlockedCriticalValues:

@@ -1,6 +1,7 @@
 """The repository's command-line tools under tools/, run through their main()."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -95,3 +96,36 @@ class TestCliDigests:
         (subparsers,) = [action for action in build_parser()._actions
                          if isinstance(action, argparse._SubParsersAction)]
         assert {argv[0] for argv in cli_digests.COMMANDS.values()} == set(subparsers.choices)
+
+    def test_keep_leaves_each_commands_artifacts(self, tmp_path, capsys, monkeypatch):
+        # two quick commands, one with a JSON and a text artifact, one with none
+        monkeypatch.setattr(cli_digests, "COMMANDS", {
+            name: cli_digests.COMMANDS[name] for name in ("vecrank", "mission")})
+        assert cli_digests.main([]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        keep = tmp_path / "kept"
+        assert cli_digests.main(["--keep", str(keep)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # keeping the artifacts changes no digest
+        assert lines == plain
+        for line, name in zip(lines, ("vecrank", "mission")):
+            kept = sorted(path for path in (keep / name).rglob("*") if path.is_file())
+            fields = line.split(" ")
+            assert fields[0] == name
+            assert fields[4:] == [f"{path.relative_to(keep / name)}="
+                                  f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
+                                  for path in kept]
+        assert any(path.suffix == ".json" for path in (keep / "vecrank").iterdir())
+
+    @pytest.mark.parametrize("existing", ["file", "non-empty directory"])
+    def test_keep_refuses_a_used_path(self, tmp_path, capsys, existing):
+        target = tmp_path / "out"
+        if existing == "file":
+            target.write_text("x", encoding="utf-8")
+        else:
+            target.mkdir()
+            (target / "old.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_digests.main(["--keep", str(target)])
+        assert exit_info.value.code == 2
+        assert "not an empty directory" in capsys.readouterr().err

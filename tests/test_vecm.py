@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 import scalar_reference
 from velakit.errors import NonNormalizableError, ValidationError, VelakitError
-from velakit.johansen import CASES, _stacked_rank_test, concentrate, rank_test
+from velakit.johansen import CASES, concentrate, rank_test
 from velakit.synthetic import (
     SyntheticSpec,
     generate_vecm_data,
@@ -18,6 +19,7 @@ from velakit.synthetic import (
 )
 from velakit.vecm import (
     VecmModel,
+    _centred,
     _stacked_equations,
     _stacked_fit,
     _stacked_models,
@@ -28,7 +30,7 @@ from velakit.vecm import (
     stability_check,
 )
 
-from conftest import synthetic_log_panel
+from conftest import stacked_rank_test, synthetic_log_panel
 
 
 def make_model(alpha, beta, gamma=(), mu=None, case="rconst", vars=None, k=1, r=1,
@@ -193,6 +195,22 @@ class TestConditionalFitAgainstHighPrecision:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestBetaAgainstHighPrecision:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_six_variable_rconst_beta(self, k):
+        # the worst-conditioned rconst spec of the test panels: levels near
+        # 10 beside the ones column put cond(S11) at 2.3e7 uncentred, where
+        # beta came out 7.5e-10 (k=2) and 1.5e-9 (k=3) from the 40-digit
+        # eigenvector; from centred moments it measured 2.4e-13 and 4.7e-14
+        pytest.importorskip("mpmath")
+        panel = synthetic_log_panel(T=60, seed=5)
+        subset = ("sb", "gpc", "rd", "md", "ed", "sd")
+        _, beta, _, _ = mp_reference.johansen(panel.matrix(subset), k, "rconst", 40)
+        want = np.array([float(v) for v in beta[0]])
+        got = estimate_vecm(panel, subset, k=k, r=1, case="rconst").beta[:, 0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestEquivariance:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(p=st.integers(2, 6), k=st.integers(1, 3), case=st.sampled_from(CASES),
@@ -219,6 +237,42 @@ class TestEquivariance:
         sin = np.linalg.norm(v - (v @ u) * u)
         cond = max(np.linalg.cond(concentrate(x, k=k, case=case).S11) for x in (z, z @ A))
         assert sin <= 1e-12 + 10 * np.finfo(float).eps * cond
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(2, 6), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_level_shift_moves_only_the_constant(self, p, k, seed):
+        # z -> z + delta changes nothing under rconst but the constant row,
+        # which moves by -b'delta. Log-panel-like levels (offsets up to 10,
+        # mixed scales, one cointegrating relation) and shifts up to 10, on a
+        # 2^-20 grid so that z + delta and its differences are exact and any
+        # change comes from the estimator. The concentration centres the
+        # levels, so the offsets do not enter the rounding, which grows with
+        # the centred moments' cond(S11) (up to 4e7 here, from the mixed
+        # scales): 1500 such draws measured at most 6.2 * eps * cond, where
+        # the uncentred level term [z, 1] passed 100 * eps * cond in one
+        # draw of ten and reached 6000 * eps * cond
+        rng = rng_for(seed, 0)
+        w = np.cumsum(rng.standard_normal((50, p)), axis=0)
+        w[:, -1] = w[:, :-1].sum(axis=1) + 0.3 * rng.standard_normal(50)
+        z = w * rng.uniform(0.01, 1.0, p) + rng.uniform(-10.0, 10.0, p)
+        z, delta = (np.round(x * 2**20) / 2**20 for x in (z, rng.uniform(-10.0, 10.0, p)))
+        assert np.array_equal(z + delta - delta, z)
+        want = estimate_vecm(z, k=k, r=1, case="rconst")
+        got = estimate_vecm(z + delta, k=k, r=1, case="rconst")
+        cond = np.linalg.cond(concentrate(z - z.mean(axis=0), k=k, case="rconst").S11)
+        tol = 1e-12 + 100 * np.finfo(float).eps * cond
+        # the moved constant is a sum of terms up to |b|'|delta|, which sets
+        # its scale
+        constant = want.beta[p] - want.beta[:p].T @ delta
+        terms = np.abs(want.beta[p]) + np.abs(want.beta[:p]).T @ np.abs(delta)
+        assert np.abs(got.beta[p] - constant).max() <= tol * terms.max()
+        fields = [(got.eigenvalues, want.eigenvalues), (got.beta[:p], want.beta[:p]),
+                  (got.alpha, want.alpha), (got.sigma, want.sigma),
+                  (got.beta_z[1:p], want.beta_z[1:p])]
+        fields += list(zip(got.gamma, want.gamma, strict=True))
+        for i, (g, w) in enumerate(fields):
+            assert np.abs(g - w).max() <= tol * np.abs(w).max(), i
 
 
 class TestLikelihoodConsistency:
@@ -375,30 +429,34 @@ class TestNormalize:
         assert _stacked_equations([None], {0: failed}) == [None]
 
 
-class TestZeroRowPadding:
-    """_stacked_models fits every lag on T - 1 rows, a lag's residuals
-    followed by zero rows; the zero rows change the fit only by rounding."""
+class TestMomentFit:
+    """_stacked_fit reads only the concentrated moments, yet it is the
+    regression of R0 on R1 beta (Frisch-Waugh-Lovell) on the residuals."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(p=st.integers(2, 6), k=st.integers(1, 4), case=st.sampled_from(CASES),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_padded_fit_matches_unpadded(self, p, k, case, seed, data):
+    def test_matches_residual_regression(self, p, k, case, seed, data):
         r = data.draw(st.integers(1, p - 1), label="rank")
         T = 50
         z = np.stack([np.cumsum(rng_for(seed, j).standard_normal((T, p)), axis=0)
                       for j in range(3)])
-        R, _, _, _, candidates, _, _, errors = _stacked_rank_test(z, k, case, vectors=True)
+        _, (S00, S01, S11, shift), _, candidates, _, _, errors = stacked_rank_test(z, k, case)
         beta = _stacked_phillips(candidates, r, errors)
-        assert errors == {}
-        padded = np.concatenate([R, np.zeros((3, k - 1, R.shape[2]))], axis=1)
-        assert padded.shape[1] == T - 1
-        want = _stacked_fit(R, beta, T - k, errors)
-        got = _stacked_fit(padded, beta, np.full(3, T - k), errors)
-        assert errors == {}
-        for name, g, w in zip(("alpha'", "sigma"), got, want):
-            assert g.shape == w.shape, name
-            for i in range(3):
-                assert np.abs(g[i] - w[i]).max() <= 1e-12 * np.abs(w[i]).max(), name
+        # a member whose leading block is singular has no normalized beta to fit at
+        normalized = [i for i in range(3) if i not in errors]
+        alpha_t, sigma = _stacked_fit(S00, S01, S11, _centred(beta, shift), errors)
+        assert sorted(errors) == sorted({*range(3)} - {*normalized})
+        for i in normalized:
+            # the uncentred residuals of the scalar reference, at the reported beta
+            R0, R1 = scalar_reference.concentrated_residuals(z[i], k, case)
+            X = R1 @ beta[i]
+            coef = np.linalg.lstsq(X, R0, rcond=None)[0]
+            resid = R0 - X @ coef
+            for name, got, want in (("alpha'", alpha_t[i], coef),
+                                    ("sigma", sigma[i], resid.T @ resid / (T - k))):
+                assert got.shape == want.shape, name
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 class TestStability:
@@ -449,7 +507,7 @@ class TestBlockPosition:
                       for j in range(n)])
 
         # the rank test as the critical-value study and rank_test run it
-        _, _, _, lam, _, trace, ranks, errors = _stacked_rank_test(z, k, case)
+        _, _, lam, _, trace, ranks, errors = stacked_rank_test(z, k, case, vectors=False)
         want = rank_test(concentrate(z[i], k=k, case=case))
         assert i not in errors
         assert np.array_equal(lam[i, :p], want.eigenvalues)
@@ -457,13 +515,12 @@ class TestBlockPosition:
         assert ranks[i] == want.selected_rank
 
         # the rank-1 fit as the specification search and estimate_vecm run it
-        R, B, S11, lam, candidates, trace, ranks, errors = _stacked_rank_test(
-            z, k, case, vectors=True)
-        one = _stacked_rank_test(z[i : i + 1], k, case, vectors=True)
-        assert np.array_equal(trace[i], one[5][0]) and ranks[i] == one[6][0]
+        B, moments, lam, candidates, trace, ranks, errors = stacked_rank_test(z, k, case)
+        one = stacked_rank_test(z[i : i + 1], k, case)
+        assert np.array_equal(trace[i], one[4][0]) and ranks[i] == one[5][0]
         beta = _stacked_phillips(candidates, 1, errors)
         names = [tuple(f"y{j}" for j in range(p))] * n
-        got = _stacked_models(z, names, [k] * n, R, B, 1, case, S11, lam, beta, errors)[i]
+        got = _stacked_models(z, names, [k] * n, B, 1, case, *moments, lam, beta, errors)[i]
         model = estimate_vecm(z[i], k=k, r=1, case=case)
         for name in ("eigenvalues", "beta", "alpha", "sigma", "beta_se", "beta_z",
                      "wald_chi2", "loglik"):
@@ -478,14 +535,14 @@ class TestBlockPosition:
         z = np.stack([np.cumsum(rng_for(77, j).standard_normal((50, 3)), axis=0)
                       for j in range(len(ks))])
         # each member's concentration and eigenproblem is its own n=1 call's
-        parts = [_stacked_rank_test(z[j : j + 1], k, case, vectors=True)
-                 for j, k in enumerate(ks)]
-        R, B, S11, lam, candidates = ([m for part in parts for m in part[i]] for i in range(5))
+        parts = [stacked_rank_test(z[j : j + 1], k, case) for j, k in enumerate(ks)]
+        B = [part[0][0] for part in parts]
+        moments = [np.concatenate(m) for m in zip(*(part[1] for part in parts))]
+        lam, candidates = (np.concatenate([part[i] for part in parts]) for i in (2, 3))
         errors = {}
-        beta = _stacked_phillips(np.stack(candidates), r, errors)
+        beta = _stacked_phillips(candidates, r, errors)
         names = [("a", "b", "c")] * len(ks)
-        models = _stacked_models(z, names, list(ks), R, B, r, case, np.stack(S11),
-                                 np.stack(lam), beta, errors)
+        models = _stacked_models(z, names, list(ks), B, r, case, *moments, lam, beta, errors)
         assert errors == {}
         for j, (k, got) in enumerate(zip(ks, models)):
             want = estimate_vecm(z[j], ("a", "b", "c"), k=k, r=r, case=case)

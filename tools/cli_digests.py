@@ -17,6 +17,11 @@ of its parent commit.
 
     python3 tools/cli_digests.py                  # this checkout
     python3 tools/cli_digests.py --root ../other  # another checkout
+    python3 tools/cli_digests.py --keep out/new   # and keep the artifacts
+
+With --keep DIR (empty or absent) each command's artifacts stay under
+DIR/<name>/, so the JSON artifacts of two checkouts can be compared field by
+field with tools/json_float_diff.py.
 
 Standard library only; velakit is imported from the checkout's src/.
 """
@@ -67,11 +72,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_line(root: Path, name: str, argv: list[str]) -> str:
+def digest_line(root: Path, name: str, argv: list[str], keep: Path | None = None) -> str:
+    """The command's line; its artifacts go to ``keep / name`` when given."""
     env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000", "PYTHONPATH": str(root / "src")}
-    with tempfile.TemporaryDirectory() as out_dir:
-        proc = subprocess.run([sys.executable, "-m", "velakit.cli", *argv, "--out-dir", out_dir],
-                              cwd=root, env=env, capture_output=True, check=False)
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = Path(scratch) if keep is None else keep / name
+        out_dir.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "velakit.cli", *argv, "--out-dir",
+                               str(out_dir)], cwd=root, env=env, capture_output=True, check=False)
         artifacts = sorted(Path(out_dir).rglob("*"))
         fields = [f"exit={proc.returncode}", f"stdout={sha256(proc.stdout)}",
                   f"stderr={sha256(proc.stderr)}"]
@@ -84,12 +92,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the velakit checkout to run (default: this one)")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="keep each command's artifacts under DIR/<name>/; DIR must be "
+                             "empty or absent")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "velakit" / "cli.py").is_file():
         parser.error(f"{root} is not a velakit checkout")
+    keep = None if args.keep is None else args.keep.resolve()
+    if keep is not None and keep.exists() and (not keep.is_dir() or any(keep.iterdir())):
+        parser.error(f"--keep {args.keep}: not an empty directory")
     for name, command in COMMANDS.items():
-        print(digest_line(root, name, command), flush=True)
+        print(digest_line(root, name, command, keep), flush=True)
     return 0
 
 
