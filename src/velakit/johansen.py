@@ -11,9 +11,9 @@ level term is [z_{t-1} - shift, 1], shift being the mean of the level rows.
 It spans what [z_{t-1}, 1] spans, since the ones column absorbs the shift,
 but cond(S11) no longer grows with the levels' distance from zero (log
 levels near 10 beside a ones column put it near 1e7). The moments keep the
-centred coordinates (MomentMatrices.shift), and every beta leaves the
-eigenproblem mapped back exactly to those of [z_{t-1}, 1]: its constant row
-becomes c - b'shift.
+centred coordinates (MomentMatrices.shift), and so does beta in every
+kernel; it is mapped to those of [z_{t-1}, 1] once, where it leaves them
+(_uncentred: its constant row becomes c - b'shift).
 
 Every estimate comes from one set of stacked kernels (``_stacked_*`` here
 and in vecm) that run each stage for n same-shape systems, an (n, T, p)
@@ -98,9 +98,14 @@ class MomentMatrices:
     Under rconst the level rows are centred before they are concentrated:
     S01 and S11 are the moments of [z_{t-1} - shift, 1], shift being the
     mean of the T_eff level rows z_{k-1}..z_{T-2}, and
-    solve_cointegration_eigenproblem maps its beta candidates back to the
+    solve_cointegration_eigenproblem maps its beta candidates to the
     coordinates of [z_{t-1}, 1]. shift is None for uncentred moments (uconst,
     whose constant is projected out, or moments built by hand).
+
+    Construction checks each field, raising ValidationError that names it:
+    p and T_eff are integers >= 1, S00 is p x p, S01 p x m and S11
+    m x m, with m = p under uconst and m in {p, p + 1} under rconst, and
+    shift is None, or shaped (p,) when m = p + 1.
     """
 
     S00: np.ndarray
@@ -111,6 +116,27 @@ class MomentMatrices:
     case: str
     vars: tuple[str, ...]
     shift: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_case(self.case)
+        for name in ("p", "T_eff"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        p, case = self.p, self.case
+        widths = (p, p + 1) if case == RESTRICTED_CONSTANT else (p,)
+        shape = np.shape(self.S11)
+        m = shape[0] if len(shape) == 2 else None
+        if m not in widths:
+            raise ValidationError(f"S11 must be m x m with m in {widths} for p={p} under "
+                                  f"{case}, got shape {shape}")
+        for name, want in (("S00", (p, p)), ("S01", (p, m)), ("S11", (m, m))):
+            if np.shape(getattr(self, name)) != want:
+                raise ValidationError(f"{name} must have shape {want} for p={p} under "
+                                      f"{case}, got {np.shape(getattr(self, name))}")
+        if self.shift is not None and (m != p + 1 or np.shape(self.shift) != (p,)):
+            raise ValidationError(f"shift must be None, or shaped ({p},) beside a constant "
+                                  f"row, got {np.shape(self.shift)} with m={m}")
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -140,9 +166,20 @@ def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.
     """
     errors = {}
     shift = np.zeros((1, m.p)) if m.shift is None else np.asarray(m.shift)[None]
-    lam, beta = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors, shift)
+    lam, beta = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors, vectors=True)
     _raise_first(errors)
-    return lam[0], beta[0]
+    return lam[0], _uncentred(beta, shift)[0]
+
+
+def _uncentred(beta: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """beta (n, p_aug, r) in the coordinates of [z_{t-1}, 1], from those of
+    [z_{t-1} - shift, 1]: the constant row c becomes c - b'shift."""
+    p = shift.shape[1]
+    if beta.shape[1] == p:
+        return beta
+    out = beta.copy()
+    out[:, p] -= (shift[:, None] @ beta[:, :p])[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,7 +212,6 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
     the selected rank is p.
     """
     case, p = m.case, m.p
-    _check_case(case)
     _check_dimension(p)
     errors = {}
     lam, _ = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors)
@@ -262,18 +298,16 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
 
 @np.errstate(all="ignore")
 def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
-                          errors: dict, shift: np.ndarray | None = None):
+                          errors: dict, vectors: bool = False):
     """solve_cointegration_eigenproblem for stacked moment matrices, in one pass.
 
     Returns the eigenvalues (n, p_aug), descending and clipped at 0, and,
-    given the concentration's ``shift`` (n, p), the beta candidates (n,
-    p_aug, p_aug) (None without). Under rconst they are mapped back to the
-    uncentred level term, the constant row becoming c - b'shift, and then
-    each column is scaled so its first nonzero coordinate is +1. Records
-    in ``errors`` a member whose S11 or S00 cholesky_factor rejects
-    (NotPositiveDefiniteError, "degenerate moment matrix: ..."), whose
-    whitened matrix is not symmetric within SYMMETRY_RTOL, or whose
-    lambda_1 is not below 1 - 1e-12.
+    with ``vectors``, the beta candidates (n, p_aug, p_aug) in the moments'
+    coordinates (None without), each column scaled so its first nonzero
+    coordinate is +1. Records in ``errors`` a member whose S11 or S00
+    cholesky_factor rejects (NotPositiveDefiniteError, "degenerate moment
+    matrix: ..."), whose whitened matrix is not symmetric within
+    SYMMETRY_RTOL, or whose lambda_1 is not below 1 - 1e-12.
     """
     L1, failures1 = _stacked_cholesky(S11)
     L0, failures0 = _stacked_cholesky(S00)
@@ -287,7 +321,7 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
     G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
     M = G.swapaxes(1, 2) @ G
     _flag(errors, ~_symmetric(M), ValidationError, "S is not symmetric within tolerance")
-    if shift is not None:
+    if vectors:
         (lam, W), failed = _each(np.linalg.eigh, M)  # ascending
     else:
         (lam, failed), W = _each(np.linalg.eigvalsh, M), None
@@ -299,8 +333,6 @@ def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
     if W is None:
         return lam, None
     beta = np.linalg.solve(L1.swapaxes(1, 2), W[:, :, ::-1])
-    if beta.shape[1] > shift.shape[1]:
-        beta[:, -1] -= (shift[:, None] @ beta[:, :-1])[:, 0]
     size = np.abs(beta)
     nonzero = size > 1e-10 * np.maximum(size.max(axis=1, keepdims=True), 1e-300)
     first = np.take_along_axis(beta, nonzero.argmax(axis=1)[:, None, :], axis=1)

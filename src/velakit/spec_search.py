@@ -122,7 +122,7 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     if not members:
         return out
     S00, S01, S11, shift = map(np.concatenate, zip(*moments))
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
     _, ranks = _stacked_trace_test(lam, np.array([T - k for _, k, *_ in members]), p, case)
     keep = []  # stack positions of the rank-1 members
     for j, ((i, k, *_), rank) in enumerate(zip(members, ranks.tolist())):

@@ -31,11 +31,12 @@ simulation block is concentrated in FIT_BLOCK = 32 slices, transposed
 (n, T, p) views, into one moment stack for the block, whose eigenproblem,
 trace test, Phillips normalization, fit (vecm._stacked_fit, from the
 moments alone) and angles are then one stacked pass each: the kernels of
-the specification search and of the n=1 public calls. A replication that
-fails raises its own typed error, the one its n=1 call raises; the first
-failing replication of a moment stack or simulation block wins. Reruns
-are byte-identical, and a replication's statistics and levels do not
-depend on the block or stack it is drawn, simulated or fitted in.
+the specification search and of the n=1 public calls, which leave the
+variable rows of beta, all the angles read, as they are. A replication
+that fails raises its own typed error, the one its n=1 call raises; the
+first failing replication of a moment stack or simulation block wins.
+Reruns are byte-identical, and a replication's statistics and levels do
+not depend on the block or stack it is drawn, simulated or fitted in.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .johansen import (
     _stacked_trace_test,
 )
 from .linalg import general_eigenvalues
-from .vecm import _centred, _stacked_fit, _stacked_phillips, companion_matrix
+from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
@@ -211,6 +212,21 @@ def _integers(**values) -> list[int]:
     return [int(value) for value in values.values()]
 
 
+def _check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array; ValidationError naming ``name`` unless it has
+    ``shape`` and finite entries."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a finite array of shape {shape}, "
+                              f"got {value!r}") from None
+    if array.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} must be finite, got {array.tolist()}")
+    return array
+
+
 def _check_scale(name: str, value) -> None:
     """ValidationError naming ``name`` unless value is a finite real number
     >= 0 (an int, float or numpy number, never a bool)."""
@@ -225,9 +241,11 @@ class SyntheticSpec:
 
     Construction validates each field, raising ValidationError that names
     it: p, r, T and seed are integers (numpy integers too, never bools), the
-    noise scales finite numbers >= 0, and mu_true finite. It also checks
-    that the implied companion matrix carries exactly p - r unit-modulus
-    roots with everything else strictly inside the unit circle.
+    noise scales finite numbers >= 0, alpha_true and beta_true finite p x r
+    arrays, gamma_true a tuple of finite p x p arrays and mu_true finite of
+    length p. It also checks that the implied companion matrix carries
+    exactly p - r unit-modulus roots with everything else strictly inside
+    the unit circle.
     """
 
     p: int
@@ -254,23 +272,19 @@ class SyntheticSpec:
         _check_scale("noise_scale", self.noise_scale)
         if self.ec_noise_scale is not None:
             _check_scale("ec_noise_scale", self.ec_noise_scale)
-        alpha = np.asarray(self.alpha_true, dtype=float).reshape(self.p, self.r)
-        beta = np.asarray(self.beta_true, dtype=float).reshape(self.p, self.r)
-        mu = (
-            np.zeros(self.p)
-            if self.mu_true is None
-            else np.asarray(self.mu_true, dtype=float).reshape(self.p)
-        )
-        object.__setattr__(self, "alpha_true", alpha)
-        object.__setattr__(self, "beta_true", beta)
-        object.__setattr__(self, "mu_true", mu)
-        object.__setattr__(self, "gamma_true", tuple(np.asarray(g, dtype=float) for g in self.gamma_true))
-        if not np.isfinite(mu).all():
-            raise ValidationError(f"mu_true must be finite, got {mu}")
-        if self.ec_noise_scale is not None and self.r < 1:
+        if not 0 <= r <= p - 1:
+            raise ValidationError(f"rank must satisfy 0 <= r <= p-1, got r={r}, p={p}")
+        object.__setattr__(self, "alpha_true", _check_array("alpha_true", self.alpha_true, (p, r)))
+        object.__setattr__(self, "beta_true", _check_array("beta_true", self.beta_true, (p, r)))
+        if not isinstance(self.gamma_true, (tuple, list)):
+            raise ValidationError(f"gamma_true must be a tuple of p x p arrays, got "
+                                  f"{type(self.gamma_true).__name__}")
+        object.__setattr__(self, "gamma_true", tuple(
+            _check_array(f"gamma_true[{i}]", g, (p, p)) for i, g in enumerate(self.gamma_true)))
+        object.__setattr__(self, "mu_true", np.zeros(p) if self.mu_true is None
+                           else _check_array("mu_true", self.mu_true, (p,)))
+        if self.ec_noise_scale is not None and r < 1:
             raise ValidationError("ec_noise_scale needs a cointegrated system (r >= 1)")
-        if not 0 <= self.r <= self.p - 1:
-            raise ValidationError(f"rank must satisfy 0 <= r <= p-1, got r={self.r}, p={self.p}")
         moduli = np.abs(general_eigenvalues(self.companion()))
         n_unit = int(np.sum(np.abs(moduli - 1.0) <= _UNIT_TOL))
         n_inside = int(np.sum(moduli < 1.0 - _UNIT_TOL))
@@ -513,16 +527,16 @@ def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
     T, p, n = z.shape
     p_aug = p + (case == RESTRICTED_CONSTANT)
     S00, S01, S11 = np.empty((n, p, p)), np.empty((n, p, p_aug)), np.empty((n, p_aug, p_aug))
-    shift, errors = np.empty((n, p)), {}
+    errors = {}
     for lo in range(0, n, FIT_BLOCK):
         block = slice(lo, min(lo + FIT_BLOCK, n))
-        _, S00[block], S01[block], S11[block], shift[block], failures = _stacked_concentrate(
+        _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(
             z[:, :, block].transpose(2, 0, 1), spec.k, case)
         _record(errors, {lo + i: error for i, error in failures.items()})
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
     trace, ranks = _stacked_trace_test(lam, T - spec.k, p, case)
     beta = _stacked_phillips(candidates, spec.r, errors)
-    alpha_t, _ = _stacked_fit(S00, S01, S11, _centred(beta, shift), errors)
+    alpha_t, _ = _stacked_fit(S00, S01, S11, beta, errors)
     _raise_first(errors)
     alpha = alpha_t.swapaxes(1, 2)
     return (trace[:, 0], ranks, _angles_deg(beta[:, :p], spec.beta_true),

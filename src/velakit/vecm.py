@@ -7,9 +7,9 @@ conditional on beta come from the rank test's concentration
 regression's residual covariance, both read off the concentrated moments
 without the residuals (_stacked_fit), and the short-run coefficients are
 the concentration's B0 - B1 beta alpha'. Under rconst the moments are
-those of the centred level term, so beta enters the fit in centred
-coordinates, and the standard error and Wald statistic of the constant row
-map back through the shift's Jacobian. The moments have one shape at
+those of the centred level term, and so is beta until each model maps it
+to [z_{t-1}, 1] (johansen._uncentred); the constant row's standard error
+and Wald statistic use the shift's Jacobian. The moments have one shape at
 every lag, so a stack's members may each carry their own lag: the
 specification search fits a subset size's members of every lag in one
 stack, a model's numbers do not depend on the members beside it, and
@@ -38,6 +38,7 @@ from .johansen import (
     _record,
     _stacked_concentrate,
     _stacked_eigenproblem,
+    _uncentred,
 )
 from .lag_selection import gaussian_criteria, level_matrix
 from .linalg import _each, _pivot_errors, _stacked_cholesky, general_eigenvalues
@@ -97,7 +98,7 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
         )
     _check_rank(r, p)
     B, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
     beta = _stacked_phillips(candidates, r, errors)
     models = _stacked_models(z[None], [names], [k], B, r, case, S00, S01, S11, shift, lam,
                              beta, errors)
@@ -116,7 +117,7 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
     scaled so the leading r x r block is the identity.
 
     Records NumericalError for a member whose leading block is singular:
-    |det| below 1e-10 * scale^r, scale being the largest |coefficient|.
+    |det| below 1e-10 * scale^r, scale being the largest centred |coefficient|.
     """
     beta = candidates[:, :, :r]
     top = beta[:, :r, :r]
@@ -126,18 +127,6 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
           "(dependent variable may not enter the cointegrating space)")
     inverse, _ = _each(np.linalg.inv, top)
     return beta @ inverse
-
-
-def _centred(beta: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """beta (n, p_aug, r) in the coordinates of the concentration's centred
-    level term: the constant row c becomes c + b'shift (no change under
-    uconst, which has no constant row)."""
-    p = shift.shape[1]
-    if beta.shape[1] == p:
-        return beta
-    out = beta.copy()
-    out[:, p] += (shift[:, None] @ beta[:, :p])[:, 0]
-    return out
 
 
 @np.errstate(all="ignore")
@@ -176,7 +165,7 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], 
                     shift: np.ndarray, lam: np.ndarray, beta: np.ndarray,
                     errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
-    (n, p_aug, r), from the concentration its rank test already ran.
+    (n, p_aug, r), centred, from the concentration its rank test already ran.
 
     Member j has variable names ``names[j]``, lag ``ks[j]`` and coefficients
     ``B[j]`` from johansen._stacked_concentrate at that lag; S00, S01, S11,
@@ -194,21 +183,21 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], 
     p_aug = beta.shape[1]
     T_eff = T - np.array(ks)
     n_params = p * (r + np.array([len(Bj) for Bj in B])) + r * (p_aug - r)
-    beta_c = _centred(beta, shift)
-    alpha_t, sigma = _stacked_fit(S00, S01, S11, beta_c, errors)
+    alpha_t, sigma = _stacked_fit(S00, S01, S11, beta, errors)
     alpha = alpha_t.swapaxes(1, 2)
+    uncentred = _uncentred(beta, shift)
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(
-        T_eff[:, None, None] * S11[:, r:, r:], beta, shift, alpha, sigma)
+        T_eff[:, None, None] * S11[:, r:, r:], uncentred, shift, alpha, sigma)
     loglik, aic, bic, _, failures = gaussian_criteria(sigma, T_eff, n_params)
     _record(errors, failures)
     means, models = z.mean(axis=1), []
     rows = zip(ks, B, T_eff.tolist(), n_params.tolist(), wald.tolist(), loglik.tolist(),
                aic.tolist(), bic.tolist())
     for j, (k, Bj, t, m, w, ll, a, b) in enumerate(rows):
-        short = Bj[:, :p] - Bj[:, p:] @ beta_c[j] @ alpha_t[j]
+        short = Bj[:, :p] - Bj[:, p:] @ beta[j] @ alpha_t[j]
         models.append(None if j in errors else VecmModel(
-            vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=beta[j],
+            vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=uncentred[j],
             gamma=tuple(short[: p * (k - 1)].reshape(k - 1, p, p).swapaxes(1, 2)),
             mu=short[-1] if case == UNRESTRICTED_CONSTANT else np.zeros(p), sigma=sigma[j],
             loglik=ll, aic=a, bic=b, beta_se=beta_se[j], beta_z=beta_z[j], wald_chi2=w,

@@ -66,10 +66,10 @@ def stacked_rank_test(z, k, case, vectors=True):
     """concentrate and rank_test for each series of an (n, T, p) stack of
     levels, through the stacked kernels in one pass as the search and the
     studies compose them. Returns (B, (S00, S01, S11, shift), eigenvalues,
-    beta candidates (None without ``vectors``), trace statistics, ranks,
-    errors)."""
+    beta candidates in the moments' coordinates (None without ``vectors``),
+    trace statistics, ranks, errors)."""
     B, S00, S01, S11, shift, errors = _stacked_concentrate(z, k, case)
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, shift if vectors else None)
+    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors)
     trace, ranks = _stacked_trace_test(lam, z.shape[1] - k, z.shape[2], case)
     return B, (S00, S01, S11, shift), lam, candidates, trace, ranks, errors
 

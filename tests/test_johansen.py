@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +103,51 @@ class TestConcentrate:
         z = rng.standard_normal((8, 6)).cumsum(axis=0)
         with pytest.raises(ValidationError, match="insufficient"):
             concentrate(z, k=1, case="rconst")
+
+
+
+class TestMomentValidation:
+    """Hand-built moments are checked at construction, naming the field."""
+
+    @pytest.fixture(scope="class")
+    def moments(self):
+        z = np.cumsum(rng_for(8, 0).standard_normal((60, 3)), axis=0)
+        return concentrate(z, k=1, case="rconst")
+
+    @pytest.mark.parametrize("changes, message", [
+        # truncated eigenvalues gave rank 2 from 3-variable moments
+        ({"p": 2}, "S11 must be m x m with m in (2, 3) for p=2 under rconst, got shape (4, 4)"),
+        ({"case": "uconst"}, "S11 must be m x m with m in (3,) for p=3 under uconst"),
+        ({"case": "trend"}, "case must be one of"),
+        # a float p passed the shape checks and failed in rank_test's slicing
+        ({"p": 3.0}, "p must be an integer >= 1, got 3.0"),
+        ({"p": 0}, "p must be an integer >= 1, got 0"),
+        ({"S00": np.eye(2)}, "S00 must have shape (3, 3) for p=3 under rconst, got (2, 2)"),
+        ({"S01": np.zeros((3, 3))}, "S01 must have shape (3, 4) for p=3 under rconst, got (3, 3)"),
+        ({"S11": np.zeros(4)}, "S11 must be m x m with m in (3, 4)"),
+        # zero traces from T_eff=0
+        ({"T_eff": 0}, "T_eff must be an integer >= 1, got 0"),
+        ({"T_eff": 59.0}, "T_eff must be an integer >= 1, got 59.0"),
+        ({"T_eff": True}, "T_eff must be an integer >= 1, got True"),
+        ({"shift": np.zeros(2)}, "shift must be None, or shaped (3,) beside a constant row, "
+                                 "got (2,) with m=4"),
+    ])
+    def test_inconsistent_field_rejected(self, moments, changes, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            dataclasses.replace(moments, **changes)
+
+    def test_shift_without_a_constant_row_rejected(self):
+        with pytest.raises(ValidationError, match=r"^shift must be None, .* with m=2$"):
+            dataclasses.replace(make_moments(np.eye(2), np.zeros((2, 2)), np.eye(2)),
+                                shift=np.zeros(2))
+
+    def test_consistent_shapes_accepted(self, moments):
+        # rconst moments without a constant row, as built by hand, and
+        # numpy integer sample sizes
+        assert dataclasses.replace(moments, T_eff=np.int64(59)).T_eff == 59
+        square = dataclasses.replace(make_moments(np.eye(2), np.zeros((2, 2)), np.eye(2)),
+                                     case="rconst")
+        assert rank_test(square).selected_rank == 0
 
 
 class TestEigenproblem:

@@ -514,7 +514,7 @@ class TestMergedLags:
 
         lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
         moments = [np.concatenate(m) for m in zip(lags[0][1:5], lags[1][1:5])]
-        lam, candidates = _stacked_eigenproblem(*moments[:3], errors, moments[3])
+        lam, candidates = _stacked_eigenproblem(*moments[:3], errors, vectors=True)
         beta = _stacked_phillips(candidates, 1, errors)
         merged = _stacked_models(np.concatenate([z, z]), names, [1] * 3 + [33] * 3,
                                  [*lags[0][0], *lags[1][0]], 1, "rconst", *moments, lam, beta,

@@ -81,6 +81,31 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="^mu_true must be finite"):
             SyntheticSpec(p=3, r=1, **RANK_ONE, mu_true=mu, T=60)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha_true", [[-0.4], [0.2]], r"alpha_true must have shape \(3, 1\), got \(2, 1\)"),
+        ("alpha_true", [-0.4, 0.2, 0.1], r"alpha_true must have shape \(3, 1\), got \(3,\)"),
+        ("alpha_true", [[-0.4], [np.nan], [0.1]], "alpha_true must be finite"),
+        ("alpha_true", "a", "alpha_true must be a finite array of shape"),
+        ("beta_true", [[1.0, 0.0], [-2.0, 0.0], [0.5, 0.0]],
+         r"beta_true must have shape \(3, 1\), got \(3, 2\)"),
+        ("beta_true", [[1.0], [-np.inf], [0.5]], "beta_true must be finite"),
+        ("gamma_true", (np.eye(2),), r"gamma_true\[0\] must have shape \(3, 3\), got \(2, 2\)"),
+        ("gamma_true", (0.1 * np.eye(3), np.full((3, 3), np.nan)), r"gamma_true\[1\] must be finite"),
+        ("gamma_true", None, "gamma_true must be a tuple of p x p arrays, got NoneType"),
+        ("gamma_true", 0.1 * np.eye(3), "gamma_true must be a tuple of p x p arrays, got ndarray"),
+        ("mu_true", [0.0, 0.0], r"mu_true must have shape \(3,\), got \(2,\)"),
+    ])
+    def test_matrix_of_wrong_shape_or_not_finite_rejected(self, field, value, message):
+        # a short alpha_true raised a bare ValueError from its reshape, a 2 x 2
+        # gamma_true one from broadcasting, and a NaN "A contains non-finite
+        # entries" from the companion matrix, naming no field
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            SyntheticSpec(**{"p": 3, "r": 1, **RANK_ONE, "T": 60, field: value})
+
+    def test_rank_checked_before_the_matrices(self):
+        with pytest.raises(ValidationError, match="^rank must satisfy 0 <= r <= p-1, got r=3"):
+            SyntheticSpec(p=3, r=3, **RANK_ONE, T=60)
+
     @pytest.mark.parametrize("field, value", [("p", 3.0), ("p", True), ("p", "3"),
                                               ("r", True), ("r", 1.0), ("r", None)])
     def test_dimension_or_rank_not_integer_rejected(self, field, value):

@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
 import scalar_reference
 from velakit.errors import NonNormalizableError, ValidationError, VelakitError
-from velakit.johansen import CASES, concentrate, rank_test
+from velakit.johansen import CASES, _uncentred, concentrate, rank_test
 from velakit.synthetic import (
     SyntheticSpec,
     generate_vecm_data,
@@ -19,7 +19,6 @@ from velakit.synthetic import (
 )
 from velakit.vecm import (
     VecmModel,
-    _centred,
     _stacked_equations,
     _stacked_fit,
     _stacked_models,
@@ -275,6 +274,44 @@ class TestEquivariance:
             assert np.abs(g - w).max() <= tol * np.abs(w).max(), i
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape=st.integers(3, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+           k=st.integers(1, 3), delta=st.sampled_from([1e2, 1e4]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(4, 3), k=1, delta=1e4, seed=0)
+    def test_level_shift_leaves_normalization_alone(self, shape, k, delta, seed):
+        # a change of units (B$ to M$) adds a constant to a log series, so
+        # whether a fit normalizes must not depend on a level shift: z + delta
+        # raises what z raises, or nothing, and moves beta's constant row by
+        # -b'delta and nothing else. Random walks at any rank, where the
+        # uncentred constant row reaches |b|'delta and, judged beside the
+        # leading block, made r = p - 1 fail to normalize for every panel at
+        # delta = 1e4. The levels sit on a 2^-20 grid, so z + delta is
+        # exact; 3000 such draws moved a field by at most 1.8e-12 of its
+        # scale
+        p, r = shape
+        z = np.round(generate_vecm_data(random_walk_spec(p, 60, seed), 0) * 2**20) / 2**20
+        assert np.array_equal(z + delta - delta, z)
+        fits = []
+        for x in (z, z + delta):
+            try:
+                fits.append(estimate_vecm(x, k=k, r=r, case="rconst"))
+            except VelakitError as exc:
+                fits.append(type(exc))
+        want, got = fits
+        if isinstance(want, type) or isinstance(got, type):
+            assert want is got
+            return
+        tol = 1e-10
+        assert np.abs(got.eigenvalues - want.eigenvalues).max() <= tol * want.eigenvalues.max()
+        b = want.beta[:p]
+        assert np.abs(got.beta[:p] - b).max() <= tol * np.abs(b).max()
+        # the moved constant sums terms up to |b|'delta, which set its scale
+        moved = want.beta[p] - delta * b.sum(axis=0)
+        terms = np.abs(want.beta[p]) + delta * np.abs(b).sum(axis=0)
+        assert (np.abs(got.beta[p] - moved) <= tol * terms).all()
+
+
 class TestLikelihoodConsistency:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -445,12 +482,13 @@ class TestMomentFit:
         beta = _stacked_phillips(candidates, r, errors)
         # a member whose leading block is singular has no normalized beta to fit at
         normalized = [i for i in range(3) if i not in errors]
-        alpha_t, sigma = _stacked_fit(S00, S01, S11, _centred(beta, shift), errors)
+        alpha_t, sigma = _stacked_fit(S00, S01, S11, beta, errors)
         assert sorted(errors) == sorted({*range(3)} - {*normalized})
+        reported = _uncentred(beta, shift)
         for i in normalized:
             # the uncentred residuals of the scalar reference, at the reported beta
             R0, R1 = scalar_reference.concentrated_residuals(z[i], k, case)
-            X = R1 @ beta[i]
+            X = R1 @ reported[i]
             coef = np.linalg.lstsq(X, R0, rcond=None)[0]
             resid = R0 - X @ coef
             for name, got, want in (("alpha'", alpha_t[i], coef),

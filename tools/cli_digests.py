@@ -3,7 +3,7 @@
 Every subcommand runs: the panel commands on the demo panel (adf also with
 a trend, specsearch also at lags {1, 8}, where some sizes are short of
 sample at k=8, pipeline also with no admissible spec, vecrank also at lag
-1 under uconst, vecm also at rank 2 under uconst), mission on the bundled
+1 under uconst, vecm also at rank 2 under both cases), mission on the bundled
 sample config (as is and with a one-year horizon), and both mc-validate
 studies at small sizes with their per-replication CSVs (the cv study also
 at 2100 replications, past one moment stack).
@@ -55,6 +55,8 @@ COMMANDS = {
     "vecrank": ["vecrank", *PANEL],
     "vecrank-uconst-k1": ["vecrank", *PANEL, "--lags", "1", "--case", "uconst"],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
+    # normalization of a two-column beta, and its constant row mapped to [z, 1]
+    "vecm-rank2-rconst": ["vecm", *PANEL, "--rank", "2"],
     # a rank-2 model has no single cointegrating equation
     "vecm-rank2-uconst": ["vecm", *PANEL, "--rank", "2", "--case", "uconst"],
     "mission": ["mission"],
