@@ -258,10 +258,13 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     T_eff = T - k
     n_short = p * (k - 1) + (case == UNRESTRICTED_CONSTANT)
     p_aug = p + (case == RESTRICTED_CONSTANT)
-    if T_eff <= n_short + p_aug + 1:
+    # projecting out the n_short regressors leaves [R0, R1] a rank of at most
+    # T_eff - n_short; below its p + p_aug columns a canonical correlation is
+    # 1 whatever the data
+    if T_eff < n_short + p + p_aug:
         raise ValidationError(
             f"insufficient sample: T_eff={T_eff} with {n_short} short-run "
-            f"regressors and {p_aug} level terms"
+            f"regressors, {p} difference columns and {p_aug} level terms"
         )
     errors = {}
     _flag(errors, ~np.isfinite(z).all(axis=(1, 2)), ValidationError,

@@ -11,32 +11,29 @@ yields those same streams for a whole range of replications without
 building a generator per replication: it computes every replication's
 PCG64 state at once (numpy's SeedSequence mixing in uint32 arrays, then
 PCG64's seeding step in Python ints) and points one shared generator at
-each in turn. The critical-value study draws blocks of CV_BLOCK = 64
-replications into a shared buffer and concentrates each block in one
-stacked pass (johansen._stacked_concentrate); the blocks' moment matrices
-collect in a stack of MOMENT_BLOCK = 2048 replications, whose
-eigenproblem and trace statistics are one more stacked pass
-(johansen._stacked_eigenproblem and _stacked_trace_test), so a study of
-up to 2048 replications solves them once. The stack takes 0.3 MB at
-p - r = 2 and 2.1 MB at p - r = 6, whatever the number of replications.
-Its bootstrap sorts each block of resampled statistics before taking
-their percentiles. The recovery study simulates up to SIM_BLOCK
-replications at once (_simulate, which generate_vecm_data runs for a
-single replication): the levels are
-time-major, a (T + BURN_IN + k, p, n) array with replication i in column
-i, so the lag window of every replication is one contiguous slab and each
-time step is three numpy calls for the whole block. The buffer costs
-SIM_BLOCK * (T + BURN_IN + k) * p * 8 bytes, 3.4 MB at T=500 and p=3. Each
-simulation block is concentrated in FIT_BLOCK = 32 slices, transposed
-(n, T, p) views, into one moment stack for the block, whose eigenproblem,
-trace test, Phillips normalization, fit (vecm._stacked_fit, from the
-moments alone) and angles are then one stacked pass each: the kernels of
-the specification search and of the n=1 public calls, which leave the
-variable rows of beta, all the angles read, as they are. A replication
-that fails raises its own typed error, the one its n=1 call raises; the
-first failing replication of a moment stack or simulation block wins.
-Reruns are byte-identical, and a replication's statistics and levels do
-not depend on the block or stack it is drawn, simulated or fitted in.
+each in turn. Both studies then run one driver, _stacked_study, which
+takes the levels of up to SIM_BLOCK = 256 replications at a time, an
+(n, T, p) array from the study's own source: the critical-value study
+draws and cumulates its random walks into a buffer, the recovery study
+simulates its blocks (_simulate, which generate_vecm_data runs for a
+single replication) time-major, a (T + BURN_IN + k, p, n) array with
+replication i in column i, so the lag window of every replication is one
+contiguous slab and each time step is three numpy calls for the whole
+block. The driver concentrates each stack in FIT_BLOCK = 64 slices
+(johansen._stacked_concentrate) into one moment stack, whose eigenproblem
+and trace test (and, for a rank r >= 1, Phillips normalization and fit,
+vecm._stacked_fit from the moments alone) are then one stacked pass each:
+the kernels of the specification search and of the n=1 public calls. One
+memory rule holds for both studies: the level buffer takes SIM_BLOCK *
+rows * p * 8 bytes, rows being T for the cv study (4.9 MB at p - r = 6
+and T = 400) and T + BURN_IN + k for the recovery study (3.4 MB at T=500
+and p=3). The cv study's bootstrap sorts each block of resampled
+statistics before taking their percentiles. A replication that fails
+raises its own typed error, the one its n=1 call raises; the first
+failing replication of the first failing stack wins, so the lowest
+failing replication of the study raises. Reruns are byte-identical, and a
+replication's statistics and levels do not depend on the stack or slice
+it is drawn, simulated or fitted in.
 """
 
 from __future__ import annotations
@@ -66,29 +63,18 @@ from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per draw block of the critical-value study (draws, cumsum
-# and concentration, whose buffers grow with T), replications per
-# concentration slice of the recovery study and bootstrap resamples per
-# block: enough to amortize the per-call overhead, few enough to keep peak
-# memory flat. A recovery slice of 32 replications at T=500 and p=3
-# concentrates in about 0.9 MB of buffers, where the whole simulation
-# block of 256 at once would take 7 MB
-CV_BLOCK = 64
-FIT_BLOCK = 32
+# replications per stack of both Monte Carlo studies: one level buffer of
+# SIM_BLOCK * rows * p * 8 bytes (rows = T for the critical-value study,
+# T + BURN_IN + k for the recovery study) and one pass of the eigenproblem,
+# trace test and fit per stack
+SIM_BLOCK = 256
+# replications per concentration slice of a stack, and bootstrap resamples
+# per block: enough to amortize the per-call overhead, few enough to keep
+# the concentration's buffers, which grow with T, small
+FIT_BLOCK = 64
 BOOT_BLOCK = 20
 # bootstrap resamples of the critical-value study's percentiles
 BOOTSTRAP = 200
-# replications per moment stack of the critical-value study: the draw
-# blocks' S00/S01/S11 collect here and go through the eigenproblem and the
-# trace test in one pass, once per study up to 2048 replications. The stack
-# takes MOMENT_BLOCK * (m**2 + m * m_aug + m_aug**2) * 8 bytes, m = p - r
-# and m_aug = m + 1 under rconst (m under uconst): 0.3 MB at p - r = 2 and
-# 2.1 MB at p - r = 6
-MOMENT_BLOCK = 2048
-# replications per simulation block of the recovery study, and so per
-# moment stack; its level buffer takes SIM_BLOCK * (T + BURN_IN + k) * p * 8
-# bytes
-SIM_BLOCK = 256
 
 
 def _splitmix64(x: int) -> int:
@@ -391,6 +377,39 @@ def study_spec(T: int = 400, seed: int = 0) -> SyntheticSpec:
     )
 
 
+def _stacked_study(levels, reps: int, k: int, case: str, r: int):
+    """Rank test (and rank-r fit, for r >= 1) of replications 0..reps-1, a
+    stack of up to SIM_BLOCK at a time.
+
+    ``levels(start, n)`` returns the (n, T, p) levels of replications
+    start..start+n-1. Each stack is concentrated in FIT_BLOCK slices into
+    one moment stack; its eigenproblem and trace test, and for r >= 1 its
+    Phillips normalization and moment fit, then run once. Raises the error
+    of the stack's first failing replication, and else yields (start,
+    trace (n, p), ranks (n,), beta (n, p_aug, r), alpha' (n, r, p)), beta
+    and alpha' None when r = 0.
+    """
+    for start in range(0, reps, SIM_BLOCK):
+        z = levels(start, min(SIM_BLOCK, reps - start))
+        n, T, p = z.shape
+        p_aug = p + (case == RESTRICTED_CONSTANT)
+        S00, S01, S11 = np.empty((n, p, p)), np.empty((n, p, p_aug)), np.empty((n, p_aug, p_aug))
+        errors = {}
+        for lo in range(0, n, FIT_BLOCK):
+            block = slice(lo, lo + FIT_BLOCK)
+            _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(
+                z[block], k, case)
+            _record(errors, {lo + i: error for i, error in failures.items()})
+        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=r >= 1)
+        trace, ranks = _stacked_trace_test(lam, T - k, p, case)
+        beta = alpha_t = None
+        if r >= 1:
+            beta = _stacked_phillips(candidates, r, errors)
+            alpha_t, _ = _stacked_fit(S00, S01, S11, beta, errors)
+        _raise_first(errors)
+        yield start, trace, ranks, beta, alpha_t
+
+
 @dataclass(frozen=True)
 class CriticalValueStudy:
     p_minus_r: int
@@ -417,10 +436,9 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     Bootstrap standard errors come from BOOTSTRAP = 200 resamples of the
     replication statistics.
 
-    Replications are drawn and concentrated in blocks of CV_BLOCK and their
-    eigenproblems solved in moment stacks of MOMENT_BLOCK; the first
-    failing replication raises its own error. p_minus_r, reps, T and seed
-    must be ints or numpy integers.
+    Replications run through _stacked_study, drawn and cumulated in stacks
+    of SIM_BLOCK; the first failing replication raises its own error.
+    p_minus_r, reps, T and seed must be ints or numpy integers.
     """
     _check_case(case)
     p_minus_r, reps, T, seed = _integers(p_minus_r=p_minus_r, reps=reps, T=T, seed=seed)
@@ -431,32 +449,21 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     if not 1 <= p_minus_r <= MAX_TABLE_DIM:
         raise ValidationError(f"p_minus_r must be in 1..{MAX_TABLE_DIM}, got {p_minus_r}")
     drift = 1.0 if case == UNRESTRICTED_CONSTANT else 0.0
-    p_aug = p_minus_r + (case == RESTRICTED_CONSTANT)
-    stats = np.empty(reps)
-    buffer = np.empty((min(CV_BLOCK, reps), T, p_minus_r))
-    n_stack = min(MOMENT_BLOCK, reps)
-    S00 = np.empty((n_stack, p_minus_r, p_minus_r))
-    S01 = np.empty((n_stack, p_minus_r, p_aug))
-    S11 = np.empty((n_stack, p_aug, p_aug))
+    buffer = np.empty((min(SIM_BLOCK, reps), T, p_minus_r))
     streams = _replication_streams(seed, range(reps))
-    for lo in range(0, reps, MOMENT_BLOCK):
-        n = min(MOMENT_BLOCK, reps - lo)
-        errors = {}
-        for start in range(0, n, CV_BLOCK):
-            z = buffer[: min(CV_BLOCK, n - start)]
-            # zip takes from z first, so the block's end consumes no stream
-            for member, rng in zip(z, streams):
-                rng.standard_normal(out=member)
-            if drift:
-                z += drift
-            np.cumsum(z, axis=1, out=z)
-            block = slice(start, start + len(z))
-            _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(z, 1, case)
-            _record(errors, {start + i: error for i, error in failures.items()})
-        lam, _ = _stacked_eigenproblem(S00[:n], S01[:n], S11[:n], errors)
-        trace, _ = _stacked_trace_test(lam, T - 1, p_minus_r, case)
-        _raise_first(errors)
-        stats[lo : lo + n] = trace[:, 0]
+
+    def levels(start, n):
+        z = buffer[:n]
+        # zip takes from z first, so the stack's end consumes no stream
+        for member, rng in zip(z, streams):
+            rng.standard_normal(out=member)
+        if drift:
+            z += drift
+        return np.cumsum(z, axis=1, out=z)
+
+    stats = np.empty(reps)
+    for start, trace, *_ in _stacked_study(levels, reps, 1, case, 0):
+        stats[start : start + len(trace)] = trace[:, 0]
 
     qs = (90.0, 95.0, 99.0)
     percentiles = {f"{int(q)}%": float(np.percentile(stats, q)) for q in qs}
@@ -514,44 +521,14 @@ class RecoveryStudy:
     per_rep: tuple[dict, ...] = field(repr=False, default=())
 
 
-def _recovery_block(z: np.ndarray, spec: SyntheticSpec, case: str):
-    """(trace_r0, selected rank, beta angle, mean squared alpha error) per
-    replication of a time-major (T, p, n) simulation block.
-
-    Each FIT_BLOCK slice is concentrated into the block's moment stack
-    (johansen._stacked_concentrate); the eigenproblem, the trace test, the
-    Phillips normalization, the moment fit (vecm._stacked_fit) and the
-    angles then run once for the block. Raises the error of the block's
-    first failing replication.
-    """
-    T, p, n = z.shape
-    p_aug = p + (case == RESTRICTED_CONSTANT)
-    S00, S01, S11 = np.empty((n, p, p)), np.empty((n, p, p_aug)), np.empty((n, p_aug, p_aug))
-    errors = {}
-    for lo in range(0, n, FIT_BLOCK):
-        block = slice(lo, min(lo + FIT_BLOCK, n))
-        _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(
-            z[:, :, block].transpose(2, 0, 1), spec.k, case)
-        _record(errors, {lo + i: error for i, error in failures.items()})
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
-    trace, ranks = _stacked_trace_test(lam, T - spec.k, p, case)
-    beta = _stacked_phillips(candidates, spec.r, errors)
-    alpha_t, _ = _stacked_fit(S00, S01, S11, beta, errors)
-    _raise_first(errors)
-    alpha = alpha_t.swapaxes(1, 2)
-    return (trace[:, 0], ranks, _angles_deg(beta[:, :p], spec.beta_true),
-            np.mean((alpha - spec.alpha_true) ** 2, axis=(1, 2)))
-
-
 def run_recovery_study(spec: SyntheticSpec, reps: int,
                        case: str = RESTRICTED_CONSTANT) -> RecoveryStudy:
     """generate -> rank test -> estimate, compared against the true system.
 
-    Replications are simulated in blocks of up to SIM_BLOCK (see _simulate),
-    each concentrated in slices of FIT_BLOCK and then tested and fitted in
-    one stacked pass (see _recovery_block); a failing replication raises
-    its own error. The case and the dimension are checked before anything
-    is simulated.
+    Replications are simulated in stacks of up to SIM_BLOCK (see _simulate)
+    and tested and fitted through _stacked_study; a failing replication
+    raises its own error. The case and the dimension are checked before
+    anything is simulated.
     """
     _check_case(case)
     (reps,) = _integers(reps=reps)
@@ -563,10 +540,16 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     trace_r0, angles, alpha_sq = np.empty(reps), np.empty(reps), np.empty(reps)
     ranks = np.empty(reps, dtype=int)
     buffer = np.empty(min(SIM_BLOCK, reps) * (spec.T + BURN_IN + spec.k) * spec.p)
-    for start in range(0, reps, SIM_BLOCK):
-        z = _simulate(spec, range(start, min(start + SIM_BLOCK, reps)), buffer)
-        i = slice(start, start + z.shape[2])
-        trace_r0[i], ranks[i], angles[i], alpha_sq[i] = _recovery_block(z, spec, case)
+
+    def levels(start, n):
+        return _simulate(spec, range(start, start + n), buffer).transpose(2, 0, 1)
+
+    for start, trace, selected, beta, alpha_t in _stacked_study(levels, reps, spec.k, case,
+                                                                spec.r):
+        i = slice(start, start + len(trace))
+        trace_r0[i], ranks[i] = trace[:, 0], selected
+        angles[i] = _angles_deg(beta[:, : spec.p], spec.beta_true)
+        alpha_sq[i] = np.mean((alpha_t.swapaxes(1, 2) - spec.alpha_true) ** 2, axis=(1, 2))
     per_rep = tuple(
         {
             "rep": rep,

@@ -74,6 +74,19 @@ class TestVecrank:
         assert code == 0
         assert "selected rank: 1" in out
 
+    def test_lag_short_of_the_difference_columns_exit_2(self, panel_csv, capsys):
+        # T=48 and six series: k=6 leaves T_eff=42, one short of 30 short-run
+        # regressors, 6 difference columns and 7 level terms
+        code, out, err = run(
+            ["vecrank", "--input", str(panel_csv), "--agency", "DEMO", "--lags", "6"], capsys)
+        assert code == 2
+        assert err == ("error: insufficient sample: T_eff=42 with 30 short-run regressors, "
+                       "6 difference columns and 7 level terms\n")
+        assert out == ""
+        code, _, _ = run(
+            ["vecrank", "--input", str(panel_csv), "--agency", "DEMO", "--lags", "5"], capsys)
+        assert code == 0
+
 
 class TestVecmCommand:
     def test_model_json(self, panel_csv, tmp_path, capsys):

@@ -26,6 +26,7 @@ from velakit.synthetic import (
     rng_for,
     study_spec,
 )
+from velakit.vecm import estimate_vecm
 
 from conftest import stacked_rank_test
 
@@ -103,6 +104,30 @@ class TestConcentrate:
         z = rng.standard_normal((8, 6)).cumsum(axis=0)
         with pytest.raises(ValidationError, match="insufficient"):
             concentrate(z, k=1, case="rconst")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_sample_must_cover_the_difference_columns(self, p, k, case):
+        # after the short-run regressors are projected out, [R0, R1] has
+        # p + p_aug columns; every T_eff from n_short + p_aug + 2 (both
+        # edges checked) up to one short of that is rejected as too short,
+        # never fitted into a canonical correlation of 1, and T_eff =
+        # n_short + p + p_aug fits
+        n_short = p * (k - 1) + (case == "uconst")
+        p_aug = p + (case == "rconst")
+        need = n_short + p + p_aug
+        for T_eff in (n_short + p_aug + 2, need - 1):
+            z = generate_vecm_data(random_walk_spec(p, T_eff + k, seed=61), 0)
+            message = (f"^insufficient sample: T_eff={T_eff} with {n_short} short-run "
+                       f"regressors, {p} difference columns and {p_aug} level terms$")
+            with pytest.raises(ValidationError, match=message):
+                concentrate(z, k=k, case=case)
+        z = generate_vecm_data(random_walk_spec(p, need + k, seed=61), 0)
+        m = concentrate(z, k=k, case=case)
+        assert m.T_eff == need
+        assert np.all(rank_test(m).eigenvalues < 1.0)
+        estimate_vecm(z, k=k, r=1, case=case)
 
 
 

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 import scalar_reference
 from velakit.errors import NoAdmissibleSpecError, ValidationError, VelakitError
-from velakit.johansen import _stacked_concentrate, _stacked_eigenproblem, concentrate, rank_test
+from velakit.johansen import (
+    _stacked_concentrate,
+    _stacked_eigenproblem,
+    _stacked_trace_test,
+    concentrate,
+    rank_test,
+)
 from velakit.panel import VARIABLES, LogLevelPanel
 from velakit.spec_search import (
     FittedSpec,
@@ -292,6 +299,29 @@ class TestStackedSearch:
                                      "loglik": got.loglik}
             assert all(type(spec.criteria[c]) is float for c in spec.criteria)
             assert equation == spec.equation
+
+    @pytest.mark.parametrize("case, seed", [("rconst", 5), ("uconst", 4)])
+    def test_matches_40_digit_reference(self, case, seed):
+        # every fitted spec's eigenvalues, beta, alpha and trace statistics
+        # against the 40-digit chain, each within 1e-11 of the field's
+        # largest entry: measured at most 3.0e-13 over the 42 rconst specs
+        # and 2.0e-14 over the 28 uconst ones. The scalar-chain comparison
+        # above covers the other fields
+        pytest.importorskip("mpmath")
+        panel = synthetic_log_panel(T=60, seed=seed)
+        report = fit_specifications(panel, enumerate_specifications(min_size=2), (1, 2, 3),
+                                    case=case)
+        assert len(report.specs) == {"rconst": 42, "uconst": 28}[case]
+        for spec in report.specs:
+            got, what = spec.model, f"{spec.subset} k={spec.k}"
+            lam, beta, alpha, trace = mp_reference.johansen(panel.matrix(spec.subset), spec.k,
+                                                            case, 40)
+            got_trace, _ = _stacked_trace_test(got.eigenvalues[None], got.T_eff, got.p, case)
+            for name, value, want in (("eigenvalues", got.eigenvalues, lam[: got.p]),
+                                      ("beta", got.beta[:, 0], beta[0]),
+                                      ("alpha", got.alpha[:, 0], alpha),
+                                      ("trace statistics", got_trace[0], trace)):
+                assert_close(value, np.array(want, dtype=float), 1e-11, f"{name} of {what}")
 
     def test_one_fit_per_subset_size(self, monkeypatch):
         # every lag of a size shares one stack of moments: one _stacked_fit

@@ -292,18 +292,17 @@ class TestTimeMajorSimulator:
         z = generate_vecm_data(family_spec(4, 2, T=40, seed=9), 3)
         assert z.shape == (40, 4) and z.flags.c_contiguous
 
-    def test_ragged_simulation_block_matches_reference_fit_blocks(self):
+    def test_ragged_simulation_block_matches_reference_fit_blocks(self, monkeypatch):
         # 301 replications: one full simulation block and a ragged one of 45
         spec = study_spec(T=120, seed=41)
         study = run_recovery_study(spec, reps=301)
-        want = []
-        block = synthetic.FIT_BLOCK
-        for start in range(0, 301, block):
-            z = scalar_reference.simulate_reference(spec, range(start, min(start + block, 301)))
-            want += zip(*synthetic._recovery_block(z.transpose(1, 2, 0), spec, "rconst"))
-        assert [(row["trace_r0"], row["selected_rank"], row["beta_angle_deg"])
-                for row in study.per_rep] == [(t, r, a) for t, r, a, _ in want]
-        assert study.alpha_rmse == float(np.sqrt(np.mean([sq for *_, sq in want])))
+        # the same study from the reference simulator, in stacks of one slice
+        monkeypatch.setattr(synthetic, "SIM_BLOCK", synthetic.FIT_BLOCK)
+        monkeypatch.setattr(synthetic, "_simulate", lambda spec, reps, buffer: (
+            scalar_reference.simulate_reference(spec, reps).transpose(1, 2, 0)))
+        want = run_recovery_study(spec, reps=301)
+        assert study.per_rep == want.per_rep
+        assert study.alpha_rmse == want.alpha_rmse
 
 
 class TestCriticalValueStudy:
@@ -390,15 +389,15 @@ class TestBlockedCriticalValueStudy:
         want = {f"{q}%": float(np.std(vals, ddof=1)) for q, vals in boots.items()}
         assert ragged_study.bootstrap_se == want
 
-    @pytest.mark.parametrize("cv_block", [1, 7, 64])
-    @pytest.mark.parametrize("draw_blocks", [1, 3, None], ids=["stack1", "stack3", "stackall"])
-    def test_block_sizes_do_not_change_the_study(self, ragged_study, cv_block, draw_blocks,
+    @pytest.mark.parametrize("fit_block", [1, 7, 64])
+    @pytest.mark.parametrize("slices", [1, 3, None], ids=["stack1", "stack3", "stackall"])
+    def test_block_sizes_do_not_change_the_study(self, ragged_study, fit_block, slices,
                                                  monkeypatch):
-        # a moment stack of one draw block, of three, and of every replication;
-        # the reference study is the one the tests above check exactly
-        monkeypatch.setattr(synthetic, "CV_BLOCK", cv_block)
-        monkeypatch.setattr(synthetic, "MOMENT_BLOCK", 2048 if draw_blocks is None
-                            else draw_blocks * cv_block)
+        # a stack of one slice, of three, and of every replication; the
+        # reference study, in stacks of 256 and slices of 64, is the one the
+        # tests above check exactly
+        monkeypatch.setattr(synthetic, "FIT_BLOCK", fit_block)
+        monkeypatch.setattr(synthetic, "SIM_BLOCK", 2048 if slices is None else slices * fit_block)
         monkeypatch.setattr(synthetic, "BOOTSTRAP", 45)
         study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
                                             keep_statistics=True)
@@ -416,13 +415,13 @@ class TestBlockedCriticalValueStudy:
             monkeypatch.setattr(synthetic, name, counted)
         monkeypatch.setattr(synthetic, "BOOTSTRAP", 2)
         monte_carlo_critical_values(1, "rconst", reps=reps, T=400)
+        stacks = [min(synthetic.SIM_BLOCK, reps - lo)
+                  for lo in range(0, reps, synthetic.SIM_BLOCK)]
         assert calls["_stacked_concentrate"] == [
-            min(synthetic.CV_BLOCK, reps - start) for start in range(0, reps, synthetic.CV_BLOCK)]
-        # ceil(reps / MOMENT_BLOCK) passes, each of at most MOMENT_BLOCK
-        # members: 32 draw blocks and a single moment stack at 2000
-        assert calls["_stacked_eigenproblem"] == [
-            min(synthetic.MOMENT_BLOCK, reps - lo)
-            for lo in range(0, reps, synthetic.MOMENT_BLOCK)]
+            min(synthetic.FIT_BLOCK, n - lo) for n in stacks
+            for lo in range(0, n, synthetic.FIT_BLOCK)]
+        # ceil(reps / SIM_BLOCK) passes, each of at most SIM_BLOCK members
+        assert calls["_stacked_eigenproblem"] == stacks
 
 
 class TestRecoveryStudy:
@@ -511,7 +510,7 @@ P4_R2 = dict(p=4, r=2, alpha_true=[[-0.3, 0.1], [0.1, -0.4], [0.2, 0.1], [0.0, 0
 
 
 class TestBlockedRecoveryStudy:
-    # 101 replications: three full blocks of 32 and a partial one
+    # 101 replications: one full slice of 64 and a partial one
     @pytest.mark.parametrize("spec, case", [
         (study_spec(T=150, seed=31), "rconst"),
         (study_spec(T=150, seed=32), "uconst"),
@@ -606,10 +605,11 @@ class TestRecoveryBlocks:
         assert calls == {name: [256, 44] for name in calls}
 
     def test_lowest_failing_replication_raises_its_error(self, monkeypatch):
-        # replication 150 (fifth slice of the first simulation block) draws
+        # replication 150 (third slice of the first simulation block) draws
         # zeros, so its levels are constant and S11 singular, which the
         # eigenproblem finds; replication 200 draws a NaN, which its slice's
-        # concentration flags earlier in the pass. The lower one's error wins
+        # concentration flags earlier in the pass. The lower one's error
+        # wins, also from the second stack when stacks hold 100
         real = synthetic._replication_streams
         spec = study_spec(T=120, seed=42)
 
@@ -632,20 +632,23 @@ class TestRecoveryBlocks:
         assert not z.any()
         with pytest.raises(VelakitError) as want:
             n1_replication(z, spec, "rconst")
-        with pytest.raises(VelakitError) as blocked:
-            run_recovery_study(spec, reps=300)
-        assert blocked.type is type(want.value) and str(blocked.value) == str(want.value)
+        for sim_block in (synthetic.SIM_BLOCK, 100):
+            monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
+            with pytest.raises(VelakitError) as blocked:
+                run_recovery_study(spec, reps=300)
+            assert blocked.type is type(want.value) and str(blocked.value) == str(want.value)
         assert "degenerate moment matrix" in str(want.value)
 
 
 class TestBlockedCriticalValues:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
     def test_failing_replication_raises_its_error(self, case, monkeypatch):
-        # replication 101 (second block of 64) draws a second series that
+        # replication 101 (second slice of 64) draws a second series that
         # repeats the first, so its level moments are singular; replication
         # 900 draws a non-finite value, which the concentration flags before
-        # the eigenproblem sees replication 101, in the same moment stack or,
-        # with stacks of 256, in a later one
+        # the eigenproblem sees replication 101, in a later stack of 256 or,
+        # with a stack of 2048, in the same one. With stacks of 64 the lowest
+        # failure lies in the second stack, after a first that fits
         real = synthetic._replication_streams
 
         class Repeating:
@@ -673,8 +676,8 @@ class TestBlockedCriticalValues:
         z = np.cumsum(z + (1.0 if case == "uconst" else 0.0), axis=0)
         with pytest.raises(VelakitError) as want:
             rank_test(concentrate(z, k=1, case=case))
-        for moment_block in (synthetic.MOMENT_BLOCK, 256):
-            monkeypatch.setattr(synthetic, "MOMENT_BLOCK", moment_block)
+        for sim_block in (synthetic.SIM_BLOCK, 2048, 64):
+            monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
             with pytest.raises(VelakitError) as blocked:
                 monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
             assert blocked.type is type(want.value)

@@ -3,10 +3,11 @@
 Every subcommand runs: the panel commands on the demo panel (adf also with
 a trend, specsearch also at lags {1, 8}, where some sizes are short of
 sample at k=8, pipeline also with no admissible spec, vecrank also at lag
-1 under uconst, vecm also at rank 2 under both cases), mission on the bundled
-sample config (as is and with a one-year horizon), and both mc-validate
-studies at small sizes with their per-replication CSVs (the cv study also
-at 2100 replications, past one moment stack).
+1 under uconst and at lag 6, short of sample, vecm also at rank 2 under both
+cases), mission on the bundled sample config (as is and with a one-year
+horizon), and both mc-validate studies at small sizes with their
+per-replication CSVs (the cv study also at 2100 replications, past one
+stack, and the recovery study also at 300 under uconst, past one stack).
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -54,6 +55,9 @@ COMMANDS = {
     "pipeline-no-spec": ["pipeline", *PANEL, "--k-candidates", "30"],
     "vecrank": ["vecrank", *PANEL],
     "vecrank-uconst-k1": ["vecrank", *PANEL, "--lags", "1", "--case", "uconst"],
+    # T_eff=42 is one short of 30 short-run regressors, 6 difference columns
+    # and 7 level terms: insufficient sample, exit 2
+    "vecrank-k6": ["vecrank", *PANEL, "--lags", "6"],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
     # normalization of a two-column beta, and its constant row mapped to [z, 1]
     "vecm-rank2-rconst": ["vecm", *PANEL, "--rank", "2"],
@@ -67,6 +71,9 @@ COMMANDS = {
                             "--reps", "2100", "--dump-reps"],
     "mc-validate-recovery": ["mc-validate", "--study", "recovery", "--reps", "100",
                              "--T", "120", "--dump-reps"],
+    # a full stack and a ragged second one, under uconst
+    "mc-validate-recovery-300": ["mc-validate", "--study", "recovery", "--reps", "300",
+                                 "--T", "120", "--case", "uconst", "--dump-reps"],
 }
 
 
