@@ -43,9 +43,11 @@ SAMPLE_CONFIG = Path(__file__).with_name("data") / "mission_config_sample.json"
 
 
 def _parse_vars(text: str | None) -> tuple[str, ...]:
-    if not text:
+    if text is None:
         return VARIABLES
     names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names:
+        raise ValidationError(f"--vars {text!r} names no variable; choose from {VARIABLES}")
     unknown = [v for v in names if v not in VARIABLES]
     if unknown:
         raise ValidationError(f"unknown variable(s) {unknown}; choose from {VARIABLES}")

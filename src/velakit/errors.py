@@ -7,6 +7,8 @@ including another VelakitError such as CorruptedBundleError, -> 5.
 
 from pathlib import Path
 
+import numpy as np
+
 
 class VelakitError(Exception):
     """Base class for all toolkit errors."""
@@ -42,6 +44,20 @@ class NoAdmissibleSpecError(VelakitError):
 
 class CorruptedBundleError(VelakitError):
     """Bundled reference data failed its shape/checksum validation."""
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integers(**values) -> list[int]:
+    """The values as ints; raises ValidationError naming the first that is
+    not _is_integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in values.values()]
 
 
 def read_input(path: Path) -> bytes:

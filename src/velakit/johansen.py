@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NumericalError, ValidationError
+from .errors import (NotPositiveDefiniteError, NumericalError, ValidationError, _integers,
+                     _is_integer)
 from .lag_selection import level_matrix
 from .linalg import _each, _stacked_cholesky, _stacked_ols, _symmetric
 
@@ -121,7 +122,7 @@ class MomentMatrices:
         _check_case(self.case)
         for name in ("p", "T_eff"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         p, case = self.p, self.case
         widths = (p, p + 1) if case == RESTRICTED_CONSTANT else (p,)
@@ -246,13 +247,16 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     distance from zero. Returns (B, S00, S01, S11, shift, errors): B (n,
     short-run columns, p + p_aug) holds the regression's coefficients (no
     rows when there are no short-run regressors); the S are the
-    T-normalized concentrated moments, blocks of R'R / T_eff for its
-    residuals R = [R0, R1]; and shift (n, p) the level means subtracted
-    (zeros under uconst). errors starts with non-finite levels and the
-    short-run regression's SingularMatrixError.
+    T-normalized concentrated moments, blocks of F'F / T_eff, F being the
+    regression's residual factor (F'F = R'R for its residuals R = [R0,
+    R1]), or W = [dz_t, z*_{t-1}] itself when there are no short-run
+    regressors; and shift (n, p) the level means subtracted (zeros under
+    uconst). errors starts with non-finite levels and the short-run
+    regression's SingularMatrixError.
     """
     n, T, p = z.shape
     _check_case(case)
+    (k,) = _integers(k=k)
     if k < 1:
         raise ValidationError(f"lag order must be >= 1, got {k}")
     T_eff = T - k
@@ -283,7 +287,7 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         Wt[:, 2 * p :] = 1.0
     else:
         shift = np.zeros((n, p))
-    W = R = Wt.swapaxes(1, 2)
+    W = F = Wt.swapaxes(1, 2)
     B = np.zeros((n, 0, p + p_aug))
     if n_short:
         Xt = np.empty((n, n_short, T_eff))
@@ -292,9 +296,9 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
                         out=Xt[:, (i - 1) * p : i * p])
         Xt[:, p * (k - 1) :] = 1.0
         X = Xt.swapaxes(1, 2)
-        B, R, _, failures = _stacked_ols(X, W)
+        B, F, _, failures = _stacked_ols(X, W)
         _record(errors, failures)
-    S = R.swapaxes(1, 2) @ R
+    S = F.swapaxes(1, 2) @ F
     S /= T_eff
     return B, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], shift, errors
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integers
 from .linalg import ols_fit
 from .panel import MacroPanel, VARIABLES
 
@@ -35,13 +35,18 @@ def max_feasible_lag(T: int, p: int) -> int:
 
 
 def level_matrix(data, vars=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Accept a LogLevelPanel or a plain (T x p) array; return data + names."""
+    """Accept a LogLevelPanel or a plain (T x p) array, or a 1-D series;
+    return data + names. An array of another dimension, or with no
+    columns, is a ValidationError."""
     if isinstance(data, MacroPanel):
         names = tuple(vars) if vars is not None else VARIABLES
         return data.matrix(names), names
     z = np.asarray(data, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValidationError(f"level data must be a (T x p) array with p >= 1, "
+                              f"got shape {np.shape(data)}")
     if vars is not None:
         names = tuple(vars)
         if len(names) != z.shape[1]:
@@ -77,6 +82,7 @@ def fit_var(data, vars=None, k: int = 1) -> VarFit:
     """Fit a VAR(k) in levels by per-equation OLS on rows k..T-1."""
     z, names = level_matrix(data, vars)
     T, p = z.shape
+    (k,) = _integers(k=k)
     if k < 1:
         raise ValidationError(f"lag order must be >= 1, got {k}")
     T_eff = T - k
@@ -146,6 +152,7 @@ class LagSelectionTable:
 def select_lag(data, vars=None, k_max: int = 4) -> LagSelectionTable:
     """Score VAR(1..k_max) on the common sample, rows k_max..T-1, and pick
     per-criterion argmins; the sample rule is checked once, for k_max."""
+    (k_max,) = _integers(k_max=k_max)
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     z, names = level_matrix(data, vars)

@@ -2,14 +2,16 @@
 
 All kernels operate on float64 row-major arrays, are dimension-capped at
 MAX_DIM, and surface rank problems as typed errors instead of silently
-pseudo-inverting. OLS runs through a QR factorization; the normal-equations
-route via `cholesky_factor` is kept independent so tests can use it as an
-oracle.
+pseudo-inverting. OLS runs through the R factor of [X | Y], which gives the
+coefficients and the residual factor (the factor of the residual moments);
+the normal-equations route via `cholesky_factor` is kept independent so
+tests can use it as an oracle.
 
 The stacked kernels (`_stacked_ols`, `_stacked_cholesky`, `_each`) run a
 stack of matrices in one pass and judge each member alone: a failing
 member gets its own typed error and never fails its neighbours.
-`_stacked_ols` is the only least-squares code; `ols_fit` is its n=1 call.
+`_stacked_ols` is the only least-squares code; `ols_fit` is its n=1 call,
+and the only code that forms residuals.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ def ols_fit(X, Y) -> OlsFit:
     Y = as_matrix(Y, "Y")
     if Y.shape[0] != X.shape[0]:
         raise ValidationError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
-    coef, resid, _, errors = _stacked_ols(X[None], Y[None])
+    coef, _, _, errors = _stacked_ols(X[None], Y[None])
     if errors:
         raise errors[0]
-    return OlsFit(coefficients=coef[0], residuals=resid[0])
+    return OlsFit(coefficients=coef[0], residuals=Y - X @ coef[0])
 
 
 def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -134,31 +136,26 @@ def _pivot_errors(diag: np.ndarray) -> dict:
 
 def _stacked_ols(X: np.ndarray, Y: np.ndarray):
     """OLS of each Y[i] on X[i] for (n, rows, cols) stacks, in one pass
-    through a QR factorization of each X[i].
+    through the R factor of each [X[i] | Y[i]], with no Q.
 
-    Returns (coefficients, residuals, pivots, errors): pivots (n, cols)
+    The factor's leading block is X's; the coefficients solve it against
+    the X-Y block. Its trailing block F, min(rows - cols, m) x m for Y's m
+    columns, is the residual factor: F'F = E'E for the residuals E = Y -
+    X coef. Returns (coefficients, F, pivots, errors): pivots (n, cols)
     holds |diag R|, and errors maps each member that fails _pivot_errors's
-    rule to its SingularMatrixError; that member's coefficients and
-    residuals are placeholders. Too few rows, or too many
-    columns, raises ValidationError for the whole stack.
+    rule to its SingularMatrixError; that member's coefficients are
+    placeholders. Too few rows, or too many columns, raises ValidationError
+    for the whole stack.
     """
     rows, cols = X.shape[-2:]
     _check_size("X", rows, cols)
     if rows <= cols:
         raise ValidationError(f"need more rows than regressors (rows={rows}, cols={cols})")
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    R = np.linalg.qr(np.concatenate((X, Y), axis=-1), mode="r")
+    diag = np.abs(np.diagonal(R[..., :cols, :cols], axis1=-2, axis2=-1))
     errors = _pivot_errors(diag)
-    coef, _ = _each(np.linalg.solve, R, Q.swapaxes(-1, -2) @ Y)
-    if cols == 1:
-        # numpy's stacked matmul is slow over a single inner column; the
-        # time-last broadcast product is the same single product per entry
-        resid = (coef[..., 0, :, None] * X[..., None, :, 0]).swapaxes(-1, -2)
-    else:
-        resid = X @ coef
-    # in place: a second block-sized temporary costs more than the product
-    np.subtract(Y, resid, out=resid)
-    return coef, resid, diag, errors
+    coef, _ = _each(np.linalg.solve, R[..., :cols, :cols], R[..., :cols, cols:])
+    return coef, R[..., cols:, cols:], diag, errors
 
 
 def cholesky_factor(S) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import read_input
+from .errors import ValidationError, read_input
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,17 @@ def file_digest(path: str | Path) -> str:
 
 
 def _timestamp() -> str:
+    """UTC time now, or at SOURCE_DATE_EPOCH when it is set: a non-negative
+    decimal integer in time.gmtime's range, else a ValidationError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch is not None else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        if epoch is not None and not (epoch.isascii() and epoch.isdigit()):
+            raise ValueError
+        t = time.gmtime(None if epoch is None else int(epoch))
+    except (ValueError, OverflowError, OSError):
+        raise ValidationError("SOURCE_DATE_EPOCH must be a non-negative decimal integer "
+                              f"in the platform's time range, got {epoch!r}") from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def make_manifest(command: str, config_digest: str | None = None,

@@ -91,8 +91,10 @@ class MacroPanel:
         return out
 
     def matrix(self, vars: tuple[str, ...] = VARIABLES) -> np.ndarray:
-        """Stack the named series as a (years x vars) array; an unknown or
-        repeated name is a ValidationError naming it."""
+        """Stack the named series as a (years x vars) array; no names, or an
+        unknown or repeated one, is a ValidationError naming it."""
+        if not vars:
+            raise ValidationError("no variables given")
         unknown = [v for v in vars if v not in VARIABLES]
         if unknown:
             raise ValidationError(f"unknown variables {unknown}")

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NoAdmissibleSpecError, ValidationError, VelakitError
+from .errors import NoAdmissibleSpecError, ValidationError, VelakitError, _integers, _is_integer
 from .johansen import (
     RESTRICTED_CONSTANT,
     _check_case,
@@ -48,6 +48,7 @@ DEFAULT_MIN_SIZE = 4
 def enumerate_specifications(min_size: int = DEFAULT_MIN_SIZE) -> list[tuple[str, ...]]:
     """All subsets of VARIABLES containing the dependent, size >= min_size, by
     descending size, then in canonical variable order as combinations yields."""
+    (min_size,) = _integers(min_size=min_size)
     if min_size < 2:
         raise ValidationError(f"min_size must be >= 2, got {min_size}")
     if min_size > len(VARIABLES):
@@ -170,7 +171,7 @@ def fit_specifications(panel, subsets, k_candidates=(1, 2),
     if not ks:
         raise ValidationError("no lag candidates to fit: k_candidates is empty")
     for i, k in enumerate(ks):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        if not _is_integer(k) or k < 1:
             raise ValidationError(f"lag candidate k={k!r} must be an integer >= 1")
         if k in ks[:i]:
             raise ValidationError(f"lag candidate k={k!r} is repeated")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integers, _is_integer
 from .johansen import (
     MAX_TABLE_DIM,
     RESTRICTED_CONSTANT,
@@ -182,20 +182,6 @@ def _replication_streams(base_seed: int, indices: Sequence[int]) -> Iterator[np.
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield generator
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _integers(**values) -> list[int]:
-    """The values as ints; raises ValidationError naming the first that is
-    not _is_integer."""
-    for name, value in values.items():
-        if not _is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return [int(value) for value in values.values()]
 
 
 def _check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integers
 from .linalg import _stacked_ols
 
 CONSTANT = "constant"
@@ -75,12 +75,16 @@ def default_adf_lags(T: int) -> int:
 def adf_test(y, lags: int, deterministic: str = CONSTANT) -> AdfResult:
     """ADF t-test for a unit root in y; rejection is left-tailed at 5%.
 
-    One QR factorization X = QR gives gamma and its standard error: with
-    y_{t-1} the last column of X, se(gamma) = s / |R_mm|, s^2 being the
-    dof-normalized residual variance.
+    One R factor of [X | dy] gives gamma and its standard error: with
+    y_{t-1} the last of X's m columns, se(gamma) = s / |R_mm|, s^2 = f^2 /
+    (n - m) being the dof-normalized residual variance, f the factor's
+    trailing entry.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValidationError(f"series must be 1-dimensional, got shape {y.shape}")
     T = y.size
+    (lags,) = _integers(lags=lags)
     if lags < 0:
         raise ValidationError(f"lags must be non-negative, got {lags}")
     if T < lags + 10:
@@ -99,12 +103,12 @@ def adf_test(y, lags: int, deterministic: str = CONSTANT) -> AdfResult:
     lagged = [dy[lags - i : lags - i + n] for i in range(1, lags + 1)]
     X = np.column_stack([np.ones(n), *trend, *lagged, y[lags:-1]])
 
-    coef, resid, pivots, errors = _stacked_ols(X[None], resp[None, :, None])
+    coef, F, pivots, errors = _stacked_ols(X[None], resp[None, :, None])
     if errors:
         raise errors[0]
     # gamma's column is last, so the last diagonal of (X'X)^-1 = R^-1 R^-T
     # is 1 / R_mm^2
-    se = math.sqrt(float(resid[0, :, 0] @ resid[0, :, 0]) / (n - X.shape[1])) / pivots[0, -1]
+    se = abs(float(F[0, 0, 0])) / math.sqrt(n - X.shape[1]) / pivots[0, -1]
     with np.errstate(divide="ignore"):
         statistic = float(coef[0, -1, 0] / se)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonNormalizableError, NumericalError, ValidationError
+from .errors import NonNormalizableError, NumericalError, ValidationError, _is_integer
 from .johansen import (
     RESTRICTED_CONSTANT,
     UNRESTRICTED_CONSTANT,
@@ -41,7 +41,7 @@ from .johansen import (
     _uncentred,
 )
 from .lag_selection import gaussian_criteria, level_matrix
-from .linalg import _each, _pivot_errors, _stacked_cholesky, general_eigenvalues
+from .linalg import _each, _stacked_cholesky, _stacked_ols, general_eigenvalues
 from .panel import VARIABLES
 
 UNIT_ROOT_TOL = 1e-2
@@ -91,11 +91,6 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     z, names = level_matrix(data, vars)
     p = z.shape[1]
     _check_case(case)
-    if r == 0:
-        raise ValidationError(
-            "rank 0 means no error correction; difference the data and fit a "
-            "VAR instead (rank tests remain available via rank_test)"
-        )
     _check_rank(r, p)
     B, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
     lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
@@ -107,6 +102,13 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
 
 
 def _check_rank(r: int, p: int) -> None:
+    if not _is_integer(r):
+        raise ValidationError(f"rank must be an integer, got {r!r}")
+    if r == 0:
+        raise ValidationError(
+            "rank 0 means no error correction; difference the data and fit a "
+            "VAR instead (rank tests remain available via rank_test)"
+        )
     if not 1 <= r <= p - 1:
         raise ValidationError(f"rank must satisfy 1 <= r <= p-1={p - 1}, got {r}")
 
@@ -137,26 +139,19 @@ def _stacked_fit(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, beta: np.nda
     in their (centred) coordinates.
 
     By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 on R1 beta and
-    sigma its residuals' covariance, and both need only the moments: with
-    M = beta'S11 beta, alpha' = M^-1 beta'S10 and sigma = S00 - alpha M
-    alpha'. With L1 the Cholesky factor of S11, R1 beta is sqrt(T_eff) times
-    orthonormal columns times V = L1'beta, so the QR factor R of the small V
-    is the r x r Cholesky factor of M (up to signs) without forming M, and
-    its |diag R| are those of the QR of R1 beta over sqrt(T_eff):
-    _stacked_ols's pivot rule (linalg._pivot_errors) reads the same ratios
-    and records the same SingularMatrixError and column. Then alpha' =
-    R^-1 H and sigma = S00 - H'H, H = Q'L1^-1 S10. Returns (alpha' (n, r,
-    p), sigma (n, p, p)).
+    sigma its residuals' covariance, and both need only the moments. With
+    L1 the Cholesky factor of S11, R1 is sqrt(T_eff) times orthonormal
+    columns U times L1', and U'R0 / sqrt(T_eff) = H0 = L1^-1 S10; so that
+    OLS is the linalg._stacked_ols of H0 on V = L1'beta, with its pivot rule
+    and errors, and with G its residual factor sigma = S00 - H0'H0 + G'G.
+    Returns (alpha' (n, r, p), sigma (n, p, p)).
     """
     # the eigenproblem has judged S11 already
     L1, _ = _each(np.linalg.cholesky, S11)
-    Q, R = np.linalg.qr(L1.swapaxes(1, 2) @ beta)
-    failures = _pivot_errors(np.abs(np.diagonal(R, axis1=1, axis2=2)))
+    H0 = np.linalg.solve(L1, S01.swapaxes(1, 2))
+    alpha_t, G, _, failures = _stacked_ols(L1.swapaxes(1, 2) @ beta, H0)
     _record(errors, failures)
-    if failures:
-        R[list(failures)] = np.eye(R.shape[1])
-    H = Q.swapaxes(1, 2) @ np.linalg.solve(L1, S01.swapaxes(1, 2))
-    return np.linalg.solve(R, H), S00 - H.swapaxes(1, 2) @ H
+    return alpha_t, S00 - H0.swapaxes(1, 2) @ H0 + G.swapaxes(1, 2) @ G
 
 
 @np.errstate(all="ignore")

@@ -260,6 +260,16 @@ class TestExitCodes:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("command", ["adf", "lagselect", "vecrank", "vecm"])
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_vars_exit_2(self, panel_csv, tmp_path, capsys, command, text):
+        code, out, err = run(
+            [command, "--input", str(panel_csv), "--agency", "DEMO", "--vars", text,
+             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert f"--vars {text!r} names no variable" in err
+        assert out == ""
+
 
 class TestMission:
     def test_sample_headline(self, tmp_path, capsys):
@@ -449,6 +459,14 @@ class TestDeterminism:
         assert code == 0
         doc = json.loads((tmp_path / "o" / "mission.json").read_text())
         assert doc["manifest"]["timestamp"] == "1970-01-01T00:00:00Z"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "-1", "99999999999999999999"])
+    def test_unusable_timestamp_exit_2(self, tmp_path, capsys, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, _, err = run(["mission", "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert "SOURCE_DATE_EPOCH must be a non-negative decimal integer" in err
+        assert repr(epoch) in err
 
 
 class TestInputContract:

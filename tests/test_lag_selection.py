@@ -6,8 +6,10 @@ import pytest
 
 from velakit import lag_selection
 from velakit.errors import ValidationError
+from velakit.johansen import concentrate
 from velakit.lag_selection import fit_var, gaussian_criteria, select_lag
 from velakit.synthetic import rng_for
+from velakit.vecm import estimate_vecm
 
 
 def simulate_var1(A, T, seed, scale=1.0):
@@ -18,6 +20,15 @@ def simulate_var1(A, T, seed, scale=1.0):
     for t in range(1, T + 50):
         z[t] = A @ z[t - 1] + e[t]
     return z[50:]
+
+
+@pytest.mark.parametrize("fit, shape", [
+    (concentrate, (40, 3, 2)), (estimate_vecm, (40, 3, 2)), (select_lag, (50, 0)),
+    (fit_var, (50, 0))])
+def test_level_data_must_be_a_matrix_with_columns(fit, shape):
+    # level_matrix judges the array before any estimator reads its shape
+    with pytest.raises(ValidationError, match=r"\(T x p\) array with p >= 1, got shape"):
+        fit(np.zeros(shape))
 
 
 class TestFitVar:

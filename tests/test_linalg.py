@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velakit.errors import NotPositiveDefiniteError, SingularMatrixError, ValidationError
 from velakit.linalg import (
@@ -79,19 +81,44 @@ class TestOls:
         with pytest.raises(ValidationError, match=r"cols capped at 64, got 65"):
             as_matrix(np.zeros((2, 65)))
 
-    @pytest.mark.parametrize("cols", [1, 2])
-    def test_stacked_fit_is_the_regression_product(self, cols):
-        # one regressor column takes a broadcast product instead of matmul;
-        # either way the residuals are exactly Y - X @ coef
+    @pytest.mark.parametrize("rows, cols", [(41, 1), (41, 2), (5, 3)], ids=["1", "2", "short"])
+    def test_stacked_fit_is_the_regression_product(self, rows, cols):
+        # F'F is the residual Gram matrix; with rows < cols + 3 the factor
+        # has rows - cols rows
         rng = np.random.default_rng(cols)
-        X = rng.standard_normal((7, 41, cols))
-        Y = rng.standard_normal((7, 41, 3))
-        coef, resid, _, errors = _stacked_ols(X, Y)
+        X = rng.standard_normal((7, rows, cols))
+        Y = rng.standard_normal((7, rows, 3))
+        coef, F, _, errors = _stacked_ols(X, Y)
         assert errors == {}
-        assert np.array_equal(resid, Y - X @ coef)
+        assert F.shape == (7, min(rows - cols, 3), 3)
         for i in range(7):
             fit = ols_fit(X[i], Y[i])
             assert np.abs(coef[i] - fit.coefficients).max() < 1e-12
+            gram = (Y[i] - X[i] @ coef[i]).T @ (Y[i] - X[i] @ coef[i])
+            assert np.abs(F[i].T @ F[i] - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+           st.integers(-1, 5))
+    def test_pivots_are_the_diagonal_of_xs_qr(self, seed, cols, m, broken):
+        # the pivots of [X | Y]'s factor are those of X's own QR to
+        # rounding; a member with column ``broken`` a combination of the
+        # columns before it fails at that column
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((3, 12, cols)) * rng.uniform(0.1, 10.0, cols)
+        if 0 <= broken < cols:
+            X[1, :, broken] = X[1, :, :broken] @ rng.standard_normal(broken)
+        _, _, pivots, errors = _stacked_ols(X, rng.standard_normal((3, 12, m)))
+        for i in (0, 2):
+            want = np.abs(np.diagonal(np.linalg.qr(X[i], mode="r")))
+            assert np.abs(pivots[i] - want).max() <= 1e-12 * want.max()
+        if 0 <= broken < cols:
+            assert list(errors) == [1]
+            assert errors[1].column == broken
+            assert ("all regressors are zero" if cols == 1
+                    else f"rank deficient at column {broken} ") in str(errors[1])
+        else:
+            assert errors == {}
 
     @pytest.mark.parametrize("fault", ["duplicate", "zero"])
     def test_stacked_fit_reports_each_members_error(self, fault):
@@ -101,7 +128,7 @@ class TestOls:
         X = rng.standard_normal((5, 30, 3))
         Y = rng.standard_normal((5, 30, 2))
         X[2, :, 1] = X[2, :, 0] if fault == "duplicate" else 0.0
-        coef, resid, _, errors = _stacked_ols(X, Y)
+        coef, _, _, errors = _stacked_ols(X, Y)
         with pytest.raises(SingularMatrixError) as want:
             ols_fit(X[2], Y[2])
         assert list(errors) == [2]

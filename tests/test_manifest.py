@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from velakit.errors import ValidationError
 from velakit.manifest import RunManifest, dump_json, file_digest, jsonable, make_manifest
 
 
@@ -266,3 +267,12 @@ class TestManifest:
         assert m.seeds == (7,)
         assert m.input_digests["panel"] == file_digest(p)
         assert m.timestamp == "1970-01-02T00:00:00Z"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "-1", "", " 1", "+1", "1e3", "\u0661",
+                                       "99999999999999999999", "10" * 9])
+    def test_unusable_source_date_epoch_rejected(self, monkeypatch, epoch):
+        # not a non-negative decimal integer, or past time.gmtime's range
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ValidationError, match="^SOURCE_DATE_EPOCH must be") as err:
+            make_manifest("demo")
+        assert str(err.value).endswith(repr(epoch))

@@ -239,6 +239,10 @@ class TestLogLevels:
             rel = np.abs(back - demo_panel.series[var]) / np.abs(demo_panel.series[var])
             assert rel.max() < 1e-12
 
+    def test_matrix_of_no_variables_rejected(self, demo_panel):
+        with pytest.raises(ValidationError, match="no variables given"):
+            demo_panel.matrix(())
+
     def test_panels_are_immutable(self, demo_panel):
         with pytest.raises(ValueError):
             demo_panel.series["sb"][0] = 99.0

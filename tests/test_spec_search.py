@@ -410,6 +410,14 @@ class TestStackedSearch:
         with pytest.raises(ValidationError, match="case must be one of"):
             fit_specifications(panel, [("sb", "gpc")], case="nope")
 
+    def test_empty_subset_is_a_rejected_spec(self):
+        # the per-subset guard records it; the other subset still fits
+        panel = synthetic_log_panel(T=60, seed=4)
+        report = fit_specifications(panel, [("sb", "gpc", "md"), ()], k_candidates=(1,))
+        assert [s.subset for s in report.specs] == [("sb", "gpc", "md")]
+        assert [(r.subset, r.reason) for r in report.rejected] == [
+            ((), "ValidationError: no variables given")]
+
     @pytest.mark.parametrize("ks", [(1, 0), (-1,), (1.0,), (1, "2"), (True,), (1, 1)])
     def test_invalid_lag_candidate_rejected_up_front(self, ks):
         panel = synthetic_log_panel(T=60, seed=4)

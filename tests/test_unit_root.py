@@ -80,6 +80,12 @@ class TestAdfStatistic:
         with pytest.raises(ValidationError, match="constant"):
             adf_test(np.ones(30), lags=0)
 
+    def test_two_column_series_rejected(self):
+        # not raveled into one 60-observation series
+        y = np.cumsum(rng_for(5, 0).standard_normal((30, 2)), axis=0)
+        with pytest.raises(ValidationError, match=r"1-dimensional, got shape \(30, 2\)"):
+            adf_test(y, lags=1)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError, match="too short"):
             adf_test(np.arange(12.0) ** 2, lags=3)
