@@ -17,7 +17,8 @@ kernel; it is mapped to those of [z_{t-1}, 1] once, where it leaves them
 
 Every estimate comes from one set of stacked kernels (``_stacked_*`` here
 and in vecm) that run each stage for n same-shape systems, an (n, T, p)
-array of levels, in one pass. A problem of the whole stack (an unknown
+array of levels, in one pass; the rank test and the fit share one Cholesky
+factor of each joint moment matrix. A problem of the whole stack (an unknown
 case, too short a sample) raises; one member's is recorded in ``errors``,
 a dict from member index to its first typed error, and its values from
 then on are placeholders. The public functions are the n=1 calls.
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import (NotPositiveDefiniteError, NumericalError, ValidationError, _integers,
                      _is_integer)
 from .lag_selection import level_matrix
-from .linalg import _each, _stacked_cholesky, _stacked_ols, _symmetric
+from .linalg import _each, _stacked_cholesky, _stacked_ols, _symmetric, cholesky_factor
 
 RESTRICTED_CONSTANT = "rconst"
 UNRESTRICTED_CONSTANT = "uconst"
@@ -105,8 +106,8 @@ class MomentMatrices:
 
     Construction checks each field, raising ValidationError that names it:
     p and T_eff are integers >= 1, S00 is p x p, S01 p x m and S11
-    m x m, with m = p under uconst and m in {p, p + 1} under rconst, and
-    shift is None, or shaped (p,) when m = p + 1.
+    m x m (S00 and S11 symmetric), with m = p under uconst and m in {p, p + 1}
+    under rconst, and shift is None, or shaped (p,) when m = p + 1.
     """
 
     S00: np.ndarray
@@ -138,6 +139,12 @@ class MomentMatrices:
         if self.shift is not None and (m != p + 1 or np.shape(self.shift) != (p,)):
             raise ValidationError(f"shift must be None, or shaped ({p},) beside a constant "
                                   f"row, got {np.shape(self.shift)} with m={m}")
+        for name in ("S00", "S11"):
+            if not _symmetric(np.asarray(getattr(self, name))):
+                raise ValidationError(f"{name} is not symmetric within tolerance")
+
+    def _joint(self) -> np.ndarray:  # [[S11, S10], [S01, S00]], a stack of one
+        return np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]])[None]
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -150,15 +157,16 @@ def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) ->
     the identity.
     """
     z, names = level_matrix(data, vars)
-    _, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
+    _, (S,), shift, errors = _stacked_concentrate(z[None], k, case)
     _raise_first(errors)
-    return MomentMatrices(S00=S00[0], S01=S01[0], S11=S11[0], T_eff=z.shape[0] - k,
+    m = len(S) - z.shape[1]
+    return MomentMatrices(S00=S[m:, m:], S01=S[m:, :m], S11=S[:m, :m], T_eff=z.shape[0] - k,
                           p=z.shape[1], case=case, vars=names,
                           shift=shift[0] if case == RESTRICTED_CONSTANT else None)
 
 
 def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Solve |lambda*S11 - S10 S00^-1 S01| = 0 by whitening with Cholesky factors.
+    """Solve |lambda*S11 - S10 S00^-1 S01| = 0 from one Cholesky factor.
 
     Returns eigenvalues (descending, clipped to [0, 1)) and the
     back-transformed beta candidates, in the coordinates of the uncentred
@@ -167,7 +175,7 @@ def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.
     """
     errors = {}
     shift = np.zeros((1, m.p)) if m.shift is None else np.asarray(m.shift)[None]
-    lam, beta = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors, vectors=True)
+    lam, beta, _ = _stacked_eigenproblem(m._joint(), m.p, errors, vectors=True)
     _raise_first(errors)
     return lam[0], _uncentred(beta, shift)[0]
 
@@ -215,7 +223,7 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
     case, p = m.case, m.p
     _check_dimension(p)
     errors = {}
-    lam, _ = _stacked_eigenproblem(m.S00[None], m.S01[None], m.S11[None], errors)
+    lam, *_ = _stacked_eigenproblem(m._joint(), p, errors)
     _raise_first(errors)
     lam = lam[0, :p]
     trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case)
@@ -239,20 +247,17 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
 def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     """concentrate for each series of an (n, T, p) stack of levels, in one pass.
 
-    One regression of [dz_t, z*_{t-1}] (z*_{t-1} being z_{t-1} less its mean
-    over the sample, and a ones column, under rconst) on the short-run
+    One regression of W = [z*_{t-1}, dz_t] (z*_{t-1} being z_{t-1} less its
+    mean over the sample, and a ones column, under rconst) on the short-run
     regressors (the lagged differences, and a ones column under uconst).
     Centring leaves the span of the level term alone, since the ones column
     absorbs the shift, but keeps cond(S11) from growing with the levels'
-    distance from zero. Returns (B, S00, S01, S11, shift, errors): B (n,
-    short-run columns, p + p_aug) holds the regression's coefficients (no
-    rows when there are no short-run regressors); the S are the
-    T-normalized concentrated moments, blocks of F'F / T_eff, F being the
-    regression's residual factor (F'F = R'R for its residuals R = [R0,
-    R1]), or W = [dz_t, z*_{t-1}] itself when there are no short-run
-    regressors; and shift (n, p) the level means subtracted (zeros under
-    uconst). errors starts with non-finite levels and the short-run
-    regression's SingularMatrixError.
+    distance from zero. Returns (B, S, shift, errors): B (n, short-run
+    columns, p_aug + p) the regression's coefficients; S the joint moments
+    [[S11, S10], [S01, S00]] = F'F / T_eff, F being the residual factor (W
+    itself with no short-run regressors); and shift (n, p) the level means
+    subtracted (zeros under uconst). errors starts with non-finite levels
+    and the short-run regression's SingularMatrixError.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -276,15 +281,15 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     # built time-last, so elementwise work and the level means run along the
     # long, contiguous axis; W and X are the time-first views of these buffers
     zt = z.swapaxes(1, 2)
-    Wt = np.empty((n, p + p_aug, T_eff))
-    np.subtract(zt[:, :, k:], zt[:, :, k - 1 : -1], out=Wt[:, :p])
-    levels = Wt[:, p : 2 * p]
+    Wt = np.empty((n, p_aug + p, T_eff))
+    levels = Wt[:, :p]
     levels[...] = zt[:, :, k - 1 : -1]
+    np.subtract(zt[:, :, k:], zt[:, :, k - 1 : -1], out=Wt[:, p_aug:])
     if p_aug > p:
         shift = np.add.reduce(levels, axis=2)
         shift /= T_eff
         levels -= shift[:, :, None]
-        Wt[:, 2 * p :] = 1.0
+        Wt[:, p] = 1.0
     else:
         shift = np.zeros((n, p))
     W = F = Wt.swapaxes(1, 2)
@@ -300,50 +305,53 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         _record(errors, failures)
     S = F.swapaxes(1, 2) @ F
     S /= T_eff
-    return B, S[:, :p, :p], S[:, :p, p:], S[:, p:, p:], shift, errors
+    return B, S, shift, errors
 
 
 @np.errstate(all="ignore")
-def _stacked_eigenproblem(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
-                          errors: dict, vectors: bool = False):
-    """solve_cointegration_eigenproblem for stacked moment matrices, in one pass.
+def _stacked_eigenproblem(S: np.ndarray, p: int, errors: dict, vectors: bool = False):
+    """solve_cointegration_eigenproblem for a stack of joint moments, in one pass.
 
-    Returns the eigenvalues (n, p_aug), descending and clipped at 0, and,
-    with ``vectors``, the beta candidates (n, p_aug, p_aug) in the moments'
-    coordinates (None without), each column scaled so its first nonzero
-    coordinate is +1. Records in ``errors`` a member whose S11 or S00
-    cholesky_factor rejects (NotPositiveDefiniteError, "degenerate moment
-    matrix: ..."), whose whitened matrix is not symmetric within
-    SYMMETRY_RTOL, or whose lambda_1 is not below 1 - 1e-12.
+    S (n, p_aug + p, p_aug + p) = [[S11, S10], [S01, S00]] has the Cholesky
+    factor L = [[L1, 0], [H0', L0]]: L1 = chol(S11), H0 = L1^-1 S10 and
+    L0 L0' = S00 - H0'H0. K'K, K = L0^-1 H0', has eigenvalues lambda / (1 -
+    lambda), and beta is L1^-T times its eigenvectors. Returns (eigenvalues
+    (n, p_aug), descending and clipped at 0; with ``vectors`` beta candidates
+    (n, p_aug, p_aug) in the moments' coordinates, each column's first
+    nonzero coordinate +1, else None; L), recording in ``errors`` a member
+    whose S has no factor or whose lambda_1 is not below 1 - 1e-12.
     """
-    L1, failures1 = _stacked_cholesky(S11)
-    L0, failures0 = _stacked_cholesky(S00)
-    for S, failures in ((S11, failures1), (S00, failures0)):
-        _flag(errors, ~_symmetric(S), ValidationError, "S is not symmetric within tolerance")
-        _record(errors, {i: NotPositiveDefiniteError(f"degenerate moment matrix: {e}")
-                         if isinstance(e, NotPositiveDefiniteError) else e
-                         for i, e in failures.items()})
-    # G = L0^-1 S01 L1^-T, M = G'G shares eigenvalues with S11^-1 S10 S00^-1 S01
-    G = np.linalg.solve(L0, S01)
-    G = np.linalg.solve(L1, G.swapaxes(1, 2)).swapaxes(1, 2)
-    M = G.swapaxes(1, 2) @ G
-    _flag(errors, ~_symmetric(M), ValidationError, "S is not symmetric within tolerance")
+    p_aug = S.shape[-1] - p
+    L, failures = _stacked_cholesky(S)
+    one = np.zeros(len(S), dtype=bool)
+    for i in failures:  # S11's error, then S00's, else a canonical correlation of 1
+        try:
+            cholesky_factor(S[i, :p_aug, :p_aug]), cholesky_factor(S[i, p_aug:, p_aug:])
+            one[i] = True
+        except NotPositiveDefiniteError as exc:
+            errors.setdefault(i, NotPositiveDefiniteError(f"degenerate moment matrix: {exc}"))
+        except ValidationError as exc:
+            errors.setdefault(i, exc)
+    K = np.linalg.solve(L[:, p_aug:, p_aug:], L[:, p_aug:, :p_aug])
+    M = K.swapaxes(1, 2) @ K
     if vectors:
-        (lam, W), failed = _each(np.linalg.eigh, M)  # ascending
+        (mu, W), failed = _each(np.linalg.eigh, M)  # ascending
     else:
-        (lam, failed), W = _each(np.linalg.eigvalsh, M), None
+        (mu, failed), W = _each(np.linalg.eigvalsh, M), None
     _flag(errors, failed, NumericalError, "symmetric eigendecomposition failed")
-    _flag(errors, lam[:, -1] >= 1.0 - 1e-12, NumericalError,
+    lam = mu / (1.0 + mu)
+    _flag(errors, one | (lam[:, -1] >= 1.0 - 1e-12), NumericalError,
           "canonical correlation indistinguishable from 1; the level and "
           "difference spaces share an exact linear combination")
     lam = np.clip(lam[:, ::-1], 0.0, None)
     if W is None:
-        return lam, None
-    beta = np.linalg.solve(L1.swapaxes(1, 2), W[:, :, ::-1])
+        return lam, None, L
+    beta = np.linalg.solve(L[:, :p_aug, :p_aug].swapaxes(1, 2), W[:, :, ::-1])
     size = np.abs(beta)
     nonzero = size > 1e-10 * np.maximum(size.max(axis=1, keepdims=True), 1e-300)
     first = np.take_along_axis(beta, nonzero.argmax(axis=1)[:, None, :], axis=1)
-    return lam, beta / np.where(nonzero.any(axis=1, keepdims=True), first, 1.0)
+    return lam, beta / np.where(nonzero.any(axis=1, keepdims=True), first, 1.0), L
+
 
 
 @np.errstate(all="ignore")

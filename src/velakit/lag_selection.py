@@ -37,7 +37,11 @@ def max_feasible_lag(T: int, p: int) -> int:
 def level_matrix(data, vars=None) -> tuple[np.ndarray, tuple[str, ...]]:
     """Accept a LogLevelPanel or a plain (T x p) array, or a 1-D series;
     return data + names. An array of another dimension, or with no
-    columns, is a ValidationError."""
+    columns, is a ValidationError, and so is a string ``vars``, which would
+    name one variable per character."""
+    if isinstance(vars, str):
+        raise ValidationError(f"vars must be a sequence of variable names, got the string "
+                              f"{vars!r}")
     if isinstance(data, MacroPanel):
         names = tuple(vars) if vars is not None else VARIABLES
         return data.matrix(names), names

@@ -113,17 +113,17 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     members, moments = [], []  # members: (subset index, lag, B) per stack position
     for k in ks:
         try:
-            B, *S, failures = _stacked_concentrate(z, k, case)
+            B, S, shift, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
             out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
             continue
         _record(errors, {len(members) + i: e for i, e in failures.items()})
         members += zip(range(n), [k] * n, B)
-        moments.append(S)
+        moments.append((S, shift))
     if not members:
         return out
-    S00, S01, S11, shift = map(np.concatenate, zip(*moments))
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    S, shift = map(np.concatenate, zip(*moments))
+    lam, candidates, L = _stacked_eigenproblem(S, p, errors, vectors=True)
     _, ranks = _stacked_trace_test(lam, np.array([T - k for _, k, *_ in members]), p, case)
     keep = []  # stack positions of the rank-1 members
     for j, ((i, k, *_), rank) in enumerate(zip(members, ranks.tolist())):
@@ -140,8 +140,7 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     try:
         beta = _stacked_phillips(candidates[keep], 1, kept)
         models = _stacked_models(z[list(index)], [names[i] for i in index], lags, B, 1, case,
-                                 S00[keep], S01[keep], S11[keep], shift[keep], lam[keep], beta,
-                                 kept)
+                                 S[keep], L[keep], shift[keep], lam[keep], beta, kept)
     except VelakitError as exc:
         kept, models = dict.fromkeys(range(len(keep)), exc), [None] * len(keep)
     equations = _stacked_equations(models, kept)

@@ -20,9 +20,9 @@ single replication) time-major, a (T + BURN_IN + k, p, n) array with
 replication i in column i, so the lag window of every replication is one
 contiguous slab and each time step is three numpy calls for the whole
 block. The driver concentrates each stack in FIT_BLOCK = 64 slices
-(johansen._stacked_concentrate) into one moment stack, whose eigenproblem
-and trace test (and, for a rank r >= 1, Phillips normalization and fit,
-vecm._stacked_fit from the moments alone) are then one stacked pass each:
+(johansen._stacked_concentrate) into one joint moment stack, whose
+eigenproblem and trace test (and, for a rank r >= 1, Phillips normalization
+and fit, vecm._stacked_fit on its factor) are then one stacked pass each:
 the kernels of the specification search and of the n=1 public calls. One
 memory rule holds for both studies: the level buffer takes SIM_BLOCK *
 rows * p * 8 bytes, rows being T for the cv study (4.9 MB at p - r = 6
@@ -369,29 +369,27 @@ def _stacked_study(levels, reps: int, k: int, case: str, r: int):
 
     ``levels(start, n)`` returns the (n, T, p) levels of replications
     start..start+n-1. Each stack is concentrated in FIT_BLOCK slices into
-    one moment stack; its eigenproblem and trace test, and for r >= 1 its
-    Phillips normalization and moment fit, then run once. Raises the error
-    of the stack's first failing replication, and else yields (start,
+    one joint moment stack; its eigenproblem and trace test, and for r >= 1
+    its Phillips normalization and factor fit, then run once. Raises the
+    error of the stack's first failing replication, and else yields (start,
     trace (n, p), ranks (n,), beta (n, p_aug, r), alpha' (n, r, p)), beta
     and alpha' None when r = 0.
     """
     for start in range(0, reps, SIM_BLOCK):
         z = levels(start, min(SIM_BLOCK, reps - start))
         n, T, p = z.shape
-        p_aug = p + (case == RESTRICTED_CONSTANT)
-        S00, S01, S11 = np.empty((n, p, p)), np.empty((n, p, p_aug)), np.empty((n, p_aug, p_aug))
-        errors = {}
+        m = 2 * p + (case == RESTRICTED_CONSTANT)
+        S, errors = np.empty((n, m, m)), {}
         for lo in range(0, n, FIT_BLOCK):
             block = slice(lo, lo + FIT_BLOCK)
-            _, S00[block], S01[block], S11[block], _, failures = _stacked_concentrate(
-                z[block], k, case)
+            _, S[block], _, failures = _stacked_concentrate(z[block], k, case)
             _record(errors, {lo + i: error for i, error in failures.items()})
-        lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=r >= 1)
+        lam, candidates, L = _stacked_eigenproblem(S, p, errors, vectors=r >= 1)
         trace, ranks = _stacked_trace_test(lam, T - k, p, case)
         beta = alpha_t = None
         if r >= 1:
             beta = _stacked_phillips(candidates, r, errors)
-            alpha_t, _ = _stacked_fit(S00, S01, S11, beta, errors)
+            alpha_t, _ = _stacked_fit(L, beta, errors)
         _raise_first(errors)
         yield start, trace, ranks, beta, alpha_t
 

@@ -66,6 +66,7 @@ MIN_YEARS_FOR_LAGS = 12
 def default_adf_lags(T: int) -> int:
     """Schwert rule floor(12*(T/100)^0.25), capped so adf_test's length
     precondition T >= lags + 10 still holds."""
+    (T,) = _integers(T=T)
     if T < MIN_YEARS_FOR_LAGS:
         raise ValidationError(f"series too short for lag rule (T={T}, need >= 12)")
     schwert = math.floor(12.0 * (T / 100.0) ** 0.25)

@@ -4,8 +4,8 @@ beta comes from the Johansen eigenproblem, normalized so its leading
 r x r block is the identity. alpha, sigma and the short-run matrices
 conditional on beta come from the rank test's concentration
 (Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta and sigma that
-regression's residual covariance, both read off the concentrated moments
-without the residuals (_stacked_fit), and the short-run coefficients are
+regression's residual covariance, both read off the Cholesky factor of
+the joint moments (_stacked_fit), and the short-run coefficients are
 the concentration's B0 - B1 beta alpha'. Under rconst the moments are
 those of the centred level term, and so is beta until each model maps it
 to [z_{t-1}, 1] (johansen._uncentred); the constant row's standard error
@@ -92,11 +92,10 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     p = z.shape[1]
     _check_case(case)
     _check_rank(r, p)
-    B, S00, S01, S11, shift, errors = _stacked_concentrate(z[None], k, case)
-    lam, candidates = _stacked_eigenproblem(S00, S01, S11, errors, vectors=True)
+    B, S, shift, errors = _stacked_concentrate(z[None], k, case)
+    lam, candidates, L = _stacked_eigenproblem(S, p, errors, vectors=True)
     beta = _stacked_phillips(candidates, r, errors)
-    models = _stacked_models(z[None], [names], [k], B, r, case, S00, S01, S11, shift, lam,
-                             beta, errors)
+    models = _stacked_models(z[None], [names], [k], B, r, case, S, L, shift, lam, beta, errors)
     _raise_first(errors)
     return models[0]
 
@@ -132,45 +131,41 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
 
 
 @np.errstate(all="ignore")
-def _stacked_fit(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, beta: np.ndarray,
-                 errors: dict):
+def _stacked_fit(L: np.ndarray, beta: np.ndarray, errors: dict):
     """alpha' and sigma of the error-correction model at a given beta (n,
-    p_aug, r), from a stack of johansen._stacked_concentrate moments, beta
-    in their (centred) coordinates.
+    p_aug, r) in the centred coordinates, from the joint moments' Cholesky
+    factors L = [[L1, 0], [H0', L0]] (johansen._stacked_eigenproblem).
 
-    By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 on R1 beta and
-    sigma its residuals' covariance, and both need only the moments. With
-    L1 the Cholesky factor of S11, R1 is sqrt(T_eff) times orthonormal
-    columns U times L1', and U'R0 / sqrt(T_eff) = H0 = L1^-1 S10; so that
-    OLS is the linalg._stacked_ols of H0 on V = L1'beta, with its pivot rule
-    and errors, and with G its residual factor sigma = S00 - H0'H0 + G'G.
+    By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 on R1 beta: R1
+    is sqrt(T_eff) times orthonormal U times L1', and U'R0 / sqrt(T_eff) =
+    H0, so it is the linalg._stacked_ols of H0 on L1'beta, with its pivot
+    rule and errors, and with G its residual factor sigma = L0 L0' + G'G.
     Returns (alpha' (n, r, p), sigma (n, p, p)).
     """
-    # the eigenproblem has judged S11 already
-    L1, _ = _each(np.linalg.cholesky, S11)
-    H0 = np.linalg.solve(L1, S01.swapaxes(1, 2))
-    alpha_t, G, _, failures = _stacked_ols(L1.swapaxes(1, 2) @ beta, H0)
+    p_aug = beta.shape[1]
+    L0 = L[:, p_aug:, p_aug:]
+    alpha_t, G, _, failures = _stacked_ols(L[:, :p_aug, :p_aug].swapaxes(1, 2) @ beta,
+                                           L[:, p_aug:, :p_aug].swapaxes(1, 2))
     _record(errors, failures)
-    return alpha_t, S00 - H0.swapaxes(1, 2) @ H0 + G.swapaxes(1, 2) @ G
+    return alpha_t, L0 @ L0.swapaxes(1, 2) + G.swapaxes(1, 2) @ G
 
 
 @np.errstate(all="ignore")
 def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], B: list,
-                    r: int, case: str, S00: np.ndarray, S01: np.ndarray, S11: np.ndarray,
-                    shift: np.ndarray, lam: np.ndarray, beta: np.ndarray,
-                    errors: dict) -> list[VecmModel | None]:
+                    r: int, case: str, S: np.ndarray, L: np.ndarray, shift: np.ndarray,
+                    lam: np.ndarray, beta: np.ndarray, errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), centred, from the concentration its rank test already ran.
 
     Member j has variable names ``names[j]``, lag ``ks[j]`` and coefficients
-    ``B[j]`` from johansen._stacked_concentrate at that lag; S00, S01, S11,
-    shift and lam come from the same concentration and eigenproblem. The
-    members' lags may be any mix: the fit reads only the moments, which have
-    one shape at every lag, so _stacked_fit, the beta inference (with each
-    member's own T_eff in the Gram matrix T_eff * S11) and gaussian_criteria
-    run once, and a member's numbers do not depend on the members beside
-    it. Only the short-run rows B0 - B1 beta alpha' are taken per member,
-    since B changes shape with k. Returns one VecmModel per member, None for
+    ``B[j]`` from johansen._stacked_concentrate at that lag; the joint
+    moments S and shift come from the same concentration, and their factors
+    L and lam from its eigenproblem. The members' lags may be any mix: the
+    fit reads only the moments, which have one shape at every lag, so
+    _stacked_fit, the beta inference (with each member's own T_eff in the
+    Gram matrix T_eff * S11) and gaussian_criteria run once, and a member's
+    numbers do not depend on the members beside it. Only the short-run rows
+    B0 - B1 beta alpha' are taken per member, since B changes shape with k. Returns one VecmModel per member, None for
     a member with an error in ``errors``.
     """
     n, T, p = z.shape
@@ -178,19 +173,19 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], 
     p_aug = beta.shape[1]
     T_eff = T - np.array(ks)
     n_params = p * (r + np.array([len(Bj) for Bj in B])) + r * (p_aug - r)
-    alpha_t, sigma = _stacked_fit(S00, S01, S11, beta, errors)
+    alpha_t, sigma = _stacked_fit(L, beta, errors)
     alpha = alpha_t.swapaxes(1, 2)
     uncentred = _uncentred(beta, shift)
     # R1'R1 restricted to the free coordinates, from the rank test's S11
     beta_se, beta_z, wald = _stacked_beta_inference(
-        T_eff[:, None, None] * S11[:, r:, r:], uncentred, shift, alpha, sigma)
+        T_eff[:, None, None] * S[:, r:p_aug, r:p_aug], uncentred, shift, alpha, sigma)
     loglik, aic, bic, _, failures = gaussian_criteria(sigma, T_eff, n_params)
     _record(errors, failures)
     means, models = z.mean(axis=1), []
     rows = zip(ks, B, T_eff.tolist(), n_params.tolist(), wald.tolist(), loglik.tolist(),
                aic.tolist(), bic.tolist())
     for j, (k, Bj, t, m, w, ll, a, b) in enumerate(rows):
-        short = Bj[:, :p] - Bj[:, p:] @ beta[j] @ alpha_t[j]
+        short = Bj[:, p_aug:] - Bj[:, :p_aug] @ beta[j] @ alpha_t[j]
         models.append(None if j in errors else VecmModel(
             vars=names[j], k=k, r=r, case=case, alpha=alpha[j], beta=uncentred[j],
             gamma=tuple(short[: p * (k - 1)].reshape(k - 1, p, p).swapaxes(1, 2)),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mp_reference
 import scalar_reference
-from velakit.errors import NotPositiveDefiniteError, ValidationError, VelakitError
+from velakit.errors import NotPositiveDefiniteError, NumericalError, ValidationError, VelakitError
 from velakit.johansen import (
     CASES,
     MAXEIG_CRITICAL,
@@ -165,6 +165,14 @@ class TestMomentValidation:
         with pytest.raises(ValidationError, match=r"^shift must be None, .* with m=2$"):
             dataclasses.replace(make_moments(np.eye(2), np.zeros((2, 2)), np.eye(2)),
                                 shift=np.zeros(2))
+
+    @pytest.mark.parametrize("name", ["S00", "S11"])
+    def test_asymmetric_moments_rejected(self, moments, name):
+        # the one place hand-built moments enter: no kernel scans for symmetry
+        S = getattr(moments, name).copy()
+        S[0, -1] += 1e-3
+        with pytest.raises(ValidationError, match=f"^{name} is not symmetric within tolerance$"):
+            dataclasses.replace(moments, **{name: S})
 
     def test_consistent_shapes_accepted(self, moments):
         # rconst moments without a constant row, as built by hand, and
@@ -414,6 +422,52 @@ class TestStackedRank0Kernel:
         healthy = [0, 1, 2, 4, 5]
         assert list(errors) == [3]
         assert np.array_equal(trace[healthy, 0], [n1_trace_r0(z[i], case) for i in healthy])
+
+
+DEGENERATE = r"degenerate moment matrix: non-positive-definite pivot \S+ at index "
+FAULTS = {
+    "constant": (NotPositiveDefiniteError, DEGENERATE + "1$"),
+    "duplicate": (NotPositiveDefiniteError, DEGENERATE + "1$"),
+    "collinear": (NotPositiveDefiniteError, DEGENERATE + "2$"),
+    "exact_relation": (NumericalError, "canonical correlation indistinguishable from 1; the "
+                                       "level and difference spaces share an exact linear "
+                                       "combination$"),
+    "nonfinite": (ValidationError, "level data contains non-finite values$"),
+}
+
+
+class TestDegenerateMoments:
+    """Each degenerate system raises one error class and message, alone and
+    as a member of a stack."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_error_class_and_message(self, fault, case):
+        z = random_walk_stack(6, 400, 3, case)
+        if fault == "constant":
+            z[3, :, 1] = 7.0
+        elif fault == "duplicate":
+            z[3, :, 1] = z[3, :, 0]
+        elif fault == "collinear":
+            z[3, :, 2] = z[3, :, 0] - 2.0 * z[3, :, 1]
+        elif fault == "nonfinite":
+            z[3, 10, 0] = np.inf
+        else:
+            # dz_t = 0.01 z_{t-1}: canonical correlation 1
+            z[3, :, 0] = 1.01 ** np.arange(400)
+        kind, message = FAULTS[fault]
+        with pytest.raises(kind, match="^" + message) as n1:
+            rank_test(concentrate(z[3], k=1, case=case))
+        assert type(n1.value) is kind
+        *_, errors = stacked_rank_test(z, 1, case, vectors=False)
+        assert list(errors) == [3]
+        assert type(errors[3]) is kind and re.match(message, str(errors[3]))
+
+    @pytest.mark.parametrize("solve", [rank_test, solve_cointegration_eigenproblem])
+    def test_singular_s00_beside_a_positive_definite_s11(self, solve):
+        m = make_moments([[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(NotPositiveDefiniteError, match="^" + DEGENERATE + "1$"):
+            solve(m)
 
 
 class TestPerMemberSampleSize:

@@ -333,9 +333,9 @@ class TestStackedSearch:
         fits, criteria = [], []
         fit, gaussian_criteria = vecm._stacked_fit, vecm.gaussian_criteria
 
-        def counted_fit(S00, S01, S11, beta, errors):
-            fits.append((S00.shape, S11.shape, beta.shape))
-            return fit(S00, S01, S11, beta, errors)
+        def counted_fit(L, beta, errors):
+            fits.append((L.shape, beta.shape))
+            return fit(L, beta, errors)
 
         def counted_criteria(sigma, T, n_params):
             criteria.append(np.array(T))
@@ -349,7 +349,7 @@ class TestStackedSearch:
         sizes = sorted({len(s.subset) for s in report.specs}, reverse=True)
         assert {s.k for s in report.specs} == {1, 2, 3}
         want = [sorted(60 - s.k for s in report.specs if len(s.subset) == p) for p in sizes]
-        assert fits == [((len(T), p, p), (len(T), p + 1, p + 1), (len(T), p + 1, 1))
+        assert fits == [((len(T), 2 * p + 1, 2 * p + 1), (len(T), p + 1, 1))
                         for p, T in zip(sizes, want)]
         assert [sorted(T.tolist()) for T in criteria] == want
         assert any(len(set(T)) > 1 for T in want)
@@ -551,12 +551,12 @@ class TestMergedLags:
         assert errors == {}
 
         lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
-        moments = [np.concatenate(m) for m in zip(lags[0][1:5], lags[1][1:5])]
-        lam, candidates = _stacked_eigenproblem(*moments[:3], errors, vectors=True)
+        S, shift = (np.concatenate(m) for m in zip(lags[0][1:3], lags[1][1:3]))
+        lam, candidates, L = _stacked_eigenproblem(S, 2, errors, vectors=True)
         beta = _stacked_phillips(candidates, 1, errors)
         merged = _stacked_models(np.concatenate([z, z]), names, [1] * 3 + [33] * 3,
-                                 [*lags[0][0], *lags[1][0]], 1, "rconst", *moments, lam, beta,
-                                 errors)
+                                 [*lags[0][0], *lags[1][0]], 1, "rconst", S, L, shift, lam,
+                                 beta, errors)
         assert errors == {}
         for i in range(3):
             assert_same_model(merged[i], estimate_vecm(z[i], k=1, r=1), f"k=1 member {i}")

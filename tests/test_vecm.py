@@ -478,11 +478,11 @@ class TestMomentFit:
         T = 50
         z = np.stack([np.cumsum(rng_for(seed, j).standard_normal((T, p)), axis=0)
                       for j in range(3)])
-        _, (S00, S01, S11, shift), _, candidates, _, _, errors = stacked_rank_test(z, k, case)
+        _, (_, L, shift), _, candidates, _, _, errors = stacked_rank_test(z, k, case)
         beta = _stacked_phillips(candidates, r, errors)
         # a member whose leading block is singular has no normalized beta to fit at
         normalized = [i for i in range(3) if i not in errors]
-        alpha_t, sigma = _stacked_fit(S00, S01, S11, beta, errors)
+        alpha_t, sigma = _stacked_fit(L, beta, errors)
         assert sorted(errors) == sorted({*range(3)} - {*normalized})
         reported = _uncentred(beta, shift)
         for i in normalized:
