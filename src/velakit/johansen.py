@@ -17,23 +17,27 @@ kernel; it is mapped to those of [z_{t-1}, 1] once, where it leaves them
 
 Every estimate comes from one set of stacked kernels (``_stacked_*`` here
 and in vecm) that run each stage for n same-shape systems, an (n, T, p)
-array of levels, in one pass; the rank test and the fit share one Cholesky
-factor of each joint moment matrix. A problem of the whole stack (an unknown
-case, too short a sample) raises; one member's is recorded in ``errors``,
-a dict from member index to its first typed error, and its values from
-then on are placeholders. The public functions are the n=1 calls.
+array of levels, in one pass. The concentration hands the rank test and the
+fit one lower-triangular factor L of each joint moment matrix, L L' = S:
+the transposed R factor of its short-run regression where one runs, else
+the Cholesky factor of S, so each member is factored once. A problem of the
+whole stack (an unknown case, too short a sample) raises; one member's is
+recorded in ``errors``, a dict from member index to its first typed error,
+and its values from then on are placeholders. The public functions are the
+n=1 calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NotPositiveDefiniteError, NumericalError, ValidationError, _integers,
-                     _is_integer)
+from .errors import (NotPositiveDefiniteError, NumericalError, SingularMatrixError,
+                     ValidationError, _integers, _is_integer)
 from .lag_selection import level_matrix
-from .linalg import _each, _stacked_cholesky, _stacked_ols, _symmetric, cholesky_factor
+from .linalg import (_NOT_POSITIVE_DEFINITE, _column_cholesky, _each, _failing_pivots,
+                     _stacked_cholesky, _stacked_ols, _symmetric)
 
 RESTRICTED_CONSTANT = "rconst"
 UNRESTRICTED_CONSTANT = "uconst"
@@ -93,6 +97,21 @@ def _raise_first(errors: dict) -> None:
         raise errors[min(errors)]
 
 
+_CANONICAL_ONE = ("canonical correlation indistinguishable from 1; the level and difference "
+                 "spaces share an exact linear combination")
+
+
+def _degenerate(errors: dict, i: int, j: int, S00: np.ndarray, p_aug: int) -> None:
+    """Record the error of member i, whose joint factor fails at pivot j:
+    S11's pivot j for j < p_aug; past it S00's own first failing pivot
+    (the Cholesky column loop), and with none, a canonical correlation
+    of 1. No error carries a pivot's value, which is rounding noise."""
+    if j >= p_aug:
+        j = _column_cholesky(S00)[1]
+    errors.setdefault(i, NumericalError(_CANONICAL_ONE) if j is None else NotPositiveDefiniteError(
+        f"degenerate moment matrix: {_NOT_POSITIVE_DEFINITE.format(j)}"))
+
+
 @dataclass(frozen=True)
 class MomentMatrices:
     """T-normalized residual cross-products from the concentration step.
@@ -118,6 +137,8 @@ class MomentMatrices:
     case: str
     vars: tuple[str, ...]
     shift: np.ndarray | None = None
+    # concentrate's joint factor (a stack of one) and its member's errors
+    _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_case(self.case)
@@ -143,8 +164,17 @@ class MomentMatrices:
             if not _symmetric(np.asarray(getattr(self, name))):
                 raise ValidationError(f"{name} is not symmetric within tolerance")
 
-    def _joint(self) -> np.ndarray:  # [[S11, S10], [S01, S00]], a stack of one
-        return np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]])[None]
+    def _factored(self) -> tuple[np.ndarray, dict]:
+        """The joint factor L, a stack of one, and its errors: concentrate's,
+        or for moments built by hand the Cholesky factor of [[S11, S10],
+        [S01, S00]], named from its failing pivot if it has one."""
+        if self._factor is not None:
+            return self._factor[0], dict(self._factor[1])
+        S = np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]])[None]
+        (L, failing), errors = _stacked_cholesky(S), {}
+        for i, j in failing.items():
+            _degenerate(errors, i, j, self.S00, len(self.S11))
+        return L, errors
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -157,25 +187,28 @@ def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) ->
     the identity.
     """
     z, names = level_matrix(data, vars)
-    _, (S,), shift, errors = _stacked_concentrate(z[None], k, case)
-    _raise_first(errors)
-    m = len(S) - z.shape[1]
-    return MomentMatrices(S00=S[m:, m:], S01=S[m:, :m], S11=S[:m, :m], T_eff=z.shape[0] - k,
-                          p=z.shape[1], case=case, vars=names,
-                          shift=shift[0] if case == RESTRICTED_CONSTANT else None)
+    _, L, shift, errors = _stacked_concentrate(z[None], k, case)
+    if isinstance(errors.get(0), SingularMatrixError):  # no moments without the short-run fit
+        raise errors[0]
+    S, m = L[0] @ L[0].T, L.shape[-1] - z.shape[1]
+    moments = MomentMatrices(S00=S[m:, m:], S01=S[m:, :m], S11=S[:m, :m], T_eff=z.shape[0] - k,
+                             p=z.shape[1], case=case, vars=names,
+                             shift=shift[0] if case == RESTRICTED_CONSTANT else None)
+    object.__setattr__(moments, "_factor", (L, errors))
+    return moments
 
 
 def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Solve |lambda*S11 - S10 S00^-1 S01| = 0 from one Cholesky factor.
+    """Solve |lambda*S11 - S10 S00^-1 S01| = 0 from the moments' joint factor.
 
     Returns eigenvalues (descending, clipped to [0, 1)) and the
     back-transformed beta candidates, in the coordinates of the uncentred
     level term whatever the moments' shift, each column scaled so its first
     nonzero coordinate is +1.
     """
-    errors = {}
     shift = np.zeros((1, m.p)) if m.shift is None else np.asarray(m.shift)[None]
-    lam, beta, _ = _stacked_eigenproblem(m._joint(), m.p, errors, vectors=True)
+    L, errors = m._factored()
+    lam, beta = _stacked_eigenproblem(L, m.p, errors, vectors=True)
     _raise_first(errors)
     return lam[0], _uncentred(beta, shift)[0]
 
@@ -222,8 +255,8 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
     """
     case, p = m.case, m.p
     _check_dimension(p)
-    errors = {}
-    lam, *_ = _stacked_eigenproblem(m._joint(), p, errors)
+    L, errors = m._factored()
+    lam, _ = _stacked_eigenproblem(L, p, errors)
     _raise_first(errors)
     lam = lam[0, :p]
     trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case)
@@ -252,12 +285,16 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     regressors (the lagged differences, and a ones column under uconst).
     Centring leaves the span of the level term alone, since the ones column
     absorbs the shift, but keeps cond(S11) from growing with the levels'
-    distance from zero. Returns (B, S, shift, errors): B (n, short-run
-    columns, p_aug + p) the regression's coefficients; S the joint moments
-    [[S11, S10], [S01, S00]] = F'F / T_eff, F being the residual factor (W
-    itself with no short-run regressors); and shift (n, p) the level means
-    subtracted (zeros under uconst). errors starts with non-finite levels
-    and the short-run regression's SingularMatrixError.
+    distance from zero. Returns (B, L, shift, errors): B (n, short-run
+    columns, p_aug + p) the regression's coefficients; L the lower-triangular
+    factor of the joint moments S = [[S11, S10], [S01, S00]] = L L', in
+    blocks [[L1, 0], [H0', L0]]; and shift (n, p) the level means subtracted
+    (zeros under uconst). With short-run regressors L is F' / sqrt(T_eff), F
+    the residual factor the regression returns (its diagonal's signs are
+    arbitrary); without, the Cholesky factor of W'W / T_eff, and a member
+    that factor rejects takes W's R factor. errors holds non-finite levels,
+    the short-run regression's SingularMatrixError, and each member whose L
+    fails the pivot rule at some j, named by _degenerate.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -292,7 +329,7 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         Wt[:, p] = 1.0
     else:
         shift = np.zeros((n, p))
-    W = F = Wt.swapaxes(1, 2)
+    W = Wt.swapaxes(1, 2)
     B = np.zeros((n, 0, p + p_aug))
     if n_short:
         Xt = np.empty((n, n_short, T_eff))
@@ -303,35 +340,40 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         X = Xt.swapaxes(1, 2)
         B, F, _, failures = _stacked_ols(X, W)
         _record(errors, failures)
-    S = F.swapaxes(1, 2) @ F
-    S /= T_eff
-    return B, S, shift, errors
+        # C order, as the Cholesky factors are, so that a member's later products
+        # round alike alone and merged into the search's stacks
+        L = np.divide(F.swapaxes(1, 2), np.sqrt(T_eff), order="C")
+    else:
+        S = Wt @ W / T_eff
+        L, failing = _stacked_cholesky(S)
+        for i in failing:  # W's own R factor, whose failing pivot is named below
+            L[i] = np.linalg.qr(W[i], mode="r").T / np.sqrt(T_eff)
+    # S's diagonal, read off the factor where there is no S
+    d = np.einsum("nij,nij->ni", L, L) if n_short else np.diagonal(S, axis1=1, axis2=2)
+    failing = _failing_pivots(d, L)
+    for i in np.flatnonzero(failing.any(axis=1)) if failing.any() else ():
+        _degenerate(errors, i, int(failing[i].argmax()), L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
+    return B, L, shift, errors
 
 
 @np.errstate(all="ignore")
-def _stacked_eigenproblem(S: np.ndarray, p: int, errors: dict, vectors: bool = False):
-    """solve_cointegration_eigenproblem for a stack of joint moments, in one pass.
+def _stacked_eigenproblem(L: np.ndarray, p: int, errors: dict, vectors: bool = False):
+    """solve_cointegration_eigenproblem for a stack of joint factors, in one pass.
 
-    S (n, p_aug + p, p_aug + p) = [[S11, S10], [S01, S00]] has the Cholesky
-    factor L = [[L1, 0], [H0', L0]]: L1 = chol(S11), H0 = L1^-1 S10 and
-    L0 L0' = S00 - H0'H0. K'K, K = L0^-1 H0', has eigenvalues lambda / (1 -
-    lambda), and beta is L1^-T times its eigenvectors. Returns (eigenvalues
-    (n, p_aug), descending and clipped at 0; with ``vectors`` beta candidates
-    (n, p_aug, p_aug) in the moments' coordinates, each column's first
-    nonzero coordinate +1, else None; L), recording in ``errors`` a member
-    whose S has no factor or whose lambda_1 is not below 1 - 1e-12.
+    L (n, p_aug + p, p_aug + p) = [[L1, 0], [H0', L0]] is the factor of
+    [[S11, S10], [S01, S00]] that _stacked_concentrate returns: L1 L1' =
+    S11, H0 = L1^-1 S10 and L0 L0' = S00 - H0'H0. K'K, K = L0^-1 H0', has
+    eigenvalues lambda / (1 - lambda), and beta is L1^-T times its
+    eigenvectors. A member already in ``errors`` is solved on the identity.
+    Returns (eigenvalues (n, p_aug), descending and clipped at 0; with
+    ``vectors`` beta candidates (n, p_aug, p_aug) in the moments'
+    coordinates, each column's first nonzero coordinate +1, else None),
+    recording in ``errors`` a member whose lambda_1 is not below 1 - 1e-12.
     """
-    p_aug = S.shape[-1] - p
-    L, failures = _stacked_cholesky(S)
-    one = np.zeros(len(S), dtype=bool)
-    for i in failures:  # S11's error, then S00's, else a canonical correlation of 1
-        try:
-            cholesky_factor(S[i, :p_aug, :p_aug]), cholesky_factor(S[i, p_aug:, p_aug:])
-            one[i] = True
-        except NotPositiveDefiniteError as exc:
-            errors.setdefault(i, NotPositiveDefiniteError(f"degenerate moment matrix: {exc}"))
-        except ValidationError as exc:
-            errors.setdefault(i, exc)
+    p_aug = L.shape[-1] - p
+    if errors:  # a failed member's factor may be singular, or not finite
+        L = L.copy()
+        L[list(errors)] = np.eye(L.shape[-1])
     K = np.linalg.solve(L[:, p_aug:, p_aug:], L[:, p_aug:, :p_aug])
     M = K.swapaxes(1, 2) @ K
     if vectors:
@@ -340,18 +382,15 @@ def _stacked_eigenproblem(S: np.ndarray, p: int, errors: dict, vectors: bool = F
         (mu, failed), W = _each(np.linalg.eigvalsh, M), None
     _flag(errors, failed, NumericalError, "symmetric eigendecomposition failed")
     lam = mu / (1.0 + mu)
-    _flag(errors, one | (lam[:, -1] >= 1.0 - 1e-12), NumericalError,
-          "canonical correlation indistinguishable from 1; the level and "
-          "difference spaces share an exact linear combination")
+    _flag(errors, lam[:, -1] >= 1.0 - 1e-12, NumericalError, _CANONICAL_ONE)
     lam = np.clip(lam[:, ::-1], 0.0, None)
     if W is None:
-        return lam, None, L
+        return lam, None
     beta = np.linalg.solve(L[:, :p_aug, :p_aug].swapaxes(1, 2), W[:, :, ::-1])
     size = np.abs(beta)
     nonzero = size > 1e-10 * np.maximum(size.max(axis=1, keepdims=True), 1e-300)
     first = np.take_along_axis(beta, nonzero.argmax(axis=1)[:, None, :], axis=1)
-    return lam, beta / np.where(nonzero.any(axis=1, keepdims=True), first, 1.0), L
-
+    return lam, beta / np.where(nonzero.any(axis=1, keepdims=True), first, 1.0)
 
 
 @np.errstate(all="ignore")

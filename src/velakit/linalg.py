@@ -9,7 +9,8 @@ tests can use it as an oracle.
 
 The stacked kernels (`_stacked_ols`, `_stacked_cholesky`, `_each`) run a
 stack of matrices in one pass and judge each member alone: a failing
-member gets its own typed error and never fails its neighbours.
+member gets its own typed error (from `_stacked_cholesky`, its first
+failing pivot's index) and never fails its neighbours.
 `_stacked_ols` is the only least-squares code; `ols_fit` is its n=1 call,
 and the only code that forms residuals.
 """
@@ -26,6 +27,9 @@ MAX_DIM = 64
 MAX_ROWS = 10**6
 PIVOT_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
+# the message of a factor whose pivot j fails; a singular matrix's pivot is
+# rounding noise, so the message names the rule, not the value
+_NOT_POSITIVE_DEFINITE = f"non-positive-definite pivot <={PIVOT_RTOL:g}*diag at index {{}}"
 
 
 def _check_size(name: str, rows: int, cols: int) -> None:
@@ -75,15 +79,12 @@ def ols_fit(X, Y) -> OlsFit:
     return OlsFit(coefficients=coef[0], residuals=Y - X @ coef[0])
 
 
-def _pivots_clear(S: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Whether every pivot L_jj^2 of a factor of S clears PIVOT_RTOL * S_jj.
-
-    Works on one matrix or a stack (reducing the last two axes); a NaN
-    factor fails.
-    """
-    d = np.diagonal(S, axis1=-2, axis2=-1)
+def _failing_pivots(d: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Where a pivot L_jj^2 of a factor of S fails to clear PIVOT_RTOL * S_jj,
+    d holding S's diagonal; a NaN pivot fails. Works on one factor (m,) or a
+    stack (n, m)."""
     lj = np.diagonal(L, axis1=-2, axis2=-1)
-    return ((d > 0) & (lj * lj > PIVOT_RTOL * d)).all(axis=-1)
+    return ~((d > 0) & (lj * lj > PIVOT_RTOL * d))
 
 
 def _symmetric(S: np.ndarray) -> np.ndarray:
@@ -161,11 +162,10 @@ def _stacked_ols(X: np.ndarray, Y: np.ndarray):
 def cholesky_factor(S) -> np.ndarray:
     """Lower-triangular L with L L' = S for symmetric positive-definite S.
 
-    Factored by LAPACK; when that fails, or a pivot does not clear
-    PIVOT_RTOL times its diagonal entry, a column loop decides and reports
-    the failing pivot index. The stacked kernels ask it about the members
-    whose LAPACK factor fails (_stacked_cholesky); it is also the
-    independent normal-equations oracle for ols_fit.
+    The n=1 call of _stacked_cholesky, after checking that S is a finite,
+    square, symmetric matrix; raises NotPositiveDefiniteError naming the
+    first failing pivot. It is also the independent normal-equations oracle
+    for ols_fit.
     """
     S = as_matrix(S, "S")
     n, m = S.shape
@@ -173,26 +173,28 @@ def cholesky_factor(S) -> np.ndarray:
         raise ValidationError(f"S must be square, got {n}x{m}")
     if n and not _symmetric(S):
         raise ValidationError("S is not symmetric within tolerance")
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is not None and _pivots_clear(S, L):
-        return L
+    (L,), failing = _stacked_cholesky(S[None])
+    if failing:
+        raise NotPositiveDefiniteError(_NOT_POSITIVE_DEFINITE.format(failing[0]))
+    return L
 
+
+def _column_cholesky(S: np.ndarray):
+    """The column loop of the Cholesky factor: (L, j), j the index of the
+    first pivot that does not clear PIVOT_RTOL times its diagonal entry (a
+    NaN pivot does not), None when L factors S."""
+    n = len(S)
     L = np.zeros_like(S)
     for j in range(n):
         pivot = S[j, j] - L[j, :j] @ L[j, :j]
         # compare each pivot to its own diagonal entry so badly scaled but
         # well-conditioned matrices (ones column next to tiny moments) pass
-        if S[j, j] <= 0.0 or pivot <= PIVOT_RTOL * S[j, j]:
-            raise NotPositiveDefiniteError(
-                f"non-positive-definite pivot {pivot:.3e} at index {j}"
-            )
+        if not (S[j, j] > 0.0 and pivot > PIVOT_RTOL * S[j, j]):
+            return L, j
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+    return L, None
 
 
 def symmetric_eigendecomposition(S) -> tuple[np.ndarray, np.ndarray]:
@@ -226,22 +228,25 @@ def general_eigenvalues(A) -> np.ndarray:
 
 
 def _stacked_cholesky(S: np.ndarray):
-    """cholesky_factor of each member of an (n, m, m) stack.
+    """The Cholesky factor of each member of an (n, m, m) stack.
 
-    Returns (factors, errors), errors mapping each member cholesky_factor
-    rejects to its error. LAPACK factors the stack in one call (see _each);
-    a member that fails _pivots_clear goes to cholesky_factor, which raises
-    or accepts it with its column loop. Symmetry is the caller's to check.
+    LAPACK factors the stack in one call (see _each); a member it fails, or
+    whose pivots fail (_failing_pivots), goes to the column loop
+    (_column_cholesky), which decides. Returns (factors, failing), failing
+    mapping each member the loop rejects to its first failing pivot's
+    index; that member's factor is a placeholder. Symmetry and finiteness
+    are the caller's to check.
     """
     L, failed = _each(np.linalg.cholesky, S)
-    errors = {}
-    suspect = failed | ~_pivots_clear(S, L)
+    failing = {}
+    suspect = failed | _failing_pivots(np.diagonal(S, axis1=1, axis2=2), L).any(axis=1)
     for i in np.flatnonzero(suspect) if suspect.any() else ():
-        try:
-            L[i] = cholesky_factor(S[i])
-        except (ValidationError, NotPositiveDefiniteError) as exc:
-            errors[i] = exc
-    return L, errors
+        factor, j = _column_cholesky(S[i])
+        if j is None:
+            L[i] = factor
+        else:
+            failing[i] = j
+    return L, failing
 
 
 def pd_inverse(S: np.ndarray) -> np.ndarray:

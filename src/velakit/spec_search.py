@@ -95,8 +95,8 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     ``z`` holds the subsets' levels as an (n, T, p) array. The stack has one
     member per (subset, lag), carrying its subset index, its lag, and its
     short-run coefficients B from the concentration at that lag, which runs
-    once per lag since B changes shape with k. The moments all have one
-    shape, so the
+    once per lag since B changes shape with k. The moments' factors all
+    have one shape, so the
     eigenproblem, the trace test, the normalization, the rank-1 estimates
     (vecm._stacked_models) and the solved equations (vecm._stacked_equations)
     run once for the whole size. A member that fails records its own typed
@@ -113,17 +113,17 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     members, moments = [], []  # members: (subset index, lag, B) per stack position
     for k in ks:
         try:
-            B, S, shift, failures = _stacked_concentrate(z, k, case)
+            B, L, shift, failures = _stacked_concentrate(z, k, case)
         except VelakitError as exc:
             out.update(((i, k), _rejected(subsets[i], k, exc)) for i in range(n))
             continue
         _record(errors, {len(members) + i: e for i, e in failures.items()})
         members += zip(range(n), [k] * n, B)
-        moments.append((S, shift))
+        moments.append((L, shift))
     if not members:
         return out
-    S, shift = map(np.concatenate, zip(*moments))
-    lam, candidates, L = _stacked_eigenproblem(S, p, errors, vectors=True)
+    L, shift = map(np.concatenate, zip(*moments))
+    lam, candidates = _stacked_eigenproblem(L, p, errors, vectors=True)
     _, ranks = _stacked_trace_test(lam, np.array([T - k for _, k, *_ in members]), p, case)
     keep = []  # stack positions of the rank-1 members
     for j, ((i, k, *_), rank) in enumerate(zip(members, ranks.tolist())):
@@ -140,7 +140,7 @@ def _fit_group(z: np.ndarray, subsets, names, ks, case: str) -> dict:
     try:
         beta = _stacked_phillips(candidates[keep], 1, kept)
         models = _stacked_models(z[list(index)], [names[i] for i in index], lags, B, 1, case,
-                                 S[keep], L[keep], shift[keep], lam[keep], beta, kept)
+                                 L[keep], shift[keep], lam[keep], beta, kept)
     except VelakitError as exc:
         kept, models = dict.fromkeys(range(len(keep)), exc), [None] * len(keep)
     equations = _stacked_equations(models, kept)

@@ -4,8 +4,8 @@ beta comes from the Johansen eigenproblem, normalized so its leading
 r x r block is the identity. alpha, sigma and the short-run matrices
 conditional on beta come from the rank test's concentration
 (Frisch-Waugh-Lovell): alpha' is the OLS of R0 on R1 beta and sigma that
-regression's residual covariance, both read off the Cholesky factor of
-the joint moments (_stacked_fit), and the short-run coefficients are
+regression's residual covariance, both read off the concentration's factor
+of the joint moments (_stacked_fit), and the short-run coefficients are
 the concentration's B0 - B1 beta alpha'. Under rconst the moments are
 those of the centred level term, and so is beta until each model maps it
 to [z_{t-1}, 1] (johansen._uncentred); the constant row's standard error
@@ -92,10 +92,10 @@ def estimate_vecm(data, vars=None, k: int = 1, r: int = 1,
     p = z.shape[1]
     _check_case(case)
     _check_rank(r, p)
-    B, S, shift, errors = _stacked_concentrate(z[None], k, case)
-    lam, candidates, L = _stacked_eigenproblem(S, p, errors, vectors=True)
+    B, L, shift, errors = _stacked_concentrate(z[None], k, case)
+    lam, candidates = _stacked_eigenproblem(L, p, errors, vectors=True)
     beta = _stacked_phillips(candidates, r, errors)
-    models = _stacked_models(z[None], [names], [k], B, r, case, S, L, shift, lam, beta, errors)
+    models = _stacked_models(z[None], [names], [k], B, r, case, L, shift, lam, beta, errors)
     _raise_first(errors)
     return models[0]
 
@@ -133,8 +133,8 @@ def _stacked_phillips(candidates: np.ndarray, r: int, errors: dict) -> np.ndarra
 @np.errstate(all="ignore")
 def _stacked_fit(L: np.ndarray, beta: np.ndarray, errors: dict):
     """alpha' and sigma of the error-correction model at a given beta (n,
-    p_aug, r) in the centred coordinates, from the joint moments' Cholesky
-    factors L = [[L1, 0], [H0', L0]] (johansen._stacked_eigenproblem).
+    p_aug, r) in the centred coordinates, from the joint moments' factors
+    L = [[L1, 0], [H0', L0]] (johansen._stacked_concentrate).
 
     By Frisch-Waugh-Lovell, alpha' is the r-column OLS of R0 on R1 beta: R1
     is sqrt(T_eff) times orthonormal U times L1', and U'R0 / sqrt(T_eff) =
@@ -152,21 +152,21 @@ def _stacked_fit(L: np.ndarray, beta: np.ndarray, errors: dict):
 
 @np.errstate(all="ignore")
 def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], B: list,
-                    r: int, case: str, S: np.ndarray, L: np.ndarray, shift: np.ndarray,
-                    lam: np.ndarray, beta: np.ndarray, errors: dict) -> list[VecmModel | None]:
+                    r: int, case: str, L: np.ndarray, shift: np.ndarray, lam: np.ndarray,
+                    beta: np.ndarray, errors: dict) -> list[VecmModel | None]:
     """estimate_vecm for every series of an (n, T, p) stack at a given beta
     (n, p_aug, r), centred, from the concentration its rank test already ran.
 
     Member j has variable names ``names[j]``, lag ``ks[j]`` and coefficients
     ``B[j]`` from johansen._stacked_concentrate at that lag; the joint
-    moments S and shift come from the same concentration, and their factors
-    L and lam from its eigenproblem. The members' lags may be any mix: the
-    fit reads only the moments, which have one shape at every lag, so
-    _stacked_fit, the beta inference (with each member's own T_eff in the
-    Gram matrix T_eff * S11) and gaussian_criteria run once, and a member's
-    numbers do not depend on the members beside it. Only the short-run rows
-    B0 - B1 beta alpha' are taken per member, since B changes shape with k. Returns one VecmModel per member, None for
-    a member with an error in ``errors``.
+    factors L and shift come from the same concentration, and lam from its
+    eigenproblem. The members' lags may be any mix: the fit reads only the
+    factors, which have one shape at every lag, so _stacked_fit, the beta
+    inference (with each member's own T_eff in the Gram matrix T_eff * S11)
+    and gaussian_criteria run once, and a member's numbers do not depend on
+    the members beside it. Only the short-run rows B0 - B1 beta alpha' are
+    taken per member, since B changes shape with k. Returns one VecmModel
+    per member, None for a member with an error in ``errors``.
     """
     n, T, p = z.shape
     _check_rank(r, p)
@@ -176,9 +176,10 @@ def _stacked_models(z: np.ndarray, names: list[tuple[str, ...]], ks: list[int], 
     alpha_t, sigma = _stacked_fit(L, beta, errors)
     alpha = alpha_t.swapaxes(1, 2)
     uncentred = _uncentred(beta, shift)
-    # R1'R1 restricted to the free coordinates, from the rank test's S11
+    # R1'R1 restricted to the free coordinates: T_eff * S11[r:, r:], S11 = L1 L1'
+    free = L[:, r:p_aug, :p_aug]
     beta_se, beta_z, wald = _stacked_beta_inference(
-        T_eff[:, None, None] * S[:, r:p_aug, r:p_aug], uncentred, shift, alpha, sigma)
+        T_eff[:, None, None] * (free @ free.swapaxes(1, 2)), uncentred, shift, alpha, sigma)
     loglik, aic, bic, _, failures = gaussian_criteria(sigma, T_eff, n_params)
     _record(errors, failures)
     means, models = z.mean(axis=1), []

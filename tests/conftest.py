@@ -65,14 +65,13 @@ def synthetic_log_panel(T=60, seed=4, start=1961, noise_scale=0.05):
 def stacked_rank_test(z, k, case, vectors=True):
     """concentrate and rank_test for each series of an (n, T, p) stack of
     levels, through the stacked kernels in one pass as the search and the
-    studies compose them. Returns (B, (S, L, shift), eigenvalues, beta
+    studies compose them. Returns (B, (L, shift), eigenvalues, beta
     candidates in the moments' coordinates (None without ``vectors``), trace
-    statistics, ranks, errors), S being the joint moments and L their
-    Cholesky factors."""
-    B, S, shift, errors = _stacked_concentrate(z, k, case)
-    lam, candidates, L = _stacked_eigenproblem(S, z.shape[2], errors, vectors)
+    statistics, ranks, errors), L being the factors of the joint moments."""
+    B, L, shift, errors = _stacked_concentrate(z, k, case)
+    lam, candidates = _stacked_eigenproblem(L, z.shape[2], errors, vectors)
     trace, ranks = _stacked_trace_test(lam, z.shape[1] - k, z.shape[2], case)
-    return B, (S, L, shift), lam, candidates, trace, ranks, errors
+    return B, (L, shift), lam, candidates, trace, ranks, errors
 
 
 def write_levels_csv(path, T=48, seed=2027, agency="DEMO", missing=(), corrupt=None):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import mp_reference
 import scalar_reference
-from velakit.errors import NotPositiveDefiniteError, NumericalError, ValidationError, VelakitError
+from velakit.errors import (NotPositiveDefiniteError, NumericalError, SingularMatrixError,
+                            ValidationError, VelakitError)
 from velakit.johansen import (
     CASES,
     MAXEIG_CRITICAL,
@@ -342,20 +343,25 @@ class TestRankTest:
 
 
 class TestTraceAgainstHighPrecision:
-    def test_near_unit_canonical_correlation(self):
-        # innovations of 1e-4 inside the cointegration space put lambda_1
-        # within about 1e-8 of 1, so log(1 - lambda_1) amplifies the
-        # eigenvalue's rounding. Against 50-digit values the traces from
-        # centred moments measured at most 1.7e-7 off over these 20
-        # replications, those from the uncentred [z, 1] up to 3.3e-6
+    # innovations of 1e-4 inside the cointegration space put lambda_1 within
+    # about 1e-8 of 1, so log(1 - lambda_1) amplifies the eigenvalue's
+    # rounding. Against 50-digit values, over these 20 replications: rconst
+    # k=1 still forms W'W (1.7e-7 off from centred moments, 3.3e-6 from the
+    # uncentred [z, 1]); a member with short-run regressors hands the
+    # eigenproblem its R factor, never squared (at most 9.2e-11 off, against
+    # 6.5e-8 to 4.5e-7 when it formed F'F)
+    @pytest.mark.parametrize("case, k, bound", [
+        ("rconst", 1, 4e-7), ("rconst", 2, 1e-10), ("rconst", 3, 1e-10),
+        ("uconst", 1, 1e-10), ("uconst", 2, 1e-10)])
+    def test_near_unit_canonical_correlation(self, case, k, bound):
         pytest.importorskip("mpmath")
         spec = SyntheticSpec(p=3, r=1, alpha_true=[[-0.4], [0.2], [0.1]],
                              beta_true=[[1.0], [-2.0], [0.5]], ec_noise_scale=1e-4, T=60, seed=5)
         for rep in range(20):
             z = generate_vecm_data(spec, rep)
-            want = np.array([float(v) for v in mp_reference.johansen(z, 1, "rconst", 50)[3]])
-            got = rank_test(concentrate(z, k=1, case="rconst")).trace_stats
-            assert np.abs(got / want - 1.0).max() <= 4e-7, rep
+            want = np.array([float(v) for v in mp_reference.johansen(z, k, case, 50)[3]])
+            got = rank_test(concentrate(z, k=k, case=case)).trace_stats
+            assert np.abs(got / want - 1.0).max() <= bound, rep
 
 
 class TestCriticalTables:
@@ -425,6 +431,7 @@ class TestStackedRank0Kernel:
 
 
 DEGENERATE = r"degenerate moment matrix: non-positive-definite pivot \S+ at index "
+RANK_DEFICIENT = r"regressor matrix is rank deficient at column {} \(pivot \S+ vs scale \S+\)$"
 FAULTS = {
     "constant": (NotPositiveDefiniteError, DEGENERATE + "1$"),
     "duplicate": (NotPositiveDefiniteError, DEGENERATE + "1$"),
@@ -434,15 +441,31 @@ FAULTS = {
                                        "combination$"),
     "nonfinite": (ValidationError, "level data contains non-finite values$"),
 }
+# at k=2 the lagged differences carry the constant, duplicate and collinear
+# columns, so the short-run regression fails first. They also span the
+# exact relation's level, leaving under rconst a level column that is a
+# multiple of the ones column (its pivot fails); under uconst that level
+# column is left as rounding noise, which clears the pivot rule against its
+# own diagonal, so that system has no error to check
+FAULTS_K2 = {
+    **FAULTS,
+    "constant": (SingularMatrixError, RANK_DEFICIENT.format(1)),
+    "duplicate": (SingularMatrixError, RANK_DEFICIENT.format(1)),
+    "collinear": (SingularMatrixError, RANK_DEFICIENT.format(2)),
+    "exact_relation": (NotPositiveDefiniteError, DEGENERATE + "3$"),
+}
+DEGENERATE_SYSTEMS = [(fault, case, 1) for fault in FAULTS for case in CASES] + [
+    (fault, case, 2) for fault in FAULTS_K2 for case in CASES
+    if (fault, case) != ("exact_relation", "uconst")]
 
 
 class TestDegenerateMoments:
     """Each degenerate system raises one error class and message, alone and
-    as a member of a stack."""
+    as a member of a stack, with no short-run regressors (rconst, k=1) and
+    through the short-run regression's factor (uconst, or k=2)."""
 
-    @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("fault", FAULTS)
-    def test_error_class_and_message(self, fault, case):
+    @pytest.mark.parametrize("fault, case, k", DEGENERATE_SYSTEMS)
+    def test_error_class_and_message(self, fault, case, k):
         z = random_walk_stack(6, 400, 3, case)
         if fault == "constant":
             z[3, :, 1] = 7.0
@@ -455,13 +478,16 @@ class TestDegenerateMoments:
         else:
             # dz_t = 0.01 z_{t-1}: canonical correlation 1
             z[3, :, 0] = 1.01 ** np.arange(400)
-        kind, message = FAULTS[fault]
+        kind, message = (FAULTS if k == 1 else FAULTS_K2)[fault]
         with pytest.raises(kind, match="^" + message) as n1:
-            rank_test(concentrate(z[3], k=1, case=case))
+            moments = concentrate(z[3], k=k, case=case)
+            # degenerate moments are concentrate's to return, the rank test's to reject
+            assert kind in (NotPositiveDefiniteError, NumericalError)
+            rank_test(moments)
         assert type(n1.value) is kind
-        *_, errors = stacked_rank_test(z, 1, case, vectors=False)
+        *_, errors = stacked_rank_test(z, k, case, vectors=False)
         assert list(errors) == [3]
-        assert type(errors[3]) is kind and re.match(message, str(errors[3]))
+        assert type(errors[3]) is kind and str(errors[3]) == str(n1.value)
 
     @pytest.mark.parametrize("solve", [rank_test, solve_cointegration_eigenproblem])
     def test_singular_s00_beside_a_positive_definite_s11(self, solve):

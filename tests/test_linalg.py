@@ -207,12 +207,12 @@ class TestCholesky:
         S[1] = [[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
         v = rng.standard_normal((4, 3))
         S[3] = v @ v.T + 1e-14 * np.eye(4)
-        L, errors = _stacked_cholesky(S)
-        assert sorted(errors) == [1, 3]
+        L, failing = _stacked_cholesky(S)
+        assert sorted(failing) == [1, 3]
         for i in (1, 3):
-            with pytest.raises(NotPositiveDefiniteError) as want:
+            # each maps to the failing pivot that cholesky_factor names
+            with pytest.raises(NotPositiveDefiniteError, match=f"at index {failing[i]}$"):
                 cholesky_factor(S[i])
-            assert str(errors[i]) == str(want.value)
         for i in (0, 2, 4):
             assert np.array_equal(L[i], cholesky_factor(S[i]))
 

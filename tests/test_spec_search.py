@@ -551,12 +551,12 @@ class TestMergedLags:
         assert errors == {}
 
         lags = [_stacked_concentrate(z, k, "rconst") for k in (1, 33)]
-        S, shift = (np.concatenate(m) for m in zip(lags[0][1:3], lags[1][1:3]))
-        lam, candidates, L = _stacked_eigenproblem(S, 2, errors, vectors=True)
+        L, shift = (np.concatenate(m) for m in zip(lags[0][1:3], lags[1][1:3]))
+        lam, candidates = _stacked_eigenproblem(L, 2, errors, vectors=True)
         beta = _stacked_phillips(candidates, 1, errors)
         merged = _stacked_models(np.concatenate([z, z]), names, [1] * 3 + [33] * 3,
-                                 [*lags[0][0], *lags[1][0]], 1, "rconst", S, L, shift, lam,
-                                 beta, errors)
+                                 [*lags[0][0], *lags[1][0]], 1, "rconst", L, shift, lam, beta,
+                                 errors)
         assert errors == {}
         for i in range(3):
             assert_same_model(merged[i], estimate_vecm(z[i], k=1, r=1), f"k=1 member {i}")

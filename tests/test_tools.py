@@ -20,6 +20,7 @@ def load_tool(name):
 
 json_float_diff = load_tool("json_float_diff")
 cli_digests = load_tool("cli_digests")
+digest_text_check = load_tool("digest_text_check")
 
 DOC = {
     "case": "rconst",
@@ -129,3 +130,46 @@ class TestCliDigests:
             cli_digests.main(["--keep", str(target)])
         assert exit_info.value.code == 2
         assert "not an empty directory" in capsys.readouterr().err
+
+
+DIGESTS = """vecrank exit=0 stdout=a stderr=b vecrank_DEMO.json=c vecrank_DEMO.txt=d
+pipeline-json exit=0 stdout=e stderr=f pipeline_DEMO.json=g pipeline_DEMO.txt=h
+mc-validate-cv exit=0 stdout=i stderr=j mcvalidate_cv.json=k mcvalidate_cv_reps.csv=l
+"""
+
+
+class TestDigestTextCheck:
+    def check(self, tmp_path, capsys, new):
+        paths = [tmp_path / "old.txt", tmp_path / "new.txt"]
+        for path, text in zip(paths, (DIGESTS, new)):
+            path.write_text(text, encoding="utf-8")
+        code = digest_text_check.main([str(path) for path in paths])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_float_fields_may_move(self, tmp_path, capsys):
+        # JSON and CSV artifacts, and the stdout of a --format json command
+        new = DIGESTS.replace("=c ", "=C ").replace("stdout=e", "stdout=E").replace("=l", "=L")
+        code, lines = self.check(tmp_path, capsys, new)
+        assert code == 0
+        assert lines == ["floats differ: vecrank vecrank_DEMO.json",
+                         "floats differ: pipeline-json stdout",
+                         "floats differ: mc-validate-cv mcvalidate_cv_reps.csv",
+                         "3 float fields and 0 text fields differ"]
+
+    @pytest.mark.parametrize("field", ["exit=0 stdout=a", "stdout=a", "stderr=f", "=h", "=i "])
+    def test_text_may_not(self, tmp_path, capsys, field):
+        code, lines = self.check(tmp_path, capsys, DIGESTS.replace(field, field.upper(), 1))
+        assert code == 1
+        assert lines[-1] == "0 float fields and 1 text fields differ"
+        assert lines[0].startswith("TEXT DIFFERS: ")
+
+    def test_rows_and_fields_must_match(self, tmp_path, capsys):
+        code, lines = self.check(tmp_path, capsys, DIGESTS.replace(" vecrank_DEMO.txt=d", ""))
+        assert code == 1 and lines[0].startswith("TEXT DIFFERS: vecrank: fields ")
+        code, lines = self.check(tmp_path, capsys, "\n".join(DIGESTS.splitlines()[:2]))
+        assert code == 1 and lines[0].startswith("TEXT DIFFERS: rows ")
+
+    def test_json_stdout_comes_from_the_command(self):
+        json_rows = {name for name in cli_digests.COMMANDS
+                     if digest_text_check.carries_floats(name, "stdout")}
+        assert json_rows == {"pipeline-json"}

@@ -478,7 +478,7 @@ class TestMomentFit:
         T = 50
         z = np.stack([np.cumsum(rng_for(seed, j).standard_normal((T, p)), axis=0)
                       for j in range(3)])
-        _, (_, L, shift), _, candidates, _, _, errors = stacked_rank_test(z, k, case)
+        _, (L, shift), _, candidates, _, _, errors = stacked_rank_test(z, k, case)
         beta = _stacked_phillips(candidates, r, errors)
         # a member whose leading block is singular has no normalized beta to fit at
         normalized = [i for i in range(3) if i not in errors]
