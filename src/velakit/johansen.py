@@ -127,6 +127,14 @@ class MomentMatrices:
     p and T_eff are integers >= 1, S00 is p x p, S01 p x m and S11
     m x m (S00 and S11 symmetric), with m = p under uconst and m in {p, p + 1}
     under rconst, and shift is None, or shaped (p,) when m = p + 1.
+
+    Moments from concentrate() carry its joint factor of S, which rank_test
+    and solve_cointegration_eigenproblem read: with short-run regressors the
+    regression's own R factor, which keeps nearly collinear levels more
+    accurately than a factor of S can. Moments built by hand, or copied
+    by dataclasses.replace (which drops the factor), are Cholesky-factored
+    from S, and a degenerate member is named by the same pivot rule. The
+    factor is not refreshed if a field's array is changed in place.
     """
 
     S00: np.ndarray
@@ -137,7 +145,8 @@ class MomentMatrices:
     case: str
     vars: tuple[str, ...]
     shift: np.ndarray | None = None
-    # concentrate's joint factor (a stack of one) and its member's errors
+    # concentrate's joint factor (a stack of one) and its member's errors;
+    # None for moments factored from S
     _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -291,10 +300,11 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     blocks [[L1, 0], [H0', L0]]; and shift (n, p) the level means subtracted
     (zeros under uconst). With short-run regressors L is F' / sqrt(T_eff), F
     the residual factor the regression returns (its diagonal's signs are
-    arbitrary); without, the Cholesky factor of W'W / T_eff, and a member
-    that factor rejects takes W's R factor. errors holds non-finite levels,
-    the short-run regression's SingularMatrixError, and each member whose L
-    fails the pivot rule at some j, named by _degenerate.
+    arbitrary); without, the Cholesky factor of W'W / T_eff. errors holds
+    non-finite levels, the short-run regression's SingularMatrixError, and
+    each member whose factor fails the pivot rule at some j, named by
+    _degenerate from that j; such a member's L is W's R factor where the
+    Cholesky factor failed, so L L' is its S whichever route it took.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -343,16 +353,16 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         # C order, as the Cholesky factors are, so that a member's later products
         # round alike alone and merged into the search's stacks
         L = np.divide(F.swapaxes(1, 2), np.sqrt(T_eff), order="C")
+        # S's diagonal, read off the factor
+        bad = _failing_pivots(np.einsum("nij,nij->ni", L, L), L)
+        rows = np.flatnonzero(bad.any(axis=1)) if bad.any() else ()
+        failing = {i: int(bad[i].argmax()) for i in rows}
     else:
-        S = Wt @ W / T_eff
-        L, failing = _stacked_cholesky(S)
-        for i in failing:  # W's own R factor, whose failing pivot is named below
+        L, failing = _stacked_cholesky(Wt @ W / T_eff)
+        for i in failing:  # a placeholder: W's R factor keeps concentrate()'s S = L L'
             L[i] = np.linalg.qr(W[i], mode="r").T / np.sqrt(T_eff)
-    # S's diagonal, read off the factor where there is no S
-    d = np.einsum("nij,nij->ni", L, L) if n_short else np.diagonal(S, axis1=1, axis2=2)
-    failing = _failing_pivots(d, L)
-    for i in np.flatnonzero(failing.any(axis=1)) if failing.any() else ():
-        _degenerate(errors, i, int(failing[i].argmax()), L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
+    for i, j in failing.items():
+        _degenerate(errors, i, j, L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
     return B, L, shift, errors
 
 

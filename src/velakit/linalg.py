@@ -129,9 +129,10 @@ def _pivot_errors(diag: np.ndarray) -> dict:
             errors[i] = SingularMatrixError("all regressors are zero", column=0)
             continue
         j = int(np.argmax(diag[i] < PIVOT_RTOL * scale[i]))
+        # the failing pivot is rounding noise: the message names the rule
         errors[i] = SingularMatrixError(
             f"regressor matrix is rank deficient at column {j} "
-            f"(pivot {diag[i, j]:.3e} vs scale {scale[i, 0]:.3e})", column=j)
+            f"(pivot <{PIVOT_RTOL:g}*scale vs scale {scale[i, 0]:.3e})", column=j)
     return errors
 
 

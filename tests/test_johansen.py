@@ -343,13 +343,15 @@ class TestRankTest:
 
 
 class TestTraceAgainstHighPrecision:
-    # innovations of 1e-4 inside the cointegration space put lambda_1 within
-    # about 1e-8 of 1, so log(1 - lambda_1) amplifies the eigenvalue's
-    # rounding. Against 50-digit values, over these 20 replications: rconst
-    # k=1 still forms W'W (1.7e-7 off from centred moments, 3.3e-6 from the
-    # uncentred [z, 1]); a member with short-run regressors hands the
-    # eigenproblem its R factor, never squared (at most 9.2e-11 off, against
-    # 6.5e-8 to 4.5e-7 when it formed F'F)
+    # innovations of 1e-4 inside the cointegration space make the levels
+    # nearly collinear: over these 20 replications cond(S11) is 3e8 to 1e10
+    # (lambda_1 stays between 0.26 and 0.55, the name notwithstanding), and
+    # forming a moment matrix squares that conditioning. Against 50-digit
+    # values: rconst k=1 still forms W'W (1.7e-7 off from centred moments,
+    # 3.3e-6 from the uncentred [z, 1]); a member with short-run regressors
+    # hands the eigenproblem its R factor, never squared (at most 9.2e-11
+    # off on five OpenBLAS kernels, against 6.5e-8 to 4.5e-7 when it formed
+    # F'F)
     @pytest.mark.parametrize("case, k, bound", [
         ("rconst", 1, 4e-7), ("rconst", 2, 1e-10), ("rconst", 3, 1e-10),
         ("uconst", 1, 1e-10), ("uconst", 2, 1e-10)])
@@ -459,6 +461,23 @@ DEGENERATE_SYSTEMS = [(fault, case, 1) for fault in FAULTS for case in CASES] + 
     if (fault, case) != ("exact_relation", "uconst")]
 
 
+def degenerate_stack(fault, case):
+    """Six random walks whose member 3 has the fault."""
+    z = random_walk_stack(6, 400, 3, case)
+    if fault == "constant":
+        z[3, :, 1] = 7.0
+    elif fault == "duplicate":
+        z[3, :, 1] = z[3, :, 0]
+    elif fault == "collinear":
+        z[3, :, 2] = z[3, :, 0] - 2.0 * z[3, :, 1]
+    elif fault == "nonfinite":
+        z[3, 10, 0] = np.inf
+    else:
+        # dz_t = 0.01 z_{t-1}: canonical correlation 1
+        z[3, :, 0] = 1.01 ** np.arange(400)
+    return z
+
+
 class TestDegenerateMoments:
     """Each degenerate system raises one error class and message, alone and
     as a member of a stack, with no short-run regressors (rconst, k=1) and
@@ -466,18 +485,7 @@ class TestDegenerateMoments:
 
     @pytest.mark.parametrize("fault, case, k", DEGENERATE_SYSTEMS)
     def test_error_class_and_message(self, fault, case, k):
-        z = random_walk_stack(6, 400, 3, case)
-        if fault == "constant":
-            z[3, :, 1] = 7.0
-        elif fault == "duplicate":
-            z[3, :, 1] = z[3, :, 0]
-        elif fault == "collinear":
-            z[3, :, 2] = z[3, :, 0] - 2.0 * z[3, :, 1]
-        elif fault == "nonfinite":
-            z[3, 10, 0] = np.inf
-        else:
-            # dz_t = 0.01 z_{t-1}: canonical correlation 1
-            z[3, :, 0] = 1.01 ** np.arange(400)
+        z = degenerate_stack(fault, case)
         kind, message = (FAULTS if k == 1 else FAULTS_K2)[fault]
         with pytest.raises(kind, match="^" + message) as n1:
             moments = concentrate(z[3], k=k, case=case)
@@ -488,6 +496,27 @@ class TestDegenerateMoments:
         *_, errors = stacked_rank_test(z, k, case, vectors=False)
         assert list(errors) == [3]
         assert type(errors[3]) is kind and str(errors[3]) == str(n1.value)
+
+    @pytest.mark.parametrize("fault, case, k", [
+        (fault, case, k) for fault, case, k in DEGENERATE_SYSTEMS
+        if (FAULTS if k == 1 else FAULTS_K2)[fault][0] is not ValidationError
+        and (k, fault) not in ((2, "constant"), (2, "duplicate"), (2, "collinear"))])
+    def test_copied_moments_are_named_alike(self, fault, case, k):
+        # dataclasses.replace drops concentrate's factor, so the copy is
+        # factored from S: the same error, class and message
+        moments = concentrate(degenerate_stack(fault, case)[3], k=k, case=case)
+        with pytest.raises(NumericalError) as carried:
+            rank_test(moments)
+        with pytest.raises(type(carried.value), match=f"^{re.escape(str(carried.value))}$"):
+            rank_test(dataclasses.replace(moments, vars=("a", "b", "c")))
+
+    @pytest.mark.parametrize("case, k", [(case, k) for case in CASES for k in (1, 2)])
+    def test_copied_moments_agree(self, case, k):
+        moments = concentrate(random_walk_stack(1, 400, 3, case)[0], k=k, case=case)
+        carried = rank_test(moments)
+        copied = rank_test(dataclasses.replace(moments, vars=("a", "b", "c")))
+        assert copied.selected_rank == carried.selected_rank
+        assert np.allclose(copied.trace_stats, carried.trace_stats, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("solve", [rank_test, solve_cointegration_eigenproblem])
     def test_singular_s00_beside_a_positive_definite_s11(self, solve):

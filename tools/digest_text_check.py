@@ -7,9 +7,9 @@ stdout where a command prints JSON (``--format json``). Nothing else may:
 the rows and their order, each row's fields, its exit code, stderr, the
 text artifacts and every other stdout.
 
-    python3 tools/cli_digests.py > default.txt
+    OPENBLAS_CORETYPE=Haswell python3 tools/cli_digests.py > haswell.txt
     OPENBLAS_CORETYPE=Prescott python3 tools/cli_digests.py > prescott.txt
-    python3 tools/digest_text_check.py default.txt prescott.txt
+    python3 tools/digest_text_check.py haswell.txt prescott.txt
 
 Prints one line per differing field, float fields first (for information),
 then text fields. Exits 1 when a text field differs, else 0. Standard
