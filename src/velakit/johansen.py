@@ -20,7 +20,10 @@ and in vecm) that run each stage for n same-shape systems, an (n, T, p)
 array of levels, in one pass. The concentration hands the rank test and the
 fit one lower-triangular factor L of each joint moment matrix, L L' = S:
 the transposed R factor of its short-run regression where one runs, else
-the Cholesky factor of S, so each member is factored once. A problem of the
+the Cholesky factor of S, so each member is factored once. Both routes
+judge a degenerate member by one rule: a pivot L_jj^2 fails below 1e-10
+times its column's moment before any projection (about the column's mean
+under uconst, whose constant is projected out). A problem of the
 whole stack (an unknown case, too short a sample) raises; one member's is
 recorded in ``errors``, a dict from member index to its first typed error,
 and its values from then on are placeholders. The public functions are the
@@ -112,6 +115,18 @@ def _degenerate(errors: dict, i: int, j: int, S00: np.ndarray, p_aug: int) -> No
         f"degenerate moment matrix: {_NOT_POSITIVE_DEFINITE.format(j)}"))
 
 
+def _joint_cholesky(S: np.ndarray, p_aug: int, errors: dict) -> np.ndarray:
+    """The Cholesky route: the factor L of each member of a stack of joint
+    moment matrices [[S11, S10], [S01, S00]], S11 being p_aug x p_aug. A
+    member _stacked_cholesky rejects takes the column loop's factor, so its
+    L L' is still S, and is named by _degenerate from its own S00."""
+    L, failing = _stacked_cholesky(S)
+    for i, (j, factor) in failing.items():
+        L[i] = factor
+        _degenerate(errors, i, j, S[i, p_aug:, p_aug:], p_aug)
+    return L
+
+
 @dataclass(frozen=True)
 class MomentMatrices:
     """T-normalized residual cross-products from the concentration step.
@@ -133,8 +148,11 @@ class MomentMatrices:
     regression's own R factor, which keeps nearly collinear levels more
     accurately than a factor of S can. Moments built by hand, or copied
     by dataclasses.replace (which drops the factor), are Cholesky-factored
-    from S, and a degenerate member is named by the same pivot rule. The
-    factor is not refreshed if a field's array is changed in place.
+    from S, and a degenerate member is named by the same pivot rule, read
+    against S's own diagonal: a level column the short-run regressors span
+    exactly, which concentrate() names from its moment before the
+    projection, clears it there. The factor is not refreshed if a field's
+    array is changed in place.
     """
 
     S00: np.ndarray
@@ -175,15 +193,12 @@ class MomentMatrices:
 
     def _factored(self) -> tuple[np.ndarray, dict]:
         """The joint factor L, a stack of one, and its errors: concentrate's,
-        or for moments built by hand the Cholesky factor of [[S11, S10],
-        [S01, S00]], named from its failing pivot if it has one."""
+        or for moments built by hand the Cholesky route's factor of [[S11,
+        S10], [S01, S00]] (_joint_cholesky)."""
         if self._factor is not None:
             return self._factor[0], dict(self._factor[1])
-        S = np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]])[None]
-        (L, failing), errors = _stacked_cholesky(S), {}
-        for i, j in failing.items():
-            _degenerate(errors, i, j, self.S00, len(self.S11))
-        return L, errors
+        S, errors = np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]]), {}
+        return _joint_cholesky(S[None], len(self.S11), errors), errors
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -300,11 +315,11 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     blocks [[L1, 0], [H0', L0]]; and shift (n, p) the level means subtracted
     (zeros under uconst). With short-run regressors L is F' / sqrt(T_eff), F
     the residual factor the regression returns (its diagonal's signs are
-    arbitrary); without, the Cholesky factor of W'W / T_eff. errors holds
+    arbitrary); without, the Cholesky factor of W'W / T_eff (_joint_cholesky).
+    Either way L L' is S, for a degenerate member too. errors holds
     non-finite levels, the short-run regression's SingularMatrixError, and
-    each member whose factor fails the pivot rule at some j, named by
-    _degenerate from that j; such a member's L is W's R factor where the
-    Cholesky factor failed, so L L' is its S whichever route it took.
+    each member whose factor's pivot j fails against diag(W'W) / T_eff (W
+    less its column means under uconst), named by _degenerate from that j.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -353,16 +368,18 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         # C order, as the Cholesky factors are, so that a member's later products
         # round alike alone and merged into the search's stacks
         L = np.divide(F.swapaxes(1, 2), np.sqrt(T_eff), order="C")
-        # S's diagonal, read off the factor
-        bad = _failing_pivots(np.einsum("nij,nij->ni", L, L), L)
-        rows = np.flatnonzero(bad.any(axis=1)) if bad.any() else ()
-        failing = {i: int(bad[i].argmax()) for i in rows}
+        # the Cholesky route's rule: each pivot against its column's moment
+        # before the projection, so a column the regressors span is named;
+        # under uconst the moment about the mean, as the constant among the
+        # regressors leaves a level's offset out of S
+        D = Wt
+        if case == UNRESTRICTED_CONSTANT:
+            D = Wt - np.add.reduce(Wt, axis=2, keepdims=True) / T_eff
+        bad = _failing_pivots(np.einsum("nit,nit->ni", D, D) / T_eff, L)
+        for i in np.flatnonzero(bad.any(axis=1)) if bad.any() else ():
+            _degenerate(errors, i, int(bad[i].argmax()), L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
     else:
-        L, failing = _stacked_cholesky(Wt @ W / T_eff)
-        for i in failing:  # a placeholder: W's R factor keeps concentrate()'s S = L L'
-            L[i] = np.linalg.qr(W[i], mode="r").T / np.sqrt(T_eff)
-    for i, j in failing.items():
-        _degenerate(errors, i, j, L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
+        L = _joint_cholesky(Wt @ W / T_eff, p_aug, errors)
     return B, L, shift, errors
 
 

@@ -162,23 +162,26 @@ def _replication_streams(base_seed: int, indices: Sequence[int]) -> Iterator[np.
     """The generators ``rng_for(base_seed, i)`` for i in ``indices``, in order,
     as one shared generator re-pointed for each replication.
 
-    The PCG64 states of all replications are computed at once
-    (_pcg64_states), and before each yield the shared bit generator is set
-    to the next one, which is much cheaper than a new default_rng. A
-    yielded generator draws exactly what its own rng_for would draw, until
-    the next one is yielded. The first state is checked against numpy's own
-    seeding, so a numpy that seeds PCG64 differently fails loudly.
+    The first generator is numpy's own PCG64 of the first seed. With a
+    second index, the PCG64 states of all replications are computed at
+    once (_pcg64_states), and before each later yield the shared bit
+    generator is set to the next one, which is much cheaper than a new
+    default_rng. A yielded generator draws exactly what its own rng_for
+    would draw, until the next one is yielded. The first computed state is
+    checked against numpy's own seeding, so a numpy that seeds PCG64
+    differently fails loudly.
     """
     if not len(indices):
         return
-    seeds = replication_seed(base_seed, np.asarray(indices, dtype=np.uint64))
-    states = _pcg64_states(seeds)
-    bit_generator = np.random.PCG64(int(seeds[0]))
-    if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
-        raise RuntimeError(f"numpy {np.__version__} seeds PCG64 differently from the "
-                           "SeedSequence mixing that synthetic._pcg64_states reproduces")
+    bit_generator, states = np.random.PCG64(replication_seed(base_seed, indices[0])), []
+    if len(indices) > 1:
+        states = _pcg64_states(replication_seed(base_seed, np.asarray(indices, dtype=np.uint64)))
+        if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+            raise RuntimeError(f"numpy {np.__version__} seeds PCG64 differently from the "
+                               "SeedSequence mixing that synthetic._pcg64_states reproduces")
     generator = np.random.Generator(bit_generator)
-    for state, inc in states:
+    yield generator
+    for state, inc in states[1:]:
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield generator

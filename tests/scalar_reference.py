@@ -89,6 +89,16 @@ def concentrate(z, k=1, case="rconst"):
     return moments_from_residuals(*concentrated_residuals(z, k, case), len(z) - k, case)
 
 
+def centred_concentrate(z, k=1):
+    """concentrate under rconst in the coordinates velakit's moments keep:
+    the level term [z_{t-1} - shift, 1], shift the mean of its T - k rows
+    (residuals are linear in the regressand, so the shift comes off after)."""
+    R0, R1 = concentrated_residuals(z, k, "rconst")
+    p = z.shape[1]
+    R1 = R1 - np.append(z[k - 1 : -1].mean(axis=0), 0.0) * R1[:, p:]
+    return moments_from_residuals(R0, R1, len(z) - k)
+
+
 def eigenproblem(m):
     """Eigenvalues (descending, clipped at 0) and beta candidates, each
     scaled so its first nonzero coordinate is +1."""

@@ -277,12 +277,14 @@ class TestRankTest:
             hits += rt.selected_rank == 1
         assert hits / 50 >= 0.8
 
-    def test_scale_shift_invariance_uconst(self):
-        # multiplying a series by 1000 before logs is an additive log-shift
+    @pytest.mark.parametrize("offset", [np.log(1000.0), 1e6])
+    def test_scale_shift_invariance_uconst(self, offset):
+        # multiplying a series by 1000 before logs is an additive log-shift;
+        # a level far from zero leaves the pivot rule's moments alone too
         rng = rng_for(14, 0)
         z = np.cumsum(rng.standard_normal((120, 3)), axis=0)
         shifted = z.copy()
-        shifted[:, 1] += np.log(1000.0)
+        shifted[:, 1] += offset
         a = rank_test(concentrate(z, k=2, case="uconst"))
         b = rank_test(concentrate(shifted, k=2, case="uconst"))
         assert a.eigenvalues == pytest.approx(b.eigenvalues, abs=1e-8)
@@ -345,17 +347,16 @@ class TestRankTest:
 class TestTraceAgainstHighPrecision:
     # innovations of 1e-4 inside the cointegration space make the levels
     # nearly collinear: over these 20 replications cond(S11) is 3e8 to 1e10
-    # (lambda_1 stays between 0.26 and 0.55, the name notwithstanding), and
-    # forming a moment matrix squares that conditioning. Against 50-digit
-    # values: rconst k=1 still forms W'W (1.7e-7 off from centred moments,
-    # 3.3e-6 from the uncentred [z, 1]); a member with short-run regressors
-    # hands the eigenproblem its R factor, never squared (at most 9.2e-11
-    # off on five OpenBLAS kernels, against 6.5e-8 to 4.5e-7 when it formed
-    # F'F)
+    # (lambda_1 stays between 0.26 and 0.55), and forming a moment matrix
+    # squares that conditioning. Against 50-digit values: rconst k=1 still
+    # forms W'W (1.7e-7 off from centred moments, 3.3e-6 from the uncentred
+    # [z, 1]); a member with short-run regressors hands the eigenproblem its
+    # R factor, never squared (at most 9.2e-11 off on five OpenBLAS kernels,
+    # against 6.5e-8 to 4.5e-7 when it formed F'F)
     @pytest.mark.parametrize("case, k, bound", [
         ("rconst", 1, 4e-7), ("rconst", 2, 1e-10), ("rconst", 3, 1e-10),
         ("uconst", 1, 1e-10), ("uconst", 2, 1e-10)])
-    def test_near_unit_canonical_correlation(self, case, k, bound):
+    def test_nearly_collinear_levels(self, case, k, bound):
         pytest.importorskip("mpmath")
         spec = SyntheticSpec(p=3, r=1, alpha_true=[[-0.4], [0.2], [0.1]],
                              beta_true=[[1.0], [-2.0], [0.5]], ec_noise_scale=1e-4, T=60, seed=5)
@@ -364,6 +365,25 @@ class TestTraceAgainstHighPrecision:
             want = np.array([float(v) for v in mp_reference.johansen(z, k, case, 50)[3]])
             got = rank_test(concentrate(z, k=k, case=case)).trace_stats
             assert np.abs(got / want - 1.0).max() <= bound, rep
+
+    def test_canonical_correlation_near_one(self):
+        # z2_t = z1_{t-1} + 1e-4 eta_t: z2_{t-1} - z1_{t-1} is dz2_t to within
+        # 1e-4 eta, so 1 - lambda_1 is 0.6e-8 to 1.5e-8 here, below the pivot
+        # rule's 1e-10 relative pivot and short of the 1 - 1e-12 cliff. The
+        # rconst k=1 route forms W'W: at most 2.5e-7 off the 50-digit traces on
+        # five OpenBLAS kernels
+        pytest.importorskip("mpmath")
+        for rep in range(10):
+            e = rng_for(17, rep).standard_normal((60, 2))
+            z = np.empty((60, 2))
+            z[:, 0] = np.cumsum(e[:, 0])
+            z[:, 1] = 1e-4 * e[:, 1]
+            z[1:, 1] += z[:-1, 0]
+            lam, _, _, trace = mp_reference.johansen(z, 1, "rconst", 50)
+            assert 1 - lam[0] < 2e-8, rep
+            want = np.array([float(v) for v in trace])
+            got = rank_test(concentrate(z, k=1, case="rconst")).trace_stats
+            assert np.abs(got / want - 1.0).max() <= 5e-7, rep
 
 
 class TestCriticalTables:
@@ -446,9 +466,9 @@ FAULTS = {
 # at k=2 the lagged differences carry the constant, duplicate and collinear
 # columns, so the short-run regression fails first. They also span the
 # exact relation's level, leaving under rconst a level column that is a
-# multiple of the ones column (its pivot fails); under uconst that level
-# column is left as rounding noise, which clears the pivot rule against its
-# own diagonal, so that system has no error to check
+# multiple of the ones column (its pivot 3 fails); under uconst that level
+# column is left as rounding noise, whose pivot 0 fails against the level's
+# moment before the projection
 FAULTS_K2 = {
     **FAULTS,
     "constant": (SingularMatrixError, RANK_DEFICIENT.format(1)),
@@ -457,8 +477,14 @@ FAULTS_K2 = {
     "exact_relation": (NotPositiveDefiniteError, DEGENERATE + "3$"),
 }
 DEGENERATE_SYSTEMS = [(fault, case, 1) for fault in FAULTS for case in CASES] + [
-    (fault, case, 2) for fault in FAULTS_K2 for case in CASES
-    if (fault, case) != ("exact_relation", "uconst")]
+    (fault, case, 2) for fault in FAULTS_K2 for case in CASES]
+
+
+def expected_error(fault, case, k):
+    """The error class and message pattern of a degenerate system."""
+    if (fault, case, k) == ("exact_relation", "uconst", 2):
+        return NotPositiveDefiniteError, DEGENERATE + "0$"
+    return (FAULTS if k == 1 else FAULTS_K2)[fault]
 
 
 def degenerate_stack(fault, case):
@@ -486,7 +512,7 @@ class TestDegenerateMoments:
     @pytest.mark.parametrize("fault, case, k", DEGENERATE_SYSTEMS)
     def test_error_class_and_message(self, fault, case, k):
         z = degenerate_stack(fault, case)
-        kind, message = (FAULTS if k == 1 else FAULTS_K2)[fault]
+        kind, message = expected_error(fault, case, k)
         with pytest.raises(kind, match="^" + message) as n1:
             moments = concentrate(z[3], k=k, case=case)
             # degenerate moments are concentrate's to return, the rank test's to reject
@@ -500,7 +526,11 @@ class TestDegenerateMoments:
     @pytest.mark.parametrize("fault, case, k", [
         (fault, case, k) for fault, case, k in DEGENERATE_SYSTEMS
         if (FAULTS if k == 1 else FAULTS_K2)[fault][0] is not ValidationError
-        and (k, fault) not in ((2, "constant"), (2, "duplicate"), (2, "collinear"))])
+        and (k, fault) not in ((2, "constant"), (2, "duplicate"), (2, "collinear"))
+        # a copy holds S alone, where this level column is rounding noise that
+        # clears the rule against its own diagonal; concentrate's moments name
+        # it from the column's moment before the projection
+        and (fault, case, k) != ("exact_relation", "uconst", 2)])
     def test_copied_moments_are_named_alike(self, fault, case, k):
         # dataclasses.replace drops concentrate's factor, so the copy is
         # factored from S: the same error, class and message
@@ -509,6 +539,19 @@ class TestDegenerateMoments:
             rank_test(moments)
         with pytest.raises(type(carried.value), match=f"^{re.escape(str(carried.value))}$"):
             rank_test(dataclasses.replace(moments, vars=("a", "b", "c")))
+
+    @pytest.mark.parametrize("fault", ["constant", "duplicate"])
+    def test_rejected_member_keeps_its_moments(self, fault):
+        # the Cholesky factor rejects this rconst k=1 member; its factor, the
+        # column loop's, still gives concentrate() the member's own W'W / T_eff
+        z = degenerate_stack(fault, "rconst")[3]
+        moments = concentrate(z)
+        with pytest.raises(NotPositiveDefiniteError):
+            rank_test(moments)
+        want = scalar_reference.centred_concentrate(z)
+        for name in ("S00", "S01", "S11"):
+            got, ref = getattr(moments, name), getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
     @pytest.mark.parametrize("case, k", [(case, k) for case in CASES for k in (1, 2)])
     def test_copied_moments_agree(self, case, k):

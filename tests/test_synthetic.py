@@ -242,6 +242,16 @@ class TestReplicationStreams:
         assert [{"state": state, "inc": inc} for state, inc in got] == [
             np.random.PCG64(seed).state["state"] for seed in seeds]
 
+    @pytest.mark.parametrize("indices", [[5], [5, 0, 9]])
+    def test_streams_draw_as_rng_for(self, indices, monkeypatch):
+        if len(indices) == 1:  # a lone stream is numpy's own PCG64: no states computed
+            monkeypatch.setattr(synthetic, "_pcg64_states", None)
+        streams = synthetic._replication_streams(11, indices)
+        for index, rng in zip(indices, streams, strict=True):
+            want = rng_for(11, index)
+            assert np.array_equal(rng.standard_normal((40, 3)), want.standard_normal((40, 3)))
+            assert rng.integers(2**62) == want.integers(2**62)
+
     def test_seeding_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(synthetic, "_pcg64_states", lambda seeds: [(1, 1)] * len(seeds))
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):

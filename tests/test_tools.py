@@ -21,6 +21,7 @@ def load_tool(name):
 json_float_diff = load_tool("json_float_diff")
 cli_digests = load_tool("cli_digests")
 digest_text_check = load_tool("digest_text_check")
+bench_pairs = load_tool("bench_pairs")
 
 DOC = {
     "case": "rconst",
@@ -173,3 +174,69 @@ class TestDigestTextCheck:
         json_rows = {name for name in cli_digests.COMMANDS
                      if digest_text_check.carries_floats(name, "stdout")}
         assert json_rows == {"pipeline-json"}
+
+
+def pair_record(seed, parent, change):
+    """A pair of runs whose p50 and throughput are given as (parent, change)."""
+    return {"seed": seed,
+            "parent": {"latency_p50_ms": parent[0], "throughput_per_s": parent[1]},
+            "change": {"latency_p50_ms": change[0], "throughput_per_s": change[1]},
+            "correct": [True, True], "failed": [0, 0]}
+
+
+BETTER = {"latency_p50_ms": "lower", "throughput_per_s": "higher"}
+
+
+class TestBenchPairs:
+    def test_summary_of_pairs(self):
+        runs = [pair_record(1, (10.0, 100.0), (9.0, 110.0)),
+                pair_record(2, (12.0, 90.0), (12.5, 90.0)),
+                pair_record(3, (11.0, 95.0), (10.0, 94.0)),
+                pair_record(4, (13.0, 80.0), (12.0, 85.0))]
+        summary = bench_pairs.summarize(runs, BETTER)
+        assert summary["latency_p50_ms"] == pytest.approx({
+            "better": "lower", "parent_median": 11.5, "parent_q1": 10.75, "parent_q3": 12.25,
+            "change_median": 11.0, "change_q1": 9.75, "change_q3": 12.125,
+            "relative_change": 11.0 / 11.5 - 1.0, "change_wins": 3, "pairs": 4})
+        # a tie is no win
+        assert summary["throughput_per_s"]["change_wins"] == 2
+        assert summary["throughput_per_s"]["parent_median"] == 92.5
+
+    def test_one_pair_has_its_values_for_quartiles(self):
+        (entry,) = bench_pairs.summarize([pair_record(1, (4.0, 1.0), (5.0, 2.0))],
+                                         {"latency_p50_ms": "lower"}).values()
+        assert (entry["change_q1"], entry["change_median"], entry["change_q3"]) == (5.0, 5.0, 5.0)
+        assert entry["change_wins"] == 0 and entry["pairs"] == 1
+
+    def test_sides_alternate_and_other_workloads_stay(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def run_side(root, workload, seed, seconds):
+            calls.append(("change" if root == bench_pairs.ROOT else "parent", seed))
+            value = 2.0 if root == bench_pairs.ROOT else 3.0
+            metrics = {name: {"value": value, "unit": "x"}
+                       for name in ("latency_p50_ms", "latency_tail_ms", "throughput_per_s",
+                                    "setup_s", "peak_rss_mb")}
+            return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(bench_pairs, "extract", lambda rev, root, into: None)
+        monkeypatch.setattr(bench_pairs, "run_side", run_side)
+        out = tmp_path / "BENCH_7.json"
+        out.write_text(json.dumps({"workloads": {"mc_cv": {"summary": {}, "runs": []}}}))
+        assert bench_pairs.main(["--parent", "HEAD~1", "--pr", "7", "--workload", "spec_search",
+                                 "--pairs", "3", "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert calls == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+                         ("parent", 7), ("change", 7)]
+        doc = json.loads(out.read_text())
+        assert doc["pr"] == 7 and set(doc["workloads"]) == {"mc_cv", "spec_search"}
+        assert doc["claim"] == "no gain is claimed"
+        runs = doc["workloads"]["spec_search"]["runs"]
+        assert [run["seed"] for run in runs] == [5, 6, 7]
+        assert all(run["parent"]["setup_s"] == 3.0 and run["change"]["setup_s"] == 2.0
+                   for run in runs)
+        summary = doc["workloads"]["spec_search"]["summary"]
+        assert set(summary) == {"latency_p50_ms", "latency_tail_ms", "throughput_per_s",
+                                "setup_s", "peak_rss_mb"}
+        assert summary["setup_s"]["change_wins"] == 3
+        assert summary["throughput_per_s"]["change_wins"] == 0
