@@ -27,20 +27,21 @@ under uconst, whose constant is projected out). A problem of the
 whole stack (an unknown case, too short a sample) raises; one member's is
 recorded in ``errors``, a dict from member index to its first typed error,
 and its values from then on are placeholders. The public functions are the
-n=1 calls.
+n=1 calls: concentrate() raises its system's first error, so the moments
+it returns, whose one array is that factor, are never degenerate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotPositiveDefiniteError, NumericalError, SingularMatrixError,
-                     ValidationError, _integers, _is_integer)
+from .errors import (NotPositiveDefiniteError, NumericalError, ValidationError, _integers,
+                     _is_integer)
 from .lag_selection import level_matrix
 from .linalg import (_NOT_POSITIVE_DEFINITE, _column_cholesky, _each, _failing_pivots,
-                     _stacked_cholesky, _stacked_ols, _symmetric)
+                     _stacked_cholesky, _stacked_ols)
 
 RESTRICTED_CONSTANT = "rconst"
 UNRESTRICTED_CONSTANT = "uconst"
@@ -115,21 +116,12 @@ def _degenerate(errors: dict, i: int, j: int, S00: np.ndarray, p_aug: int) -> No
         f"degenerate moment matrix: {_NOT_POSITIVE_DEFINITE.format(j)}"))
 
 
-def _joint_cholesky(S: np.ndarray, p_aug: int, errors: dict) -> np.ndarray:
-    """The Cholesky route: the factor L of each member of a stack of joint
-    moment matrices [[S11, S10], [S01, S00]], S11 being p_aug x p_aug. A
-    member _stacked_cholesky rejects takes the column loop's factor, so its
-    L L' is still S, and is named by _degenerate from its own S00."""
-    L, failing = _stacked_cholesky(S)
-    for i, (j, factor) in failing.items():
-        L[i] = factor
-        _degenerate(errors, i, j, S[i, p_aug:, p_aug:], p_aug)
-    return L
-
-
 @dataclass(frozen=True)
 class MomentMatrices:
-    """T-normalized residual cross-products from the concentration step.
+    """T-normalized residual cross-products from the concentration step,
+    held as the lower-triangular factor L = [[L1, 0], [H0', L0]] of the
+    joint moment matrix [[S11, S10], [S01, S00]] = L L', S11 being m x m;
+    S00, S01 and S11 are read-only properties computed from L.
 
     Under rconst the level rows are centred before they are concentrated:
     S01 and S11 are the moments of [z_{t-1} - shift, 1], shift being the
@@ -139,33 +131,19 @@ class MomentMatrices:
     whose constant is projected out, or moments built by hand).
 
     Construction checks each field, raising ValidationError that names it:
-    p and T_eff are integers >= 1, S00 is p x p, S01 p x m and S11
-    m x m (S00 and S11 symmetric), with m = p under uconst and m in {p, p + 1}
-    under rconst, and shift is None, or shaped (p,) when m = p + 1.
-
-    Moments from concentrate() carry its joint factor of S, which rank_test
-    and solve_cointegration_eigenproblem read: with short-run regressors the
-    regression's own R factor, which keeps nearly collinear levels more
-    accurately than a factor of S can. Moments built by hand, or copied
-    by dataclasses.replace (which drops the factor), are Cholesky-factored
-    from S, and a degenerate member is named by the same pivot rule, read
-    against S's own diagonal: a level column the short-run regressors span
-    exactly, which concentrate() names from its moment before the
-    projection, clears it there. The factor is not refreshed if a field's
-    array is changed in place.
+    p and T_eff are integers >= 1; L is a finite, lower-triangular
+    (m + p) x (m + p) numpy array, with m = p under uconst and m in {p, p + 1}
+    under rconst, whose pivots L_jj^2 each clear 1e-10 times the diagonal
+    entry of L L'; shift is None, or shaped (p,) when m = p + 1. Moments
+    built by hand from S pass L = np.linalg.cholesky([[S11, S10], [S01, S00]]).
     """
 
-    S00: np.ndarray
-    S01: np.ndarray
-    S11: np.ndarray
+    L: np.ndarray
     T_eff: int
     p: int
     case: str
     vars: tuple[str, ...]
     shift: np.ndarray | None = None
-    # concentrate's joint factor (a stack of one) and its member's errors;
-    # None for moments factored from S
-    _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_case(self.case)
@@ -175,30 +153,39 @@ class MomentMatrices:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         p, case = self.p, self.case
         widths = (p, p + 1) if case == RESTRICTED_CONSTANT else (p,)
-        shape = np.shape(self.S11)
-        m = shape[0] if len(shape) == 2 else None
+        shape = self.L.shape if isinstance(self.L, np.ndarray) else None
+        m = shape[0] - p if shape and len(shape) == 2 and shape[0] == shape[1] else None
         if m not in widths:
-            raise ValidationError(f"S11 must be m x m with m in {widths} for p={p} under "
-                                  f"{case}, got shape {shape}")
-        for name, want in (("S00", (p, p)), ("S01", (p, m)), ("S11", (m, m))):
-            if np.shape(getattr(self, name)) != want:
-                raise ValidationError(f"{name} must have shape {want} for p={p} under "
-                                      f"{case}, got {np.shape(getattr(self, name))}")
+            raise ValidationError(f"L must be an (m + p) x (m + p) array with m in {widths} "
+                                  f"for p={p} under {case}, got shape {shape}")
         if self.shift is not None and (m != p + 1 or np.shape(self.shift) != (p,)):
             raise ValidationError(f"shift must be None, or shaped ({p},) beside a constant "
                                   f"row, got {np.shape(self.shift)} with m={m}")
-        for name in ("S00", "S11"):
-            if not _symmetric(np.asarray(getattr(self, name))):
-                raise ValidationError(f"{name} is not symmetric within tolerance")
+        if not np.isfinite(self.L).all():
+            raise ValidationError("L contains non-finite entries")
+        if np.triu(self.L, 1).any():
+            raise ValidationError("L is not lower-triangular")
+        failing = _failing_pivots(np.einsum("ij,ij->i", self.L, self.L), self.L)
+        if failing.any():
+            raise ValidationError(f"L is degenerate: "
+                                  f"{_NOT_POSITIVE_DEFINITE.format(failing.argmax())}")
 
-    def _factored(self) -> tuple[np.ndarray, dict]:
-        """The joint factor L, a stack of one, and its errors: concentrate's,
-        or for moments built by hand the Cholesky route's factor of [[S11,
-        S10], [S01, S00]] (_joint_cholesky)."""
-        if self._factor is not None:
-            return self._factor[0], dict(self._factor[1])
-        S, errors = np.block([[self.S11, np.transpose(self.S01)], [self.S01, self.S00]]), {}
-        return _joint_cholesky(S[None], len(self.S11), errors), errors
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """S00, S01 and S11, the blocks of L L'."""
+        S, m = self.L @ self.L.T, len(self.L) - self.p
+        return S[m:, m:], S[m:, :m], S[:m, :m]
+
+    @property
+    def S00(self) -> np.ndarray:
+        return self._moments()[0]
+
+    @property
+    def S01(self) -> np.ndarray:
+        return self._moments()[1]
+
+    @property
+    def S11(self) -> np.ndarray:
+        return self._moments()[2]
 
 
 def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) -> MomentMatrices:
@@ -208,18 +195,13 @@ def concentrate(data, vars=None, k: int = 1, case: str = RESTRICTED_CONSTANT) ->
     unrestricted constant under ``uconst``); R1: residuals of the lagged
     level term (centred, and augmented with a ones column, under ``rconst``)
     on the same regressors. With no short-run regressors the projection is
-    the identity.
+    the identity. A degenerate system raises its first typed error.
     """
     z, names = level_matrix(data, vars)
     _, L, shift, errors = _stacked_concentrate(z[None], k, case)
-    if isinstance(errors.get(0), SingularMatrixError):  # no moments without the short-run fit
-        raise errors[0]
-    S, m = L[0] @ L[0].T, L.shape[-1] - z.shape[1]
-    moments = MomentMatrices(S00=S[m:, m:], S01=S[m:, :m], S11=S[:m, :m], T_eff=z.shape[0] - k,
-                             p=z.shape[1], case=case, vars=names,
-                             shift=shift[0] if case == RESTRICTED_CONSTANT else None)
-    object.__setattr__(moments, "_factor", (L, errors))
-    return moments
+    _raise_first(errors)
+    return MomentMatrices(L=L[0], T_eff=z.shape[0] - k, p=z.shape[1], case=case, vars=names,
+                          shift=shift[0] if case == RESTRICTED_CONSTANT else None)
 
 
 def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +213,8 @@ def solve_cointegration_eigenproblem(m: MomentMatrices) -> tuple[np.ndarray, np.
     nonzero coordinate is +1.
     """
     shift = np.zeros((1, m.p)) if m.shift is None else np.asarray(m.shift)[None]
-    L, errors = m._factored()
-    lam, beta = _stacked_eigenproblem(L, m.p, errors, vectors=True)
+    errors = {}
+    lam, beta = _stacked_eigenproblem(m.L[None], m.p, errors, vectors=True)
     _raise_first(errors)
     return lam[0], _uncentred(beta, shift)[0]
 
@@ -279,8 +261,8 @@ def rank_test(m: MomentMatrices) -> RankTestResult:
     """
     case, p = m.case, m.p
     _check_dimension(p)
-    L, errors = m._factored()
-    lam, _ = _stacked_eigenproblem(L, p, errors)
+    errors = {}
+    lam, _ = _stacked_eigenproblem(m.L[None], p, errors)
     _raise_first(errors)
     lam = lam[0, :p]
     trace, selected = _stacked_trace_test(lam[None], m.T_eff, p, case)
@@ -315,11 +297,11 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
     blocks [[L1, 0], [H0', L0]]; and shift (n, p) the level means subtracted
     (zeros under uconst). With short-run regressors L is F' / sqrt(T_eff), F
     the residual factor the regression returns (its diagonal's signs are
-    arbitrary); without, the Cholesky factor of W'W / T_eff (_joint_cholesky).
-    Either way L L' is S, for a degenerate member too. errors holds
-    non-finite levels, the short-run regression's SingularMatrixError, and
-    each member whose factor's pivot j fails against diag(W'W) / T_eff (W
-    less its column means under uconst), named by _degenerate from that j.
+    arbitrary); without, the Cholesky factor of W'W / T_eff, a placeholder
+    for a member it rejects. errors holds non-finite levels, the short-run
+    regression's SingularMatrixError, and each member whose factor's pivot
+    j fails against diag(W'W) / T_eff (W less its column means under
+    uconst), named by _degenerate from that j.
     """
     n, T, p = z.shape
     _check_case(case)
@@ -379,7 +361,10 @@ def _stacked_concentrate(z: np.ndarray, k: int, case: str):
         for i in np.flatnonzero(bad.any(axis=1)) if bad.any() else ():
             _degenerate(errors, i, int(bad[i].argmax()), L[i, p_aug:] @ L[i, p_aug:].T, p_aug)
     else:
-        L = _joint_cholesky(Wt @ W / T_eff, p_aug, errors)
+        S = Wt @ W / T_eff
+        L, failing = _stacked_cholesky(S)
+        for i, j in failing.items():
+            _degenerate(errors, i, j, S[i, p_aug:, p_aug:], p_aug)
     return B, L, shift, errors
 
 

@@ -176,30 +176,27 @@ def cholesky_factor(S) -> np.ndarray:
         raise ValidationError("S is not symmetric within tolerance")
     (L,), failing = _stacked_cholesky(S[None])
     if failing:
-        raise NotPositiveDefiniteError(_NOT_POSITIVE_DEFINITE.format(failing[0][0]))
+        raise NotPositiveDefiniteError(_NOT_POSITIVE_DEFINITE.format(failing[0]))
     return L
 
 
 def _column_cholesky(S: np.ndarray):
     """The column loop of the Cholesky factor: (L, j), j the index of the
     first pivot that does not clear PIVOT_RTOL times its diagonal entry (a
-    NaN pivot does not), None when L factors S. The loop carries on past a
-    failing pivot with a zero column, so L L' is S still where what that
-    column drops is rounding noise (a constant or repeated column)."""
+    NaN pivot does not), where the loop stops, L then being incomplete;
+    None when L factors S."""
     n = len(S)
     L = np.zeros_like(S)
-    first = None
     for j in range(n):
         pivot = S[j, j] - L[j, :j] @ L[j, :j]
         # compare each pivot to its own diagonal entry so badly scaled but
         # well-conditioned matrices (ones column next to tiny moments) pass
         if not (S[j, j] > 0.0 and pivot > PIVOT_RTOL * S[j, j]):
-            first = j if first is None else first
-            continue
+            return L, j
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L, first
+    return L, None
 
 
 def symmetric_eigendecomposition(S) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +235,10 @@ def _stacked_cholesky(S: np.ndarray):
     LAPACK factors the stack in one call (see _each); a member it fails, or
     whose pivots fail (_failing_pivots), goes to the column loop
     (_column_cholesky), which decides. Returns (factors, failing), failing
-    mapping each member the loop rejects to (its first failing pivot's
-    index, the loop's factor); that member's entry in factors is a
-    placeholder LAPACK's call left (the identity where it raised),
-    invertible for callers that solve with it. Symmetry and finiteness are
-    the caller's to check.
+    mapping each member the loop rejects to its first failing pivot's
+    index; that member's entry in factors is a placeholder LAPACK's call
+    left (the identity where it raised), invertible for callers that solve
+    with it. Symmetry and finiteness are the caller's to check.
     """
     L, failed = _each(np.linalg.cholesky, S)
     failing = {}
@@ -252,7 +248,7 @@ def _stacked_cholesky(S: np.ndarray):
         if j is None:
             L[i] = factor
         else:
-            failing[i] = j, factor
+            failing[i] = j
     return L, failing
 
 

@@ -19,10 +19,12 @@ Numerics only: inputs are assumed valid, and degenerate ones raise
 whatever the linalg primitives raise.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from velakit.errors import NonNormalizableError, NumericalError, ValidationError
-from velakit.johansen import TRACE_CRITICAL, MomentMatrices, solve_cointegration_eigenproblem
+from velakit.johansen import TRACE_CRITICAL, solve_cointegration_eigenproblem
 from velakit.lag_selection import gaussian_criteria, gaussian_loglik
 from velakit.linalg import cholesky_factor, ols_fit, symmetric_eigendecomposition
 from velakit.panel import VARIABLES
@@ -59,12 +61,24 @@ def simulate_reference(spec, reps):
     return z[:, -spec.T :]
 
 
+@dataclass(frozen=True)
+class Moments:
+    """The moment matrices of one concentrated system, formed from its
+    residuals; velakit's own MomentMatrices holds their factor instead."""
+
+    S00: np.ndarray
+    S01: np.ndarray
+    S11: np.ndarray
+    T_eff: int
+    p: int
+    case: str
+
+
 def moments_from_residuals(R0, R1, T_eff, case="rconst"):
     """S00, S01, S11 from concentrated residual matrices."""
     R0, R1 = np.asarray(R0, dtype=float), np.asarray(R1, dtype=float)
-    return MomentMatrices(S00=R0.T @ R0 / T_eff, S01=R0.T @ R1 / T_eff,
-                          S11=R1.T @ R1 / T_eff, T_eff=T_eff, p=R0.shape[1], case=case,
-                          vars=tuple(f"y{i}" for i in range(R0.shape[1])))
+    return Moments(S00=R0.T @ R0 / T_eff, S01=R0.T @ R1 / T_eff, S11=R1.T @ R1 / T_eff,
+                   T_eff=T_eff, p=R0.shape[1], case=case)
 
 
 def concentrated_residuals(z, k, case):
@@ -87,16 +101,6 @@ def concentrated_residuals(z, k, case):
 
 def concentrate(z, k=1, case="rconst"):
     return moments_from_residuals(*concentrated_residuals(z, k, case), len(z) - k, case)
-
-
-def centred_concentrate(z, k=1):
-    """concentrate under rconst in the coordinates velakit's moments keep:
-    the level term [z_{t-1} - shift, 1], shift the mean of its T - k rows
-    (residuals are linear in the regressand, so the shift comes off after)."""
-    R0, R1 = concentrated_residuals(z, k, "rconst")
-    p = z.shape[1]
-    R1 = R1 - np.append(z[k - 1 : -1].mean(axis=0), 0.0) * R1[:, p:]
-    return moments_from_residuals(R0, R1, len(z) - k)
 
 
 def eigenproblem(m):

@@ -15,6 +15,7 @@ from velakit.johansen import (
     MAXEIG_CRITICAL,
     TRACE_CRITICAL,
     MomentMatrices,
+    _stacked_concentrate,
     _stacked_trace_test,
     concentrate,
     rank_test,
@@ -33,15 +34,10 @@ from conftest import stacked_rank_test
 
 
 def make_moments(S00, S01, S11, T=100):
-    return MomentMatrices(
-        S00=np.asarray(S00, float),
-        S01=np.asarray(S01, float),
-        S11=np.asarray(S11, float),
-        T_eff=T,
-        p=np.asarray(S00).shape[0],
-        case="uconst",
-        vars=(),
-    )
+    """uconst moments built by hand: the factor of [[S11, S10], [S01, S00]]."""
+    S00, S01, S11 = (np.asarray(S, dtype=float) for S in (S00, S01, S11))
+    return MomentMatrices(L=np.linalg.cholesky(np.block([[S11, S01.T], [S01, S00]])),
+                          T_eff=T, p=len(S00), case="uconst", vars=())
 
 
 class TestConcentrate:
@@ -68,11 +64,17 @@ class TestConcentrate:
 
     def test_equal_residuals_collapse_moments(self):
         # z_t = 2 z_{t-1} makes dz_t equal z_{t-1} exactly, so under uconst
-        # the two concentrated residuals, and all three moments, coincide
+        # the two concentrated residuals, and all three moments of the
+        # concentration's factor, coincide; concentrate() names the system
         z = np.outer(2.0 ** np.arange(50), rng_for(2, 0).uniform(0.5, 2.0, 3))
-        m = concentrate(z, k=1, case="uconst")
-        assert m.S00 == pytest.approx(m.S11, rel=1e-12)
-        assert m.S01 == pytest.approx(m.S00, rel=1e-12)
+        _, L, _, errors = _stacked_concentrate(z[None], 1, "uconst")
+        S = L[0] @ L[0].T
+        S11, S01, S00 = S[:3, :3], S[3:, :3], S[3:, 3:]
+        assert S00 == pytest.approx(S11, rel=1e-12)
+        assert S01 == pytest.approx(S00, rel=1e-12)
+        assert list(errors) == [0]
+        with pytest.raises(type(errors[0]), match=f"^{re.escape(str(errors[0]))}$"):
+            concentrate(z, k=1, case="uconst")
 
     def test_s01_transpose_symmetry(self):
         rng = rng_for(3, 0)
@@ -133,7 +135,8 @@ class TestConcentrate:
 
 
 class TestMomentValidation:
-    """Hand-built moments are checked at construction, naming the field."""
+    """Moments hold the concentration's factor L, checked at construction,
+    naming the field; S00, S01 and S11 are read off it."""
 
     @pytest.fixture(scope="class")
     def moments(self):
@@ -142,15 +145,20 @@ class TestMomentValidation:
 
     @pytest.mark.parametrize("changes, message", [
         # truncated eigenvalues gave rank 2 from 3-variable moments
-        ({"p": 2}, "S11 must be m x m with m in (2, 3) for p=2 under rconst, got shape (4, 4)"),
-        ({"case": "uconst"}, "S11 must be m x m with m in (3,) for p=3 under uconst"),
+        ({"p": 2}, "L must be an (m + p) x (m + p) array with m in (2, 3) for p=2 under "
+                   "rconst, got shape (7, 7)"),
+        ({"case": "uconst"}, "L must be an (m + p) x (m + p) array with m in (3,) for p=3 "
+                             "under uconst"),
         ({"case": "trend"}, "case must be one of"),
         # a float p passed the shape checks and failed in rank_test's slicing
         ({"p": 3.0}, "p must be an integer >= 1, got 3.0"),
         ({"p": 0}, "p must be an integer >= 1, got 0"),
-        ({"S00": np.eye(2)}, "S00 must have shape (3, 3) for p=3 under rconst, got (2, 2)"),
-        ({"S01": np.zeros((3, 3))}, "S01 must have shape (3, 4) for p=3 under rconst, got (3, 3)"),
-        ({"S11": np.zeros(4)}, "S11 must be m x m with m in (3, 4)"),
+        ({"L": np.eye(5)}, "L must be an (m + p) x (m + p) array with m in (3, 4) for p=3 "
+                           "under rconst, got shape (5, 5)"),
+        ({"L": np.eye(7)[:, :6]}, "L must be an (m + p) x (m + p) array with m in (3, 4)"),
+        ({"L": np.ones(7)}, "L must be an (m + p) x (m + p) array with m in (3, 4)"),
+        ({"L": np.eye(7).tolist()}, "L must be an (m + p) x (m + p) array with m in (3, 4) "
+                                    "for p=3 under rconst, got shape None"),
         # zero traces from T_eff=0
         ({"T_eff": 0}, "T_eff must be an integer >= 1, got 0"),
         ({"T_eff": 59.0}, "T_eff must be an integer >= 1, got 59.0"),
@@ -167,18 +175,36 @@ class TestMomentValidation:
             dataclasses.replace(make_moments(np.eye(2), np.zeros((2, 2)), np.eye(2)),
                                 shift=np.zeros(2))
 
-    @pytest.mark.parametrize("name", ["S00", "S11"])
-    def test_asymmetric_moments_rejected(self, moments, name):
-        # the one place hand-built moments enter: no kernel scans for symmetry
-        S = getattr(moments, name).copy()
-        S[0, -1] += 1e-3
-        with pytest.raises(ValidationError, match=f"^{name} is not symmetric within tolerance$"):
-            dataclasses.replace(moments, **{name: S})
+    @pytest.mark.parametrize("entry, value, message", [
+        ((0, 6), 1e-3, "L is not lower-triangular"),
+        ((4, 1), np.nan, "L contains non-finite entries"),
+        ((5, 5), np.inf, "L contains non-finite entries"),
+        # pivot 2 zero, then rounding noise beside its row's other entries
+        ((2, 2), 0.0, "L is degenerate: non-positive-definite pivot <=1e-10*diag at index 2"),
+        ((2, 2), 1e-9, "L is degenerate: non-positive-definite pivot <=1e-10*diag at index 2"),
+    ])
+    def test_bad_factor_rejected(self, moments, entry, value, message):
+        # the one place moments built by hand enter: no kernel judges them
+        L = moments.L.copy()
+        L[entry] = value
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(moments, L=L)
+
+    def test_moments_are_read_off_the_factor(self, moments):
+        S = moments.L @ moments.L.T
+        assert np.array_equal(moments.S11, S[:4, :4])
+        assert np.array_equal(moments.S01, S[4:, :4])
+        assert np.array_equal(moments.S00, S[4:, 4:])
+        with pytest.raises(AttributeError):
+            moments.S00 = np.eye(3)
 
     def test_consistent_shapes_accepted(self, moments):
-        # rconst moments without a constant row, as built by hand, and
+        # rconst moments without a constant row, as built by hand, a factor
+        # with negative pivots (the QR route's signs are arbitrary), and
         # numpy integer sample sizes
         assert dataclasses.replace(moments, T_eff=np.int64(59)).T_eff == 59
+        flipped = dataclasses.replace(moments, L=-moments.L)
+        assert np.array_equal(rank_test(flipped).trace_stats, rank_test(moments).trace_stats)
         square = dataclasses.replace(make_moments(np.eye(2), np.zeros((2, 2)), np.eye(2)),
                                      case="rconst")
         assert rank_test(square).selected_rank == 0
@@ -222,14 +248,16 @@ class TestEigenproblem:
             assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(M).max())
 
     def test_singular_s11_raises(self):
+        # moments with an exactly collinear level block have no factor that
+        # clears the pivot rule: the R factor of [R1, R0] is refused
         R1 = np.zeros((40, 2))
         R1[:, 0] = np.arange(40.0)
         R1[:, 1] = 2.0 * R1[:, 0]  # exact collinearity
         rng = rng_for(8, 0)
         R0 = rng.standard_normal((40, 2))
-        m = scalar_reference.moments_from_residuals(R0, R1, 40)
-        with pytest.raises(NotPositiveDefiniteError, match="degenerate"):
-            solve_cointegration_eigenproblem(m)
+        L = np.linalg.qr(np.column_stack([R1, R0]), mode="r").T / np.sqrt(40)
+        with pytest.raises(ValidationError, match="^L is degenerate: .* at index 1$"):
+            MomentMatrices(L=L, T_eff=40, p=2, case="uconst", vars=())
 
 
 class TestRankTest:
@@ -265,6 +293,7 @@ class TestRankTest:
         rng = rng_for(11, 0)
         R = rng.standard_normal((60, 7))
         m = scalar_reference.moments_from_residuals(R, np.cumsum(R, axis=0), 60)
+        m = make_moments(m.S00, m.S01, m.S11, T=60)
         with pytest.raises(ValidationError, match="dimension"):
             rank_test(m)
 
@@ -476,14 +505,19 @@ FAULTS_K2 = {
     "collinear": (SingularMatrixError, RANK_DEFICIENT.format(2)),
     "exact_relation": (NotPositiveDefiniteError, DEGENERATE + "3$"),
 }
+# z_1 = z_0 + t: under uconst the centred differences coincide while the
+# levels do not, so S11 is positive definite and S00's own pivot 1 fails
 DEGENERATE_SYSTEMS = [(fault, case, 1) for fault in FAULTS for case in CASES] + [
-    (fault, case, 2) for fault in FAULTS_K2 for case in CASES]
+    (fault, case, 2) for fault in FAULTS_K2 for case in CASES] + [
+    ("duplicate_differences", "uconst", 1)]
 
 
 def expected_error(fault, case, k):
     """The error class and message pattern of a degenerate system."""
     if (fault, case, k) == ("exact_relation", "uconst", 2):
         return NotPositiveDefiniteError, DEGENERATE + "0$"
+    if fault == "duplicate_differences":
+        return NotPositiveDefiniteError, DEGENERATE + "1$"
     return (FAULTS if k == 1 else FAULTS_K2)[fault]
 
 
@@ -498,6 +532,8 @@ def degenerate_stack(fault, case):
         z[3, :, 2] = z[3, :, 0] - 2.0 * z[3, :, 1]
     elif fault == "nonfinite":
         z[3, 10, 0] = np.inf
+    elif fault == "duplicate_differences":
+        z[3, :, 1] = z[3, :, 0] + np.arange(400)
     else:
         # dz_t = 0.01 z_{t-1}: canonical correlation 1
         z[3, :, 0] = 1.01 ** np.arange(400)
@@ -511,61 +547,26 @@ class TestDegenerateMoments:
 
     @pytest.mark.parametrize("fault, case, k", DEGENERATE_SYSTEMS)
     def test_error_class_and_message(self, fault, case, k):
+        # concentrate() raises the system's first error: no degenerate
+        # moments are returned for the rank test to judge
         z = degenerate_stack(fault, case)
         kind, message = expected_error(fault, case, k)
         with pytest.raises(kind, match="^" + message) as n1:
-            moments = concentrate(z[3], k=k, case=case)
-            # degenerate moments are concentrate's to return, the rank test's to reject
-            assert kind in (NotPositiveDefiniteError, NumericalError)
-            rank_test(moments)
+            concentrate(z[3], k=k, case=case)
         assert type(n1.value) is kind
         *_, errors = stacked_rank_test(z, k, case, vectors=False)
         assert list(errors) == [3]
         assert type(errors[3]) is kind and str(errors[3]) == str(n1.value)
 
-    @pytest.mark.parametrize("fault, case, k", [
-        (fault, case, k) for fault, case, k in DEGENERATE_SYSTEMS
-        if (FAULTS if k == 1 else FAULTS_K2)[fault][0] is not ValidationError
-        and (k, fault) not in ((2, "constant"), (2, "duplicate"), (2, "collinear"))
-        # a copy holds S alone, where this level column is rounding noise that
-        # clears the rule against its own diagonal; concentrate's moments name
-        # it from the column's moment before the projection
-        and (fault, case, k) != ("exact_relation", "uconst", 2)])
-    def test_copied_moments_are_named_alike(self, fault, case, k):
-        # dataclasses.replace drops concentrate's factor, so the copy is
-        # factored from S: the same error, class and message
-        moments = concentrate(degenerate_stack(fault, case)[3], k=k, case=case)
-        with pytest.raises(NumericalError) as carried:
-            rank_test(moments)
-        with pytest.raises(type(carried.value), match=f"^{re.escape(str(carried.value))}$"):
-            rank_test(dataclasses.replace(moments, vars=("a", "b", "c")))
-
-    @pytest.mark.parametrize("fault", ["constant", "duplicate"])
-    def test_rejected_member_keeps_its_moments(self, fault):
-        # the Cholesky factor rejects this rconst k=1 member; its factor, the
-        # column loop's, still gives concentrate() the member's own W'W / T_eff
-        z = degenerate_stack(fault, "rconst")[3]
-        moments = concentrate(z)
-        with pytest.raises(NotPositiveDefiniteError):
-            rank_test(moments)
-        want = scalar_reference.centred_concentrate(z)
-        for name in ("S00", "S01", "S11"):
-            got, ref = getattr(moments, name), getattr(want, name)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
-
     @pytest.mark.parametrize("case, k", [(case, k) for case in CASES for k in (1, 2)])
     def test_copied_moments_agree(self, case, k):
+        # a copy holds the same factor, so every result is the same bit for bit
         moments = concentrate(random_walk_stack(1, 400, 3, case)[0], k=k, case=case)
         carried = rank_test(moments)
         copied = rank_test(dataclasses.replace(moments, vars=("a", "b", "c")))
-        assert copied.selected_rank == carried.selected_rank
-        assert np.allclose(copied.trace_stats, carried.trace_stats, rtol=1e-10, atol=0)
-
-    @pytest.mark.parametrize("solve", [rank_test, solve_cointegration_eigenproblem])
-    def test_singular_s00_beside_a_positive_definite_s11(self, solve):
-        m = make_moments([[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(NotPositiveDefiniteError, match="^" + DEGENERATE + "1$"):
-            solve(m)
+        for field in dataclasses.fields(carried):
+            assert np.array_equal(getattr(copied, field.name), getattr(carried, field.name)), \
+                field.name
 
 
 class TestPerMemberSampleSize:

@@ -119,6 +119,23 @@ class TestCliDigests:
                                   for path in kept]
         assert any(path.suffix == ".json" for path in (keep / "vecrank").iterdir())
 
+    def test_flat_panel_holds_one_column(self, tmp_path):
+        # the degenerate rows' input: researchers_per_million at its first
+        # value in every row, every other cell as in the demo panel
+        import csv
+
+        source = TOOLS.parent / "sample_data" / "demo_panel.csv"
+        path = cli_digests.write_flat_panel(TOOLS.parent, tmp_path)
+        assert path.parent == tmp_path
+        rows = [list(csv.DictReader(f.read_text(encoding="utf-8").splitlines()))
+                for f in (source, path)]
+        assert len(rows[0]) == len(rows[1]) > 1
+        first = rows[0][0]["researchers_per_million"]
+        for old, new in zip(*rows):
+            assert new.pop("researchers_per_million") == first
+            old.pop("researchers_per_million")
+            assert new == old
+
     @pytest.mark.parametrize("existing", ["file", "non-empty directory"])
     def test_keep_refuses_a_used_path(self, tmp_path, capsys, existing):
         target = tmp_path / "out"

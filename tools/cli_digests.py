@@ -8,6 +8,12 @@ cases), mission on the bundled sample config (as is and with a one-year
 horizon), and both mc-validate studies at small sizes with their
 per-replication CSVs (the cv study also at 2100 replications, past one
 stack, and the recovery study also at 300 under uconst, past one stack).
+Three rows run on a flat copy of the demo panel, written once per run into
+a temporary directory, whose researchers_per_million holds its first value
+throughout: vecrank-flat-k1 (the Cholesky route names the degenerate
+system, exit 3), vecrank-flat-uconst-k1 (the short-run regression's route,
+exit 3) and specsearch-flat (the degenerate specifications rejected beside
+the admissible ones).
 
 Each command runs in a fresh interpreter, from the checkout's root, with
 SOURCE_DATE_EPOCH pinned, and writes its artifacts to a directory of its
@@ -30,6 +36,7 @@ Standard library only; velakit is imported from the checkout's src/.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import subprocess
@@ -38,6 +45,9 @@ import tempfile
 from pathlib import Path
 
 PANEL = ["--input", "sample_data/demo_panel.csv", "--agency", "DEMO"]
+# stands for the path of the flat panel (write_flat_panel) in a command's argv
+FLAT_PANEL = "<flat demo panel>"
+FLAT = ["--input", FLAT_PANEL, "--agency", "DEMO"]
 COMMANDS = {
     "ingest": ["ingest", *PANEL],
     "adf": ["adf", *PANEL],
@@ -58,6 +68,10 @@ COMMANDS = {
     # T_eff=42 is one short of 30 short-run regressors, 6 difference columns
     # and 7 level terms: insufficient sample, exit 2
     "vecrank-k6": ["vecrank", *PANEL, "--lags", "6"],
+    # a constant level: exit 3 with the failing pivot's index
+    "vecrank-flat-k1": ["vecrank", *FLAT, "--lags", "1"],
+    "vecrank-flat-uconst-k1": ["vecrank", *FLAT, "--lags", "1", "--case", "uconst"],
+    "specsearch-flat": ["specsearch", *FLAT],
     "vecm-rank1": ["vecm", *PANEL, "--rank", "1"],
     # normalization of a two-column beta, and its constant row mapped to [z, 1]
     "vecm-rank2-rconst": ["vecm", *PANEL, "--rank", "2"],
@@ -79,6 +93,21 @@ COMMANDS = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def write_flat_panel(root: Path, into: Path) -> Path:
+    """A copy of ``root``'s demo panel, written under ``into``, whose
+    researchers_per_million holds its first value in every row."""
+    with open(root / "sample_data" / "demo_panel.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["researchers_per_million"] = rows[0]["researchers_per_million"]
+    path = into / "demo_panel_flat.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 def digest_line(root: Path, name: str, argv: list[str], keep: Path | None = None) -> str:
@@ -111,8 +140,11 @@ def main(argv=None) -> int:
     keep = None if args.keep is None else args.keep.resolve()
     if keep is not None and keep.exists() and (not keep.is_dir() or any(keep.iterdir())):
         parser.error(f"--keep {args.keep}: not an empty directory")
-    for name, command in COMMANDS.items():
-        print(digest_line(root, name, command, keep), flush=True)
+    with tempfile.TemporaryDirectory(prefix="cli_digests_") as scratch:
+        flat = str(write_flat_panel(root, Path(scratch)))
+        for name, command in COMMANDS.items():
+            argv = [flat if arg == FLAT_PANEL else arg for arg in command]
+            print(digest_line(root, name, argv, keep), flush=True)
     return 0
 
 
