@@ -23,22 +23,32 @@ block. The driver concentrates each stack in FIT_BLOCK = 64 slices
 (johansen._stacked_concentrate) into one stack of joint moment factors,
 whose eigenproblem and trace test (and, for a rank r >= 1, Phillips
 normalization and fit, vecm._stacked_fit) are then one stacked pass each:
-the kernels of the specification search and of the n=1 public calls. One
-memory rule holds for both studies: the level buffer takes SIM_BLOCK *
-rows * p * 8 bytes, rows being T for the cv study (4.9 MB at p - r = 6
-and T = 400) and T + BURN_IN + k for the recovery study (3.4 MB at T=500
-and p=3). The cv study's bootstrap sorts each block of resampled
-statistics before taking their percentiles. A replication that fails
-raises its own typed error, the one its n=1 call raises; the first
-failing replication of the first failing stack wins, so the lowest
-failing replication of the study raises. Reruns are byte-identical, and a
-replication's statistics and levels do not depend on the stack or slice
-it is drawn, simulated or fitted in.
+the kernels of the specification search and of the n=1 public calls.
+Drawing a stack never depends on fitting the one before, so when a study
+has more than one stack and the process may run on more than one CPU, a
+worker thread draws (or simulates) the next stack into a second buffer
+while the driver fits this one: numpy releases the GIL while it fills and
+cumulates arrays. On one CPU, or with one stack, every stack is drawn
+inline into one buffer. One memory rule holds for both studies: a level
+buffer takes SIM_BLOCK * rows * p * 8 bytes, rows being T for the cv
+study (4.9 MB at p - r = 6 and T = 400) and T + BURN_IN + k for the
+recovery study (3.4 MB at T=500 and p=3); a study of more than one stack
+on more than one CPU holds two (2 x 4.9 MB at p - r = 6), and one of at
+most SIM_BLOCK replications keeps one. The cv study's bootstrap sorts each
+block of resampled statistics before taking their percentiles. A
+replication that fails raises its own typed error, the one its n=1 call
+raises; the first failing replication of the first failing stack wins, so
+the lowest failing replication of the study raises, before any error
+drawing a later stack. Reruns are byte-identical, and a replication's
+statistics and levels do not depend on the stack or slice it is drawn,
+simulated or fitted in, nor on the thread that draws it.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -63,10 +73,11 @@ from .vecm import _stacked_fit, _stacked_phillips, companion_matrix
 GENERATOR_ID = "pcg64/splitmix64"
 BURN_IN = 50
 _UNIT_TOL = 1e-8
-# replications per stack of both Monte Carlo studies: one level buffer of
+# replications per stack of both Monte Carlo studies: a level buffer of
 # SIM_BLOCK * rows * p * 8 bytes (rows = T for the critical-value study,
-# T + BURN_IN + k for the recovery study) and one pass of the eigenproblem,
-# trace test and fit per stack
+# T + BURN_IN + k for the recovery study), two while the next stack is drawn
+# on a worker thread, and one pass of the eigenproblem, trace test and fit
+# per stack
 SIM_BLOCK = 256
 # replications per concentration slice of a stack, and bootstrap resamples
 # per block: enough to amortize the per-call overhead, few enough to keep
@@ -366,35 +377,90 @@ def study_spec(T: int = 400, seed: int = 0) -> SyntheticSpec:
     )
 
 
-def _stacked_study(levels, reps: int, k: int, case: str, r: int):
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Worker(threading.Thread):
+    """fn(*args) on a thread of its own; result() joins it and returns the
+    call's value or raises its error."""
+
+    def __init__(self, fn, *args):
+        super().__init__(name="velakit-levels")
+        self.fn, self.args, self.value, self.error = fn, args, None, None
+
+    def run(self):
+        try:
+            self.value = self.fn(*self.args)
+        except BaseException as error:  # raised again by result(), on the caller's thread
+            self.error = error
+
+    def result(self):
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _stacked_study(levels, reps: int, k: int, case: str, r: int, size: int):
     """Rank test (and rank-r fit, for r >= 1) of replications 0..reps-1, a
     stack of up to SIM_BLOCK at a time.
 
-    ``levels(start, n)`` returns the (n, T, p) levels of replications
-    start..start+n-1. Each stack is concentrated in FIT_BLOCK slices into
-    one stack of joint moment factors; its eigenproblem and trace test, and
-    for r >= 1 its Phillips normalization and factor fit, then run once.
-    Raises the error of the stack's first failing replication, and else
-    yields (start, trace (n, p), ranks (n,), beta (n, p_aug, r), alpha'
-    (n, r, p)), beta and alpha' None when r = 0.
+    ``levels(start, n, buffer)`` writes the levels of replications
+    start..start+n-1 into ``buffer``, a flat float64 array of
+    min(SIM_BLOCK, reps) * size values, and returns them as an (n, T, p)
+    view. Each stack is concentrated in FIT_BLOCK slices into one stack of
+    joint moment factors; its eigenproblem and trace test, and for r >= 1
+    its Phillips normalization and factor fit, then run once. With more
+    than one stack and more than one CPU to run on, the next stack's levels
+    are drawn on a worker thread, into a second buffer, while this stack is
+    fitted and yielded (numpy releases the GIL while it fills and cumulates
+    arrays); otherwise every stack is drawn inline into one buffer. The
+    worker only calls ``levels``, which draws and cumulates or runs
+    _simulate, none of the functions perfbench's tracer wraps (its span
+    stack is not thread-safe), and it is joined before the study returns,
+    raises or is closed.
+    Raises the error of the stack's first failing replication, before any
+    error of the next stack's levels, and else yields (start, trace (n, p),
+    ranks (n,), beta (n, p_aug, r), alpha' (n, r, p)), beta and alpha' None
+    when r = 0.
     """
-    for start in range(0, reps, SIM_BLOCK):
-        z = levels(start, min(SIM_BLOCK, reps - start))
-        n, T, p = z.shape
-        m = 2 * p + (case == RESTRICTED_CONSTANT)
-        L, errors = np.empty((n, m, m)), {}
-        for lo in range(0, n, FIT_BLOCK):
-            block = slice(lo, lo + FIT_BLOCK)
-            _, L[block], _, failures = _stacked_concentrate(z[block], k, case)
-            _record(errors, {lo + i: error for i, error in failures.items()})
-        lam, candidates = _stacked_eigenproblem(L, p, errors, vectors=r >= 1)
-        trace, ranks = _stacked_trace_test(lam, T - k, p, case)
-        beta = alpha_t = None
-        if r >= 1:
-            beta = _stacked_phillips(candidates, r, errors)
-            alpha_t, _ = _stacked_fit(L, beta, errors)
-        _raise_first(errors)
-        yield start, trace, ranks, beta, alpha_t
+    starts = range(0, reps, SIM_BLOCK)
+    overlap = len(starts) > 1 and _cpus() > 1
+    buffers = np.empty((1 + overlap, min(SIM_BLOCK, reps) * size))
+
+    def draw(b):
+        return levels(starts[b], min(SIM_BLOCK, reps - starts[b]), buffers[b % len(buffers)])
+
+    worker = None
+    try:
+        for b, start in enumerate(starts):
+            z = draw(b) if worker is None else worker.result()
+            if overlap and b + 1 < len(starts):
+                worker = _Worker(draw, b + 1)
+                worker.start()
+            n, T, p = z.shape
+            m = 2 * p + (case == RESTRICTED_CONSTANT)
+            L, errors = np.empty((n, m, m)), {}
+            for lo in range(0, n, FIT_BLOCK):
+                block = slice(lo, lo + FIT_BLOCK)
+                _, L[block], _, failures = _stacked_concentrate(z[block], k, case)
+                _record(errors, {lo + i: error for i, error in failures.items()})
+            lam, candidates = _stacked_eigenproblem(L, p, errors, vectors=r >= 1)
+            trace, ranks = _stacked_trace_test(lam, T - k, p, case)
+            beta = alpha_t = None
+            if r >= 1:
+                beta = _stacked_phillips(candidates, r, errors)
+                alpha_t, _ = _stacked_fit(L, beta, errors)
+            _raise_first(errors)
+            yield start, trace, ranks, beta, alpha_t
+    finally:
+        if worker is not None:
+            worker.join()
 
 
 @dataclass(frozen=True)
@@ -424,7 +490,9 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     replication statistics.
 
     Replications run through _stacked_study, drawn and cumulated in stacks
-    of SIM_BLOCK; the first failing replication raises its own error.
+    of SIM_BLOCK (the next stack on a worker thread while this one is
+    fitted, given more than one CPU); the first failing replication raises
+    its own error.
     p_minus_r, reps, T and seed must be ints or numpy integers.
     """
     _check_case(case)
@@ -436,11 +504,10 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
     if not 1 <= p_minus_r <= MAX_TABLE_DIM:
         raise ValidationError(f"p_minus_r must be in 1..{MAX_TABLE_DIM}, got {p_minus_r}")
     drift = 1.0 if case == UNRESTRICTED_CONSTANT else 0.0
-    buffer = np.empty((min(SIM_BLOCK, reps), T, p_minus_r))
     streams = _replication_streams(seed, range(reps))
 
-    def levels(start, n):
-        z = buffer[:n]
+    def levels(start, n, buffer):
+        z = buffer[: n * T * p_minus_r].reshape(n, T, p_minus_r)
         # zip takes from z first, so the stack's end consumes no stream
         for member, rng in zip(z, streams):
             rng.standard_normal(out=member)
@@ -449,7 +516,7 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
         return np.cumsum(z, axis=1, out=z)
 
     stats = np.empty(reps)
-    for start, trace, *_ in _stacked_study(levels, reps, 1, case, 0):
+    for start, trace, *_ in _stacked_study(levels, reps, 1, case, 0, T * p_minus_r):
         stats[start : start + len(trace)] = trace[:, 0]
 
     qs = (90.0, 95.0, 99.0)
@@ -526,13 +593,13 @@ def run_recovery_study(spec: SyntheticSpec, reps: int,
     _check_dimension(spec.p)
     trace_r0, angles, alpha_sq = np.empty(reps), np.empty(reps), np.empty(reps)
     ranks = np.empty(reps, dtype=int)
-    buffer = np.empty(min(SIM_BLOCK, reps) * (spec.T + BURN_IN + spec.k) * spec.p)
 
-    def levels(start, n):
+    def levels(start, n, buffer):
         return _simulate(spec, range(start, start + n), buffer).transpose(2, 0, 1)
 
+    rows = spec.T + BURN_IN + spec.k
     for start, trace, selected, beta, alpha_t in _stacked_study(levels, reps, spec.k, case,
-                                                                spec.r):
+                                                                spec.r, rows * spec.p):
         i = slice(start, start + len(trace))
         trace_r0[i], ranks[i] = trace[:, 0], selected
         angles[i] = _angles_deg(beta[:, : spec.p], spec.beta_true)

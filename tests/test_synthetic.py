@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +31,51 @@ from velakit.unit_root import adf_test
 from velakit.vecm import estimate_vecm
 
 RANK_ONE = dict(alpha_true=[[-0.4], [0.2], [0.1]], beta_true=[[1.0], [-2.0], [0.5]])
+
+
+@contextlib.contextmanager
+def switch_interval(seconds):
+    """The interpreter's thread switch interval set to ``seconds`` (None
+    leaves it), and restored on the way out."""
+    default = sys.getswitchinterval()
+    if seconds is not None:
+        sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(default)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in order."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def assert_joined(threads):
+    """None of ``threads`` is alive now; each is then joined, so a failing
+    check leaves no thread behind."""
+    alive = [thread.name for thread in threads if thread.is_alive()]
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not alive
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The CPU probe reports 1, and starting a thread fails."""
+    def no_thread(thread):
+        raise AssertionError(f"thread {thread.name} started on one CPU")
+    monkeypatch.setattr(synthetic, "_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
 
 
 class TestSpecValidation:
@@ -399,15 +448,27 @@ class TestBlockedCriticalValueStudy:
         want = {f"{q}%": float(np.std(vals, ddof=1)) for q, vals in boots.items()}
         assert ragged_study.bootstrap_se == want
 
+    @pytest.mark.parametrize("switch", [None, 1e-6], ids=["switch-default", "switch-1us"])
     @pytest.mark.parametrize("fit_block", [1, 7, 64])
     @pytest.mark.parametrize("slices", [1, 3, None], ids=["stack1", "stack3", "stackall"])
-    def test_block_sizes_do_not_change_the_study(self, ragged_study, fit_block, slices,
+    def test_block_sizes_do_not_change_the_study(self, ragged_study, fit_block, slices, switch,
                                                  monkeypatch):
         # a stack of one slice, of three, and of every replication; the
         # reference study, in stacks of 256 and slices of 64, is the one the
-        # tests above check exactly
+        # tests above check exactly. Small stacks draw on the worker thread,
+        # also when the interpreter switches threads every microsecond
         monkeypatch.setattr(synthetic, "FIT_BLOCK", fit_block)
         monkeypatch.setattr(synthetic, "SIM_BLOCK", 2048 if slices is None else slices * fit_block)
+        monkeypatch.setattr(synthetic, "BOOTSTRAP", 45)
+        with switch_interval(switch):
+            study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
+                                                keep_statistics=True)
+        assert np.array_equal(study.statistics, ragged_study.statistics)
+        assert study.percentiles == ragged_study.percentiles
+        assert study.bootstrap_se == ragged_study.bootstrap_se
+
+    def test_one_cpu_draws_inline(self, ragged_study, one_cpu, monkeypatch):
+        # four stacks, drawn on the fitting thread into one buffer
         monkeypatch.setattr(synthetic, "BOOTSTRAP", 45)
         study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
                                             keep_statistics=True)
@@ -590,11 +651,23 @@ class TestRecoveryBlocks:
         study = run_recovery_study(study_spec(T=120, seed=42), reps=100)
         assert study.per_rep == study300.per_rep[:100]
 
+    @pytest.mark.parametrize("switch", [None, 1e-6], ids=["switch-default", "switch-1us"])
     @pytest.mark.parametrize("sim_block, fit_block", [(64, 7), (300, 300), (1, 1)])
-    def test_block_sizes_do_not_change_the_study(self, study300, sim_block, fit_block,
+    def test_block_sizes_do_not_change_the_study(self, study300, sim_block, fit_block, switch,
                                                  monkeypatch):
+        # stacks of 64 and of 1 simulate on the worker thread, also when the
+        # interpreter switches threads every microsecond
         monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
         monkeypatch.setattr(synthetic, "FIT_BLOCK", fit_block)
+        with switch_interval(switch):
+            study = run_recovery_study(study_spec(T=120, seed=42), reps=300)
+        assert study.per_rep == study300.per_rep
+        assert (study.rank_accuracy, study.beta_angle_median_deg, study.alpha_rmse) == (
+            study300.rank_accuracy, study300.beta_angle_median_deg, study300.alpha_rmse)
+
+    def test_one_cpu_draws_inline(self, study300, one_cpu, monkeypatch):
+        # five stacks, simulated on the fitting thread into one buffer
+        monkeypatch.setattr(synthetic, "SIM_BLOCK", 64)
         study = run_recovery_study(study_spec(T=120, seed=42), reps=300)
         assert study.per_rep == study300.per_rep
         assert (study.rank_accuracy, study.beta_angle_median_deg, study.alpha_rmse) == (
@@ -614,7 +687,7 @@ class TestRecoveryBlocks:
         assert calls.pop("_stacked_concentrate") == slices
         assert calls == {name: [256, 44] for name in calls}
 
-    def test_lowest_failing_replication_raises_its_error(self, monkeypatch):
+    def test_lowest_failing_replication_raises_its_error(self, started_threads, monkeypatch):
         # replication 150 (third slice of the first simulation block) draws
         # zeros, so its levels are constant and S11 singular, which the
         # eigenproblem finds; replication 200 draws a NaN, which its slice's
@@ -646,13 +719,16 @@ class TestRecoveryBlocks:
             monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
             with pytest.raises(VelakitError) as blocked:
                 run_recovery_study(spec, reps=300)
+            # the next stack's worker, simulating while the failing stack was
+            # fitted, has been joined
+            assert_joined(started_threads)
             assert blocked.type is type(want.value) and str(blocked.value) == str(want.value)
         assert "degenerate moment matrix" in str(want.value)
 
 
 class TestBlockedCriticalValues:
     @pytest.mark.parametrize("case", ["rconst", "uconst"])
-    def test_failing_replication_raises_its_error(self, case, monkeypatch):
+    def test_failing_replication_raises_its_error(self, case, started_threads, monkeypatch):
         # replication 101 (second slice of 64) draws a second series that
         # repeats the first, so its level moments are singular; replication
         # 900 draws a non-finite value, which the concentration flags before
@@ -690,5 +766,60 @@ class TestBlockedCriticalValues:
             monkeypatch.setattr(synthetic, "SIM_BLOCK", sim_block)
             with pytest.raises(VelakitError) as blocked:
                 monte_carlo_critical_values(p_minus_r=2, case=case, reps=1000, T=400, seed=5)
+            assert_joined(started_threads)
             assert blocked.type is type(want.value)
             assert str(blocked.value) == str(want.value)
+
+
+class TestNextStackWorker:
+    """The next stack's levels are drawn on a worker thread while a stack is
+    fitted; its errors and its lifetime stay within the study."""
+
+    STUDIES = {
+        "cv": lambda: monte_carlo_critical_values(2, "rconst", reps=1000, T=400, seed=5),
+        "recovery": lambda: run_recovery_study(study_spec(T=120, seed=42), reps=300),
+    }
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_error_drawing_the_next_stack_raises_after_this_stack(self, study, started_threads,
+                                                                 monkeypatch):
+        # replication 280 lies in the second stack of 256
+        error = RuntimeError("stream 280 failed")
+        real_streams, real_study = synthetic._replication_streams, synthetic._stacked_study
+
+        class Failing:
+            def standard_normal(self, out):
+                raise error
+
+        def rigged(seed, indices):
+            for index, rng in zip(indices, real_streams(seed, indices)):
+                yield Failing() if index == 280 else rng
+
+        yielded = []
+
+        def recording(*args):
+            for row in real_study(*args):
+                yielded.append(row[0])
+                yield row
+
+        monkeypatch.setattr(synthetic, "_replication_streams", rigged)
+        monkeypatch.setattr(synthetic, "_stacked_study", recording)
+        with pytest.raises(RuntimeError) as raised:
+            self.STUDIES[study]()
+        assert_joined(started_threads)
+        assert raised.value is error
+        assert yielded == [0]
+
+    def test_closed_study_joins_its_worker(self, started_threads, monkeypatch):
+        monkeypatch.setattr(synthetic, "_cpus", lambda: 2)
+
+        def levels(start, n, buffer):
+            if start:  # the worker's draw outlasts the first stack's fit
+                time.sleep(0.5)
+            return np.cumsum(rng_for(3, start).standard_normal((n, 50, 2)), axis=1)
+
+        study = synthetic._stacked_study(levels, 2 * synthetic.SIM_BLOCK, 1, "rconst", 0, 100)
+        assert next(study)[0] == 0
+        assert [thread.is_alive() for thread in started_threads] == [True]
+        study.close()
+        assert_joined(started_threads)

@@ -18,6 +18,13 @@ setup_s included, and their `correct` and `failed`. The record claims no
 gain; the summary reports, it does not judge. Workloads already in an
 existing output file are kept unless this run measures them again.
 
+Medians compare only between the two sides of one BENCH_<pr>.json. Each
+run scales its timings by the host's speed at that moment, and that
+calibration differs between sessions: `mc_cv`'s parent p50 reads 130.0 ms
+in BENCH_20.json and 143.4 ms in BENCH_30.json, yet the in-process call
+timed the same at both commits. A trajectory across files is not a
+measurement.
+
 Standard library only.
 """
 
