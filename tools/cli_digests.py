@@ -24,11 +24,15 @@ of its parent commit.
 
     python3 tools/cli_digests.py                  # this checkout
     python3 tools/cli_digests.py --root ../other  # another checkout
-    python3 tools/cli_digests.py --keep out/new   # and keep the artifacts
+    python3 tools/cli_digests.py --keep out/new   # and keep the outputs
 
 With --keep DIR (empty or absent) each command's artifacts stay under
-DIR/<name>/, so the JSON artifacts of two checkouts can be compared field by
-field with tools/json_float_diff.py.
+DIR/<name>/, and its exit code, stdout and stderr in DIR/<name>.exit,
+.stdout and .stderr; the lines printed are the same. tools/compare_runs.py
+compares two such trees, run under two BLAS kernels or from a change and
+its parent: it fails when an exit code, stderr, a text artifact or a text
+stdout differs in a byte, when a JSON or CSV output differs in anything but
+a float, or when a float field moves past its bound.
 
 Standard library only; velakit is imported from the checkout's src/.
 """
@@ -123,6 +127,10 @@ def digest_line(root: Path, name: str, argv: list[str], keep: Path | None = None
                   f"stderr={sha256(proc.stderr)}"]
         fields += [f"{path.relative_to(out_dir)}={sha256(path.read_bytes())}"
                    for path in artifacts if path.is_file()]
+    if keep is not None:
+        for part, data in (("exit", f"{proc.returncode}\n".encode()), ("stdout", proc.stdout),
+                           ("stderr", proc.stderr)):
+            (keep / f"{name}.{part}").write_bytes(data)
     return f"{name} " + " ".join(fields)
 
 
@@ -131,8 +139,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the velakit checkout to run (default: this one)")
     parser.add_argument("--keep", type=Path, metavar="DIR",
-                        help="keep each command's artifacts under DIR/<name>/; DIR must be "
-                             "empty or absent")
+                        help="keep each command's artifacts under DIR/<name>/, and its exit "
+                             "code, stdout and stderr beside them; DIR must be empty or absent")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "velakit" / "cli.py").is_file():
