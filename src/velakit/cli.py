@@ -283,6 +283,10 @@ def cmd_mc_validate(args) -> int:
 
     if args.dump_reps and not args.out_dir:
         raise ValidationError("--dump-reps writes its CSV to --out-dir; give --out-dir")
+    # replication seeds mix the seed modulo 2**64, so a seed outside that
+    # range would rerun another seed's study under its own name
+    if not 0 <= args.seed < 2**64:
+        raise ValidationError(f"--seed must be in 0..{2**64 - 1}, got {args.seed}")
     seeds = (args.seed,)
     if args.study == "cv":
         p_minus_r = 1 if args.p_minus_r is None else args.p_minus_r

@@ -24,19 +24,17 @@ block. The driver concentrates each stack in FIT_BLOCK = 64 slices
 whose eigenproblem and trace test (and, for a rank r >= 1, Phillips
 normalization and fit, vecm._stacked_fit) are then one stacked pass each:
 the kernels of the specification search and of the n=1 public calls.
-Drawing a stack never depends on fitting the one before, so when a study
-has more than one stack and the process may run on more than one CPU, a
-worker thread draws (or simulates) the next stack into a second buffer
-while the driver fits this one: numpy releases the GIL while it fills and
-cumulates arrays. On one CPU, or with one stack, every stack is drawn
-inline into one buffer. One memory rule holds for both studies: a level
-buffer takes SIM_BLOCK * rows * p * 8 bytes, rows being T for the cv
-study (4.9 MB at p - r = 6 and T = 400) and T + BURN_IN + k for the
-recovery study (3.4 MB at T=500 and p=3); a study of more than one stack
-on more than one CPU holds two (2 x 4.9 MB at p - r = 6), and one of at
-most SIM_BLOCK replications keeps one. The cv study's bootstrap sorts each
-block of resampled statistics before taking their percentiles. A
-replication that fails raises its own typed error, the one its n=1 call
+Drawing a stack never depends on fitting the one before, so the driver
+draws the first stack inline and then, while it fits each stack, has a
+one-thread executor draw (or simulate) the next into a second buffer:
+numpy releases the GIL while it fills and cumulates arrays. One memory
+rule holds for both studies: a level buffer takes SIM_BLOCK * rows * p * 8
+bytes, rows being T for the cv study (4.9 MB at p - r = 6 and T = 400)
+and T + BURN_IN + k for the recovery study (3.4 MB at T=500 and p=3); a
+study of more than one stack holds two (2 x 4.9 MB at p - r = 6), and one
+of at most SIM_BLOCK replications keeps one. The cv study's bootstrap
+sorts each block of resampled statistics before taking their percentiles.
+A replication that fails raises its own typed error, the one its n=1 call
 raises; the first failing replication of the first failing stack wins, so
 the lowest failing replication of the study raises, before any error
 drawing a later stack. Reruns are byte-identical, and a replication's
@@ -47,8 +45,6 @@ simulated or fitted in, nor on the thread that draws it.
 from __future__ import annotations
 
 import operator
-import os
-import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -377,35 +373,6 @@ def study_spec(T: int = 400, seed: int = 0) -> SyntheticSpec:
     )
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _Worker(threading.Thread):
-    """fn(*args) on a thread of its own; result() joins it and returns the
-    call's value or raises its error."""
-
-    def __init__(self, fn, *args):
-        super().__init__(name="velakit-levels")
-        self.fn, self.args, self.value, self.error = fn, args, None, None
-
-    def run(self):
-        try:
-            self.value = self.fn(*self.args)
-        except BaseException as error:  # raised again by result(), on the caller's thread
-            self.error = error
-
-    def result(self):
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
 def _stacked_study(levels, reps: int, k: int, case: str, r: int, size: int):
     """Rank test (and rank-r fit, for r >= 1) of replications 0..reps-1, a
     stack of up to SIM_BLOCK at a time.
@@ -415,34 +382,33 @@ def _stacked_study(levels, reps: int, k: int, case: str, r: int, size: int):
     min(SIM_BLOCK, reps) * size values, and returns them as an (n, T, p)
     view. Each stack is concentrated in FIT_BLOCK slices into one stack of
     joint moment factors; its eigenproblem and trace test, and for r >= 1
-    its Phillips normalization and factor fit, then run once. With more
-    than one stack and more than one CPU to run on, the next stack's levels
-    are drawn on a worker thread, into a second buffer, while this stack is
-    fitted and yielded (numpy releases the GIL while it fills and cumulates
-    arrays); otherwise every stack is drawn inline into one buffer. The
-    worker only calls ``levels``, which draws and cumulates or runs
-    _simulate, none of the functions perfbench's tracer wraps (its span
-    stack is not thread-safe), and it is joined before the study returns,
-    raises or is closed.
+    its Phillips normalization and factor fit, then run once. The first
+    stack is drawn inline; while stack b is fitted and yielded, a
+    one-thread executor draws stack b + 1 into the second of
+    min(2, stacks) buffers (numpy releases the GIL while it fills and
+    cumulates arrays), so a study starts one thread, or none with one
+    stack. The worker only calls ``levels``, which draws and cumulates or
+    runs _simulate, none of the functions perfbench's tracer wraps (its
+    span stack is not thread-safe), and the executor's shutdown joins it
+    before the study returns, raises or is closed.
     Raises the error of the stack's first failing replication, before any
     error of the next stack's levels, and else yields (start, trace (n, p),
     ranks (n,), beta (n, p_aug, r), alpha' (n, r, p)), beta and alpha' None
     when r = 0.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     starts = range(0, reps, SIM_BLOCK)
-    overlap = len(starts) > 1 and _cpus() > 1
-    buffers = np.empty((1 + overlap, min(SIM_BLOCK, reps) * size))
+    buffers = np.empty((min(2, len(starts)), min(SIM_BLOCK, reps) * size))
 
     def draw(b):
         return levels(starts[b], min(SIM_BLOCK, reps - starts[b]), buffers[b % len(buffers)])
 
-    worker = None
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="velakit-levels") as executor:
         for b, start in enumerate(starts):
-            z = draw(b) if worker is None else worker.result()
-            if overlap and b + 1 < len(starts):
-                worker = _Worker(draw, b + 1)
-                worker.start()
+            z = pending.result() if b else draw(0)
+            if b + 1 < len(starts):
+                pending = executor.submit(draw, b + 1)
             n, T, p = z.shape
             m = 2 * p + (case == RESTRICTED_CONSTANT)
             L, errors = np.empty((n, m, m)), {}
@@ -458,9 +424,6 @@ def _stacked_study(levels, reps: int, k: int, case: str, r: int, size: int):
                 alpha_t, _ = _stacked_fit(L, beta, errors)
             _raise_first(errors)
             yield start, trace, ranks, beta, alpha_t
-    finally:
-        if worker is not None:
-            worker.join()
 
 
 @dataclass(frozen=True)
@@ -491,8 +454,7 @@ def monte_carlo_critical_values(p_minus_r: int, case: str, reps: int, T: int,
 
     Replications run through _stacked_study, drawn and cumulated in stacks
     of SIM_BLOCK (the next stack on a worker thread while this one is
-    fitted, given more than one CPU); the first failing replication raises
-    its own error.
+    fitted); the first failing replication raises its own error.
     p_minus_r, reps, T and seed must be ints or numpy integers.
     """
     _check_case(case)

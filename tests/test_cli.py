@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from velakit import cli
+from velakit import cli, synthetic
 from velakit.cli import main
 from velakit.errors import VelakitError
 
@@ -422,6 +422,25 @@ class TestMcValidate:
         assert code == 2
         assert err == f"error: T must be an integer >= 1, got {T}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exit_2(self, seed, capsys, monkeypatch):
+        # the replication seeds take the seed modulo 2**64, so 2**64 would
+        # rerun seed 0's study; it is refused before the study runs
+        def never(*args, **kwargs):
+            raise AssertionError("the study ran")
+        monkeypatch.setattr(synthetic, "monte_carlo_critical_values", never)
+        code, out, err = run(["mc-validate", "--seed", seed], capsys)
+        assert code == 2
+        assert err == f"error: --seed must be in 0..{2**64 - 1}, got {seed}\n"
+        assert out == ""
+
+    def test_largest_seed_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        code, out, _ = run(["mc-validate", "--study", "cv", "--reps", "1000", "--T", "400",
+                            "--seed", str(2**64 - 1), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seeds"] == [2**64 - 1]
 
     @pytest.mark.parametrize("study", ["cv", "recovery"])
     def test_dump_reps_needs_out_dir_exit_2(self, study, capsys):

@@ -69,15 +69,6 @@ def assert_joined(threads):
     assert not any(thread.is_alive() for thread in threads)
 
 
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """The CPU probe reports 1, and starting a thread fails."""
-    def no_thread(thread):
-        raise AssertionError(f"thread {thread.name} started on one CPU")
-    monkeypatch.setattr(synthetic, "_cpus", lambda: 1)
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-
-
 class TestSpecValidation:
     def test_valid_rank_one(self):
         spec = study_spec()
@@ -467,15 +458,6 @@ class TestBlockedCriticalValueStudy:
         assert study.percentiles == ragged_study.percentiles
         assert study.bootstrap_se == ragged_study.bootstrap_se
 
-    def test_one_cpu_draws_inline(self, ragged_study, one_cpu, monkeypatch):
-        # four stacks, drawn on the fitting thread into one buffer
-        monkeypatch.setattr(synthetic, "BOOTSTRAP", 45)
-        study = monte_carlo_critical_values(2, "uconst", reps=1001, T=400, seed=13,
-                                            keep_statistics=True)
-        assert np.array_equal(study.statistics, ragged_study.statistics)
-        assert study.percentiles == ragged_study.percentiles
-        assert study.bootstrap_se == ragged_study.bootstrap_se
-
     @pytest.mark.parametrize("reps", [2000, 5000])
     def test_one_eigenproblem_per_moment_stack(self, reps, monkeypatch):
         calls = {"_stacked_concentrate": [], "_stacked_eigenproblem": []}
@@ -665,14 +647,6 @@ class TestRecoveryBlocks:
         assert (study.rank_accuracy, study.beta_angle_median_deg, study.alpha_rmse) == (
             study300.rank_accuracy, study300.beta_angle_median_deg, study300.alpha_rmse)
 
-    def test_one_cpu_draws_inline(self, study300, one_cpu, monkeypatch):
-        # five stacks, simulated on the fitting thread into one buffer
-        monkeypatch.setattr(synthetic, "SIM_BLOCK", 64)
-        study = run_recovery_study(study_spec(T=120, seed=42), reps=300)
-        assert study.per_rep == study300.per_rep
-        assert (study.rank_accuracy, study.beta_angle_median_deg, study.alpha_rmse) == (
-            study300.rank_accuracy, study300.beta_angle_median_deg, study300.alpha_rmse)
-
     def test_one_pass_per_simulation_block(self, monkeypatch):
         calls = {name: [] for name in ("_stacked_concentrate", "_stacked_eigenproblem",
                                        "_stacked_fit", "_angles_deg")}
@@ -772,8 +746,9 @@ class TestBlockedCriticalValues:
 
 
 class TestNextStackWorker:
-    """The next stack's levels are drawn on a worker thread while a stack is
-    fitted; its errors and its lifetime stay within the study."""
+    """The next stack's levels are drawn on the study's one worker thread
+    while a stack is fitted; its errors and its lifetime stay within the
+    study."""
 
     STUDIES = {
         "cv": lambda: monte_carlo_critical_values(2, "rconst", reps=1000, T=400, seed=5),
@@ -810,9 +785,14 @@ class TestNextStackWorker:
         assert raised.value is error
         assert yielded == [0]
 
-    def test_closed_study_joins_its_worker(self, started_threads, monkeypatch):
-        monkeypatch.setattr(synthetic, "_cpus", lambda: 2)
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_one_thread_draws_every_later_stack(self, study, started_threads):
+        # the cv study's four stacks and the recovery study's two
+        self.STUDIES[study]()
+        assert len(started_threads) == 1
+        assert_joined(started_threads)
 
+    def test_closed_study_joins_its_worker(self, started_threads):
         def levels(start, n, buffer):
             if start:  # the worker's draw outlasts the first stack's fit
                 time.sleep(0.5)
